@@ -20,9 +20,10 @@ from .stein import (BoundCheck, BoundReport, HalfLineIndicator,
                     LipschitzFunction, aux_eval, fz, fz_prime, mu_h,
                     solve_fh, sup_search, verify_lemma_bounds,
                     verify_monotone_xfz)
-from .walks import (ExactPMF, ScaledLaw, brute_force_pmf, mean_exact,
-                    moment_bounds_check, pmf_halfmax, pmf_max, pmf_returns,
-                    pmf_signchanges, position_prob, scaled_law)
+from .walks import (ExactPMF, FloatLaw, ScaledLaw, brute_force_pmf,
+                    float_law, mean_exact, moment_bounds_check, pmf_halfmax,
+                    pmf_max, pmf_returns, pmf_signchanges, position_prob,
+                    scaled_law)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -9,23 +9,24 @@ segment by segment with the analytic antiderivative of F_Y and the exact
 crossing point on each segment, so quadrature noise never touches the
 theorem margins. A quantile-side quadrature provides an independent
 second route.
+
+A law is anything with ``atoms()`` and ``cdf()``: the sweep reads the float
+CDF of ``walks.float_law``, the exact oracles a ``ScaledLaw`` whose CDF is
+the exact one rounded once.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _acklam, cap_phi,
                      normal_sf, phi)
-from .walks import (ExactPMF, ScaledLaw, central_binomial_prob, mean_exact,
-                    pmf_halfmax, pmf_max, pmf_returns, pmf_signchanges,
+from .walks import (FloatLaw, ScaledLaw, float_law, pmf_halfmax, pmf_max,
                     scaled_law)
 
 
@@ -39,28 +40,29 @@ def _hn_cdf_antiderivative(x: np.ndarray) -> np.ndarray:
 
 
 def _hn_quantile_array(q: np.ndarray) -> np.ndarray:
-    """Vectorised half-normal quantile with q = 1 mapped to +inf."""
-    p = (1.0 + q) / 2.0
-    out = np.full_like(p, np.inf)
-    ok = p < 1.0
-    x = _acklam(p[ok])
-    for _ in range(2):
-        x -= (cap_phi(x) - p[ok]) / phi(x)
-    out[ok] = x
+    """Vectorised half-normal quantile with q = 1 mapped to +inf.
+
+    Evaluated from the survival side, -ndtri((1 - q) / 2): 1 - q is exact
+    for q >= 1/2, so q just below 1 keeps a finite quantile instead of
+    rounding (1 + q) / 2 up to 1.
+    """
+    out = np.full_like(q, np.inf)
+    ok = q < 1.0
+    out[ok] = -special.ndtri((1.0 - q[ok]) / 2.0)
     return out
 
 
-def kolmogorov_exact(law: ScaledLaw) -> float:
+def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
     """sup_z |F_law(z) - F_Y(z)| for atoms on [0, inf)."""
     atoms = law.atoms()
-    cdf = law.base.float_cdf()
+    cdf = law.cdf()
     cdf_left = np.concatenate(([0.0], cdf[:-1]))
     target = np.where(atoms > 0.0, _hn_cdf(atoms), 0.0)
     return float(np.max(np.maximum(np.abs(cdf - target),
                                    np.abs(cdf_left - target))))
 
 
-def wasserstein_exact(law: ScaledLaw) -> float:
+def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
     """Integral of |F_law(t) - F_Y(t)| over [0, inf), piecewise analytic.
 
     Between consecutive atoms F_law is a constant c; F_Y crosses it at
@@ -69,7 +71,7 @@ def wasserstein_exact(law: ScaledLaw) -> float:
     contribution is G(x_last) = 2 phi(x) - 2 x (1 - cap_phi(x)).
     """
     atoms = law.atoms()
-    cdf = law.base.float_cdf()
+    cdf = law.cdf()
 
     total = 0.0
     if atoms[0] > 0.0:
@@ -97,7 +99,7 @@ def wasserstein_exact(law: ScaledLaw) -> float:
     return total
 
 
-def wasserstein_quantile(law: ScaledLaw, nodes: int = 128) -> float:
+def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
     """Independent Wasserstein route: integral of the quantile gap.
 
     Integrates |Q_law(u) - Q_Y(u)| over (0, 1) by adaptive quadrature,
@@ -108,7 +110,7 @@ def wasserstein_quantile(law: ScaledLaw, nodes: int = 128) -> float:
     if nodes < 64:
         raise ValueError("nodes >= 64 required")
     atoms = law.atoms()
-    cdf = law.base.float_cdf()
+    cdf = law.cdf()
     lows = np.concatenate(([0.0], cdf[:-1]))
 
     def quantile(u: float) -> float:
@@ -217,8 +219,12 @@ class DistanceReport:
 
 
 def bound_check(statistic_tag: str, n: int) -> DistanceReport:
-    """Exact distances for one n, next to the matching theorem bounds."""
-    law = scaled_law(statistic_tag, n)
+    """Distances for one n, next to the matching theorem bounds.
+
+    Both distances read one CDF from ``float_law``; it agrees with the
+    exactly rounded CDF of ``scaled_law`` to about 1e-14.
+    """
+    law = float_law(statistic_tag, n)
     return DistanceReport(
         statistic_tag=statistic_tag, n=n,
         kolmogorov=kolmogorov_exact(law),
@@ -228,22 +234,9 @@ def bound_check(statistic_tag: str, n: int) -> DistanceReport:
     )
 
 
-def _sweep_workers() -> int:
-    env = os.environ.get("STEIN_HN_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def bound_sweep(statistic_tag: str, n_values) -> list[DistanceReport]:
-    """bound_check over many n; thread count capped by STEIN_HN_THREADS."""
-    n_values = list(n_values)
-    workers = _sweep_workers()
-    if workers == 1 or len(n_values) < 4:
-        return [bound_check(statistic_tag, n) for n in n_values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda n: bound_check(statistic_tag, n),
-                             n_values))
+    """bound_check over many n."""
+    return [bound_check(statistic_tag, n) for n in n_values]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -70,6 +71,19 @@ def test_wasserstein_dual_agreement(tag, ns):
         assert abs(a - b) <= 1e-8
 
 
+@pytest.mark.parametrize("tag,n", [("returns", 106), ("returns", 116),
+                                   ("returns", 124), ("max", 54), ("max", 60),
+                                   ("halfmax", 54), ("halfmax", 90),
+                                   ("signchanges", 65)])
+def test_wasserstein_quantile_finite_below_top_atom(tag, n):
+    # these laws have a CDF of 1 - 2^-53 one atom before the end; there
+    # (1 + u) / 2 rounds to 1 and the quantile used to come out infinite
+    law = walks.scaled_law(tag, n)
+    quad = metrics.wasserstein_quantile(law)
+    assert math.isfinite(quad)
+    assert abs(quad - metrics.wasserstein_exact(law)) <= 1e-8
+
+
 def test_wasserstein_quantile_node_floor():
     with pytest.raises(ValueError):
         metrics.wasserstein_quantile(walks.scaled_law("returns", 4), nodes=32)
@@ -112,13 +126,12 @@ def test_bound_check_returns_two():
     assert metrics.bound_check("returns", 2).kolmogorov == 0.5
 
 
-def test_bound_sweep_matches_single(monkeypatch):
+def test_bound_sweep_matches_single():
     ns = [8, 16, 32, 64, 128]
-    parallel = metrics.bound_sweep("returns", ns)
-    monkeypatch.setenv("STEIN_HN_THREADS", "1")
-    serial = metrics.bound_sweep("returns", ns)
-    assert [(r.kolmogorov, r.wasserstein) for r in parallel] == \
-        [(r.kolmogorov, r.wasserstein) for r in serial]
+    sweep = metrics.bound_sweep("returns", ns)
+    single = [metrics.bound_check("returns", n) for n in ns]
+    assert [dataclasses.astuple(r) for r in sweep] == \
+        [dataclasses.astuple(r) for r in single]
 
 
 @given(st.integers(1, 256))

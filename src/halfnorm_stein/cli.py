@@ -28,6 +28,18 @@ def _parse_range(spec: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"bad range {spec!r}")
 
 
+def _grid_points(spec: str) -> int:
+    """A certification grid size: an integer of at least 2."""
+    try:
+        points = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad grid size {spec!r}") from None
+    if points < 2:
+        raise argparse.ArgumentTypeError(
+            f"grid needs at least 2 points, got {points}")
+    return points
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -251,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, stat=False)
     p.add_argument("--kind", choices=("indicator", "lipschitz", "all"),
                    default="all")
-    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--grid", type=_grid_points, default=400,
+                   help="points per axis, at least 2")
     p.set_defaults(fn=_cmd_verify_lemmas)
 
     p = sub.add_parser("simulate", help="Monte Carlo check against the exact law")

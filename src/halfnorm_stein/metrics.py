@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
-from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _acklam, cap_phi,
-                     normal_sf, phi)
+from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _acklam, _hn_quantile,
+                     cap_phi, normal_sf, phi)
 from .walks import (FloatLaw, ScaledLaw, float_law, pmf_halfmax, pmf_max,
                     scaled_law)
 
@@ -37,19 +37,6 @@ def _hn_cdf(x: np.ndarray) -> np.ndarray:
 def _hn_cdf_antiderivative(x: np.ndarray) -> np.ndarray:
     """d/dx [2(x cap_phi(x) + phi(x)) - x] = 2 cap_phi(x) - 1."""
     return 2.0 * (x * cap_phi(x) + phi(x)) - x
-
-
-def _hn_quantile_array(q: np.ndarray) -> np.ndarray:
-    """Vectorised half-normal quantile with q = 1 mapped to +inf.
-
-    Evaluated from the survival side, -ndtri((1 - q) / 2): 1 - q is exact
-    for q >= 1/2, so q just below 1 keeps a finite quantile instead of
-    rounding (1 + q) / 2 up to 1.
-    """
-    out = np.full_like(q, np.inf)
-    ok = q < 1.0
-    out[ok] = -special.ndtri((1.0 - q[ok]) / 2.0)
-    return out
 
 
 def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
@@ -84,7 +71,7 @@ def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
         c = cdf[:-1]
         anti_a = _hn_cdf_antiderivative(a)
         anti_b = _hn_cdf_antiderivative(b)
-        crossing = _hn_quantile_array(c)
+        crossing = _hn_quantile(c)
 
         below = np.clip(crossing, a, b)  # F_Y < c on [a, below)
         anti_split = np.where(crossing <= a, anti_a,
@@ -114,7 +101,7 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
     lows = np.concatenate(([0.0], cdf[:-1]))
 
     def quantile(u: float) -> float:
-        return float(_hn_quantile_array(np.array([u]))[0])
+        return float(_hn_quantile(u))
 
     def tail_quantile(s: float) -> float:
         # Q_Y(1 - s) from the survival side: solves normal_sf(x) = s / 2,

@@ -93,6 +93,16 @@ def inv_cap_phi(p):
     return x
 
 
+def _hn_quantile(q):
+    """Half-normal quantile -ndtri((1 - q)/2), elementwise; q = 1 gives inf.
+
+    Evaluated from the survival side: 1 - q is exact for q >= 1/2, so q
+    just below 1 keeps a finite quantile instead of rounding (1 + q)/2 up
+    to 1.
+    """
+    return -special.ndtri((1.0 - np.asarray(q, dtype=float)) / 2.0)
+
+
 def mill_bounds(x):
     """Mill's-ratio sandwich for the upper tail at x > 0.
 
@@ -139,7 +149,7 @@ class HalfNormal:
         arr = np.asarray(q, dtype=float)
         if np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise ValueError("ppf requires 0 < q < 1")
-        out = inv_cap_phi((1.0 + arr) / 2.0)
+        out = _hn_quantile(arr)
         return float(out) if np.ndim(q) == 0 else out
 
     def log_derivative(self, x):

@@ -17,9 +17,11 @@ import numpy as np
 from scipy import integrate
 
 from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, INV_SQRT_2PI, cap_phi,
-                     inv_cap_phi, normal_sf, phi)
+                     normal_sf, phi)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Step of the central difference that gives f_h' for Lipschitz h.
+FH_PRIME_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -56,36 +58,43 @@ def mu_h(h: TestFunction) -> float:
     return val
 
 
-def fz(z: float, x: float) -> float:
+def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
     """Closed-form Stein solution for the indicator 1_{[0,z]}.
 
     f_z(x) = (F(min(x,z)) - F(x)F(z)) / p(x), extended by 0 at x <= 0.
+    Elementwise in x; each branch is evaluated only where it applies.
     """
-    if x <= 0.0 or z < 0.0:
-        return 0.0
-    dens = 2.0 * phi(x)
-    if x <= z:
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros_like(xs)
+    if not z < 0.0:
+        positive = xs > 0.0
+        left = positive & (xs <= z)
+        right = positive & ~left
+        xl, xr = xs[left], xs[right]
         # (1 - F(z)) * F(x) / p(x)
-        return 2.0 * normal_sf(z) * (2.0 * cap_phi(x) - 1.0) / dens
-    return (2.0 * cap_phi(z) - 1.0) * 2.0 * normal_sf(x) / dens
+        out[left] = (2.0 * normal_sf(z) * (2.0 * cap_phi(xl) - 1.0)
+                     / (2.0 * phi(xl)))
+        out[right] = ((2.0 * cap_phi(z) - 1.0) * 2.0 * normal_sf(xr)
+                      / (2.0 * phi(xr)))
+    return float(out) if np.ndim(x) == 0 else out
 
 
-def fz_prime(z: float, x: float, side: str | None = None) -> float:
+def fz_prime(z: float, x: float | np.ndarray,
+             side: str | None = None) -> float | np.ndarray:
     """Derivative of f_z via f_z'(x) = x f_z(x) + 1_{[0,z]}(x) - F(z).
 
-    f_z' jumps at x = z; there the caller must pick side 'left' or 'right'.
+    Elementwise in x. f_z' jumps at x = z; there the caller must pick side
+    'left' or 'right'.
     The left limit is f_z'(z-) = z R(z) F(z) + 1 - F(z) with the Mills ratio
     R = (1 - Phi)/phi, and the Mills-ratio bounds z/(1+z^2) <= R(z) <= 1/z
     (see normal.mill_bounds) give z^2/(1+z^2) <= f_z'(z-) <= 1.
     """
-    if x == z and side is None:
+    xs = np.asarray(x, dtype=float)
+    if side is None and np.any(xs == z):
         raise ValueError("f_z' jumps at x = z; pass side='left' or side='right'")
-    cap_f_z = HALF_NORMAL.cdf(z)
-    if x == z:
-        indicator = 1.0 if side == "left" else 0.0
-    else:
-        indicator = 1.0 if x <= z else 0.0
-    return x * fz(z, x) + indicator - cap_f_z
+    indicator = np.where(xs <= z if side == "left" else xs < z, 1.0, 0.0)
+    out = xs * fz(z, xs) + indicator - HALF_NORMAL.cdf(z)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def fz_prime_hg(z: float, x: float, side: str | None = None) -> float:
@@ -101,44 +110,62 @@ def fz_prime_hg(z: float, x: float, side: str | None = None) -> float:
     return -(2.0 * cap_phi(z) - 1.0) * aux_G(x) / dens
 
 
+def _lipschitz_solver(h: LipschitzFunction,
+                      mu: float) -> Callable[[float], float]:
+    """x -> f_h(x) for Lipschitz h with E[h(Y)] = mu bound once.
+
+    The integral representation is switched at the half-normal median:
+    below it the integral from 0 is short and well conditioned, above it
+    the complementary integral avoids cancellation against exp(x^2/2).
+    """
+    median = HALF_NORMAL.median
+
+    def solve(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        lo, hi = (0.0, x) if x <= median else (x, x + 12.0)
+        val, _ = integrate.quad(
+            lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
+            lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
+        return val if x <= median else -val
+
+    return solve
+
+
+def _difference_quotient(solve: Callable[[float], float], x: float,
+                         step: float = FH_PRIME_STEP) -> float:
+    """Central difference of solve at x, forward where x - step < 0."""
+    lo = max(x - step, 0.0)
+    return (solve(x + step) - solve(lo)) / (x + step - lo)
+
+
 def solve_fh(h: TestFunction, x: float) -> float:
     """The standard Stein-equation solution f_h at x >= 0.
 
-    Indicators use the closed form. For Lipschitz h the integral
-    representation is switched at the half-normal median: below it the
-    integral from 0 is short and well conditioned, above it the
-    complementary integral avoids cancellation against exp(x^2/2).
+    Indicators use the closed form, Lipschitz h adaptive quadrature.
     """
-    if x < 0.0:
-        return 0.0
     if isinstance(h, HalfLineIndicator):
         return fz(h.z, x)
-    if x == 0.0:
-        return 0.0
-    mu = mu_h(h)
-    if x <= HALF_NORMAL.median:
-        val, _ = integrate.quad(
-            lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
-            0.0, x, epsabs=1e-14, epsrel=1e-13, limit=200)
-        return val
-    val, _ = integrate.quad(
-        lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
-        x, x + 12.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return -val
+    return _lipschitz_solver(h, mu_h(h))(x)
 
 
-def solve_fh_prime(h: TestFunction, x: float, step: float = 1e-5) -> float:
+def solve_fh_prime(h: TestFunction, x: float,
+                   step: float = FH_PRIME_STEP) -> float:
     """Central-difference derivative of f_h (closed form for indicators)."""
     if isinstance(h, HalfLineIndicator):
-        return fz_prime(h.z, x, side="left" if x == h.z else None)
-    lo = max(x - step, 0.0)
-    return (solve_fh(h, x + step) - solve_fh(h, lo)) / (x + step - lo)
+        return fz_prime(h.z, x, side="left")
+    return _difference_quotient(_lipschitz_solver(h, mu_h(h)), x, step)
 
 
 def stein_residual_continuous(h: TestFunction, x: float) -> float:
     """f'(x) - x f(x) - (h(x) - E[h(Y)]); zero for the exact solution."""
-    return (solve_fh_prime(h, x) - x * solve_fh(h, x)
-            - (h(x) - mu_h(h)))
+    mu = mu_h(h)
+    if isinstance(h, HalfLineIndicator):
+        f_prime, f = fz_prime(h.z, x, side="left"), fz(h.z, x)
+    else:
+        solve = _lipschitz_solver(h, mu)
+        f_prime, f = _difference_quotient(solve, x), solve(x)
+    return f_prime - x * f - (h(x) - mu)
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +295,21 @@ class BoundReport:
 
 
 def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
-    zs = np.linspace(0.0, z_hi, grid)
+    # One row per level z, vectorised over x. The z grid is the x grid, so
+    # x = z lies in each row: the row holds the right limit of f_z' there,
+    # and the left limit is added where the region x < z is nonempty.
     xs = np.linspace(0.0, z_hi, grid)
-
     sup_abs = 0.0
     sup_prime = 0.0
-    for z in zs:
-        for x in xs:
-            sup_abs = max(sup_abs, abs(fz(z, x)))
-            if x == z:
-                # left limit only where the region x < z is nonempty
-                if z > 0.0:
-                    sup_prime = max(sup_prime,
-                                    abs(fz_prime(z, x, side="left")))
-                sup_prime = max(sup_prime, abs(fz_prime(z, x, side="right")))
-            else:
-                sup_prime = max(sup_prime, abs(fz_prime(z, x)))
+    for z in xs:
+        sup_abs = max(sup_abs, float(np.max(np.abs(fz(z, xs)))))
+        sup_prime = max(sup_prime,
+                        float(np.max(np.abs(fz_prime(z, xs, side="right")))))
+        if z > 0.0:
+            sup_prime = max(sup_prime, abs(fz_prime(z, z, side="left")))
     # The sup of |f_z| over x sits at x = z; refine along that diagonal.
     _, diag_sup = sup_search(lambda z: fz(z, z), 0.0, z_hi, resolution=1e-6)
     sup_abs = max(sup_abs, diag_sup)
-    # For fixed z the sup of |f_z'| is the left limit at x = z.
-    for z in zs[1:]:
-        sup_prime = max(sup_prime, abs(fz_prime(z, z, side="left")),
-                        abs(fz_prime(z, z, side="right")))
     return BoundReport(kind="indicator", checks=(
         BoundCheck("sup |f_z|", sup_abs, 0.5),
         BoundCheck("sup |f_z'|", sup_prime, 1.0),
@@ -300,21 +319,21 @@ def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
 def _lipschitz_bound_report(h: LipschitzFunction, x_hi: float,
                             grid: int) -> BoundReport:
     lip = h.lipschitz_constant
+    solve = _lipschitz_solver(h, mu_h(h))
     xs = np.linspace(0.0, x_hi, grid)
-    f_vals = np.array([solve_fh(h, x) for x in xs])
+    f_vals = np.array([solve(x) for x in xs])
 
     sup_f = float(np.max(np.abs(f_vals)))
-    sup_fp = float(max(abs(solve_fh_prime(h, x)) for x in xs))
+    sup_fp = float(max(abs(_difference_quotient(solve, x)) for x in xs))
 
     # Second derivative by a wide central difference: f is only accurate to
     # quadrature tolerance, so a 1e-3 step keeps the roundoff term below 1e-4.
     step = 1e-3
     sup_fpp = 0.0
-    for x in xs:
+    for x, f_x in zip(xs, f_vals):
         if x < step:
             continue
-        f2 = (solve_fh(h, x + step) - 2.0 * solve_fh(h, x)
-              + solve_fh(h, x - step)) / (step * step)
+        f2 = (solve(x + step) - 2.0 * f_x + solve(x - step)) / (step * step)
         sup_fpp = max(sup_fpp, abs(f2))
     return BoundReport(kind="lipschitz", checks=(
         BoundCheck("sup |f_h|", sup_f, lip),
@@ -335,7 +354,13 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
     the defaults it is f_z'(8-) = 0.985056, about 1 - 1/z_hi^2.
     kind='lipschitz': sup |f_h| <= L, sup |f_h'| <= sqrt(2/pi) L and
     sup |f_h''| <= 2L for the given h (default: identity).
+    A grid of fewer than 2 points or a range z_hi <= 0 would certify
+    nothing, so both raise ValueError.
     """
+    if grid < 2:
+        raise ValueError(f"grid needs at least 2 points, got {grid}")
+    if not z_hi > 0.0:
+        raise ValueError(f"z_hi must be positive, got {z_hi}")
     if kind == "indicator":
         return _indicator_bound_report(z_hi, grid)
     if kind == "lipschitz":
@@ -346,5 +371,6 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
 
 def verify_monotone_xfz(z: float, grid) -> bool:
     """True iff x -> x f_z(x) is nondecreasing along the given grid."""
-    vals = np.array([x * fz(z, x) for x in grid])
+    xs = np.asarray(grid, dtype=float)
+    vals = xs * fz(z, xs)
     return bool(np.all(np.diff(vals) >= -1e-13))

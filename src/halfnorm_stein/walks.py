@@ -71,8 +71,11 @@ class ExactPMF:
     def __eq__(self, other):
         if not isinstance(other, ExactPMF):
             return NotImplemented
+        # a / d == b / e  iff  a * e == b * d, without reducing fractions
         return (self.lower == other.lower and self.upper == other.upper
-                and self.masses() == other.masses())
+                and len(self.numerators) == len(other.numerators)
+                and all(a * other.denominator == b * self.denominator
+                        for a, b in zip(self.numerators, other.numerators)))
 
 
 @dataclass(frozen=True)

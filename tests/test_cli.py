@@ -106,3 +106,14 @@ def test_usage_errors():
 def test_parity_error_propagates():
     with pytest.raises(ValueError):
         cli.main(["distance", "--stat", "returns", "--n", "5"])
+
+
+@pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_verify_lemmas_rejects_degenerate_grid(capsys, kind, grid):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemmas", "--kind", kind, "--grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "grid needs at least 2 points" in err
+    assert "Traceback" not in err

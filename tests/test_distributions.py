@@ -124,6 +124,16 @@ def test_half_normal_ppf_roundtrip():
         HALF_NORMAL.ppf(1.0)
 
 
+def test_half_normal_ppf_just_below_one():
+    # (1 + q)/2 rounds to 1 here; the survival side keeps the quantile finite
+    q = 1.0 - 2.0 ** -53
+    x = HALF_NORMAL.ppf(q)
+    assert x == pytest.approx(8.292361075813595, rel=1e-13)
+    assert HALF_NORMAL.sf(x) == pytest.approx(2.0 ** -53, rel=1e-12)
+    with pytest.raises(ValueError):
+        HALF_NORMAL.ppf(0.0)
+
+
 def test_half_normal_log_derivative():
     assert HALF_NORMAL.log_derivative(2.5) == -2.5
     with pytest.raises(ValueError):

@@ -175,3 +175,20 @@ def test_float_cdf_rounding():
     cdf = pmf.float_cdf()
     assert cdf[-1] == 1.0
     assert all(b >= a for a, b in zip(cdf, cdf[1:]))
+
+
+def test_pmf_equality_by_cross_multiplication():
+    pmf = walks.pmf_max(12)
+    scaled = walks.ExactPMF(pmf.lower, pmf.upper,
+                            tuple(3 * v for v in pmf.numerators),
+                            3 * pmf.denominator, pmf.statistic_tag)
+    assert scaled == pmf and pmf == scaled
+    moved = list(pmf.numerators)
+    moved[0] += 1
+    moved[1] -= 1
+    assert walks.ExactPMF(pmf.lower, pmf.upper, tuple(moved),
+                          pmf.denominator, pmf.statistic_tag) != pmf
+    shifted = walks.ExactPMF(pmf.lower + 1, pmf.upper + 1, pmf.numerators,
+                             pmf.denominator, pmf.statistic_tag)
+    assert shifted != pmf
+    assert pmf != pmf.masses()

@@ -198,6 +198,121 @@ class TestLemmaReports:
         with pytest.raises(ValueError):
             stein.verify_lemma_bounds("quadratic")
 
+    @pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_degenerate_grid_rejected(self, kind, grid):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            stein.verify_lemma_bounds(kind, grid=grid)
+
+    @pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
+    @pytest.mark.parametrize("z_hi", [0.0, -1.0])
+    def test_empty_range_rejected(self, kind, z_hi):
+        with pytest.raises(ValueError, match="z_hi must be positive"):
+            stein.verify_lemma_bounds(kind, z_hi=z_hi, grid=10)
+
+    def test_two_point_grid_accepted(self):
+        for kind in ("indicator", "lipschitz"):
+            assert stein.verify_lemma_bounds(kind, grid=2).passed
+
+
+def _reference_indicator_report(z_hi, grid):
+    """The indicator suite as a scalar double loop over fz and fz_prime."""
+    zs = np.linspace(0.0, z_hi, grid)
+    xs = np.linspace(0.0, z_hi, grid)
+    sup_abs = 0.0
+    sup_prime = 0.0
+    for z in zs:
+        for x in xs:
+            sup_abs = max(sup_abs, abs(stein.fz(z, x)))
+            if x == z:
+                if z > 0.0:
+                    sup_prime = max(sup_prime,
+                                    abs(stein.fz_prime(z, x, side="left")))
+                sup_prime = max(sup_prime,
+                                abs(stein.fz_prime(z, x, side="right")))
+            else:
+                sup_prime = max(sup_prime, abs(stein.fz_prime(z, x)))
+    _, diag_sup = stein.sup_search(lambda z: stein.fz(z, z), 0.0, z_hi,
+                                   resolution=1e-6)
+    return max(sup_abs, diag_sup), sup_prime
+
+
+def _reference_lipschitz_report(h, x_hi, grid):
+    """The Lipschitz suite as a per-point loop over the public solvers."""
+    xs = np.linspace(0.0, x_hi, grid)
+    sup_f = max(abs(stein.solve_fh(h, x)) for x in xs)
+    sup_fp = max(abs(stein.solve_fh_prime(h, x)) for x in xs)
+    step = 1e-3
+    sup_fpp = 0.0
+    for x in xs:
+        if x < step:
+            continue
+        f2 = (stein.solve_fh(h, x + step) - 2.0 * stein.solve_fh(h, x)
+              + stein.solve_fh(h, x - step)) / (step * step)
+        sup_fpp = max(sup_fpp, abs(f2))
+    return sup_f, sup_fp, sup_fpp
+
+
+class TestReportParity:
+    """The vectorised suites equal scalar loops over the public API, exactly."""
+
+    def test_indicator_rows_match_scalar_loop(self):
+        # grid 41 on [0, 5]: step 1/8, so z = 0 and every x = z is a node
+        report = stein.verify_lemma_bounds("indicator", z_hi=5.0, grid=41)
+        observed = tuple(c.observed for c in report.checks)
+        assert observed == _reference_indicator_report(5.0, 41)
+
+    @pytest.mark.parametrize("h", [
+        stein.IDENTITY, stein.LipschitzFunction(lambda x: min(x, 1.3), 1.0)],
+        ids=["identity", "cap1.3"])
+    def test_lipschitz_matches_public_solvers(self, h):
+        report = stein.verify_lemma_bounds("lipschitz", grid=30, h=h)
+        observed = tuple(c.observed for c in report.checks)
+        assert observed == _reference_lipschitz_report(h, 8.0, 30)
+
+    def test_fz_rows_match_scalar_calls(self):
+        xs = np.linspace(-1.0, 6.0, 57)
+        for z in (0.0, 0.75, 2.5):
+            assert list(stein.fz(z, xs)) == [stein.fz(z, x) for x in xs]
+            for side in ("left", "right"):
+                row = stein.fz_prime(z, xs, side=side)
+                assert list(row) == [stein.fz_prime(z, x, side=side)
+                                     for x in xs]
+
+    def test_fz_prime_row_needs_side_at_jump(self):
+        with pytest.raises(ValueError):
+            stein.fz_prime(1.0, np.array([0.5, 1.0, 1.5]))
+
+
+class TestMuHCalls:
+    """E[h(Y)] is integrated once per suite and once per residual."""
+
+    @pytest.fixture
+    def mu_calls(self, monkeypatch):
+        calls = []
+        real = stein.mu_h
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(stein, "mu_h", counting)
+        return calls
+
+    @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
+                             ids=["identity", "min1"])
+    def test_one_call_per_lipschitz_suite(self, mu_calls, h):
+        stein.verify_lemma_bounds("lipschitz", grid=20, h=h)
+        assert mu_calls == [h]
+
+    @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE,
+                                   stein.HalfLineIndicator(1.0)],
+                             ids=["identity", "min1", "indicator"])
+    def test_one_call_per_residual(self, mu_calls, h):
+        for k, x in enumerate((0.3, 1.2, 4.0), start=1):
+            stein.stein_residual_continuous(h, x)
+            assert len(mu_calls) == k
+
 
 @pytest.mark.parametrize("z,hi", [(1.0, 6.0), (0.0, 6.0), (3.0, 10.0)])
 def test_x_fz_monotone(z, hi):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .walks import (ExactPMF, pmf_halfmax, pmf_max, pmf_returns,
-                    pmf_signchanges)
+from .walks import ExactPMF, pmf_halfmax, pmf_returns, pmf_signchanges
 
 
 def forward_diff(g: Callable[[int], Fraction], k: int) -> Fraction:
@@ -70,17 +69,14 @@ def make_spec(statistic_tag: str, m: int) -> CharacterizationSpec:
     if statistic_tag == "returns":
         pmf = pmf_returns(m)
         c = [Fraction(2 * m - r) for r in range(-1, m + 1)]
-    elif statistic_tag == "halfmax":
+    elif statistic_tag in ("halfmax", "max"):
+        # For max: psi vanishes on the odd atoms of M_n, so the proofs route
+        # through the halfmax variable N_n; do the same here.
         pmf = pmf_halfmax(m)
         c = [Fraction(m + s + 1) for s in range(-1, m + 1)]
     elif statistic_tag == "signchanges":
         pmf = pmf_signchanges(m)
         c = [Fraction(m + s + 2) for s in range(-1, m + 1)]
-    elif statistic_tag == "max":
-        # psi vanishes on the odd atoms of M_n, so the proofs route through
-        # the halfmax variable N_n; do the same here.
-        pmf = pmf_halfmax(m)
-        c = [Fraction(m + s + 1) for s in range(-1, m + 1)]
     else:
         raise ValueError(f"unknown statistic {statistic_tag!r}")
     return CharacterizationSpec(pmf, tuple(c))

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
-from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _acklam, _hn_quantile,
-                     cap_phi, normal_sf, phi)
+from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _hn_isf, _hn_quantile,
+                     cap_phi, phi)
 from .walks import (FloatLaw, ScaledLaw, float_law, pmf_halfmax, pmf_max,
                     scaled_law)
 
@@ -92,24 +92,14 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
     Integrates |Q_law(u) - Q_Y(u)| over (0, 1) by adaptive quadrature,
     splitting each step of Q_law at the point where Q_Y crosses its level.
     The final piece touching u = 1 is mapped through u = 1 - exp(-v) to
-    tame the slowly diverging quantile.
+    tame the slowly diverging quantile, which is read there from the
+    survival side at s = exp(-v).
     """
     if nodes < 64:
         raise ValueError("nodes >= 64 required")
     atoms = law.atoms()
     cdf = law.cdf()
     lows = np.concatenate(([0.0], cdf[:-1]))
-
-    def quantile(u: float) -> float:
-        return float(_hn_quantile(u))
-
-    def tail_quantile(s: float) -> float:
-        # Q_Y(1 - s) from the survival side: solves normal_sf(x) = s / 2,
-        # stable for s far below machine epsilon.
-        x = -float(_acklam(np.array([s / 2.0]))[0])
-        for _ in range(2):
-            x += (float(normal_sf(x)) - s / 2.0) / float(phi(x))
-        return x
 
     total = 0.0
     for x, lo, hi in zip(atoms, lows, cdf):
@@ -121,9 +111,9 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
             for u0, u1 in zip(points[:-1], points[1:]):
                 # full_output=1 silences the warning quad emits on pieces
                 # too small for its relative tolerance; epsabs governs here.
-                out = integrate.quad(lambda u: abs(x - quantile(u)), u0, u1,
-                                     epsabs=1e-11, epsrel=1e-10,
-                                     limit=nodes, full_output=1)
+                out = integrate.quad(
+                    lambda u: abs(x - float(_hn_quantile(u))), u0, u1,
+                    epsabs=1e-11, epsrel=1e-10, limit=nodes, full_output=1)
                 total += out[0]
         else:
             # top piece: substitute u = 1 - exp(-v)
@@ -133,7 +123,7 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
                 v0 = -math.log1p(-u0)
                 v1 = -math.log1p(-u1) if u1 < 1.0 else v0 + 60.0
                 out = integrate.quad(
-                    lambda v: abs(x - tail_quantile(math.exp(-v)))
+                    lambda v: abs(x - float(_hn_isf(math.exp(-v))))
                     * math.exp(-v),
                     v0, v1, epsabs=1e-11, epsrel=1e-10, limit=nodes,
                     full_output=1)

@@ -2,7 +2,10 @@
 
 All functions accept scalars or numpy arrays and evaluate elementwise.
 Tail quantities go through the complementary error function so that
-relative accuracy survives out to x ~ 8 and beyond.
+relative accuracy survives out to x ~ 8 and beyond. There is one normal
+quantile, scipy's ``ndtri``; the half-normal quantiles read it from the
+survival side. The Mills ratio lives in ``stein.aux_N``, through scipy's
+``erfcx``.
 """
 
 from __future__ import annotations
@@ -32,75 +35,33 @@ def normal_sf(x):
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / SQRT_2)
 
 
-# Acklam's rational approximation to the normal quantile (~1.15e-9 relative),
-# used as the starting point for Newton polish.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p):
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-
-    low = p < _P_LOW
-    high = p > 1.0 - _P_LOW
-    mid = ~(low | high)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = q * num / den
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[low] = num / den
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log1p(-p[high]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[high] = -num / den
-    return x
-
-
 def inv_cap_phi(p):
-    """Standard normal quantile: solves cap_phi(x) = p for 0 < p < 1.
-
-    Rational initial approximation followed by two Newton steps, giving
-    |cap_phi(result) - p| below 1e-14.
-    """
+    """Standard normal quantile: solves cap_phi(x) = p for 0 < p < 1."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("inv_cap_phi requires 0 < p < 1")
-    x = _acklam(arr)
-    for _ in range(2):
-        # Newton residual through whichever tail is small, so the
-        # subtraction keeps relative accuracy on both sides of 1/2.
-        err = np.where(arr <= 0.5, cap_phi(x) - arr,
-                       (1.0 - arr) - normal_sf(x))
-        x = x - err / phi(x)
-    if np.ndim(p) == 0:
-        return float(x)
-    return x
+    x = special.ndtri(arr)
+    return float(x) if np.ndim(p) == 0 else x
+
+
+def _hn_isf(s):
+    """Half-normal quantile at 1 - s, -ndtri(s/2), for a float or an array;
+    s = 0 gives inf.
+
+    Taken from the survival side, so s far below machine epsilon keeps its
+    full relative accuracy.
+    """
+    return -special.ndtri(s / 2.0)
 
 
 def _hn_quantile(q):
-    """Half-normal quantile -ndtri((1 - q)/2), elementwise; q = 1 gives inf.
+    """Half-normal quantile _hn_isf(1 - q), for a float or an array; q = 1
+    gives inf.
 
-    Evaluated from the survival side: 1 - q is exact for q >= 1/2, so q
-    just below 1 keeps a finite quantile instead of rounding (1 + q)/2 up
-    to 1.
+    1 - q is exact for q >= 1/2, so q just below 1 keeps a finite quantile
+    instead of rounding (1 + q)/2 up to 1.
     """
-    return -special.ndtri((1.0 - np.asarray(q, dtype=float)) / 2.0)
+    return _hn_isf(1.0 - q)
 
 
 def mill_bounds(x):

@@ -55,6 +55,8 @@ def simulate_walk(n: int, seed: int) -> WalkSummary:
 def empirical_pmf_counts(statistic_tag: str, n: int, trials: int,
                          seed: int) -> np.ndarray:
     """Counts of the statistic over seeded trials, chunked and deterministic."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if statistic_tag in ("returns", "max"):
         upper = n if statistic_tag == "max" else n // 2
     elif statistic_tag == "signchanges":
@@ -91,13 +93,16 @@ def empirical_check(statistic_tag: str, n: int, trials: int,
     Dvoretzky-Kiefer-Wolfowitz threshold at alpha = 1e-3 with 2x slack."""
     if trials < 10_000:
         raise ValueError("trials >= 10^4 required")
-    counts = empirical_pmf_counts(statistic_tag, n, trials, seed)
+    # The exact law validates n before any walk is drawn.
     if statistic_tag == "returns":
         exact = pmf_returns(n // 2)
     elif statistic_tag == "max":
         exact = pmf_max(n)
-    else:
+    elif statistic_tag == "signchanges":
         exact = pmf_signchanges((n - 1) // 2)
+    else:
+        raise ValueError(f"unknown statistic {statistic_tag!r}")
+    counts = empirical_pmf_counts(statistic_tag, n, trials, seed)
     ecdf = np.cumsum(counts) / trials
     deviation = float(np.max(np.abs(ecdf - exact.float_cdf())))
     threshold = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * trials))

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
-from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, INV_SQRT_2PI, cap_phi,
-                     normal_sf, phi)
+from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, INV_SQRT_2PI, SQRT_2,
+                     cap_phi, normal_sf, phi)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the central difference that gives f_h' for Lipschitz h.
 FH_PRIME_STEP = 1e-5
+_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,10 @@ def mu_h(h: TestFunction) -> float:
 def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
     """Closed-form Stein solution for the indicator 1_{[0,z]}.
 
-    f_z(x) = (F(min(x,z)) - F(x)F(z)) / p(x), extended by 0 at x <= 0.
-    Elementwise in x; each branch is evaluated only where it applies.
+    f_z(x) = (F(min(x,z)) - F(x)F(z)) / p(x), extended by 0 at x <= 0,
+    that is (1 - F(z)) M(x) for x <= z and F(z) N(x) for x > z, with M and N
+    from aux_M and aux_N. Elementwise in x; each branch is evaluated only
+    where it applies.
     """
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
@@ -70,12 +73,8 @@ def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
         positive = xs > 0.0
         left = positive & (xs <= z)
         right = positive & ~left
-        xl, xr = xs[left], xs[right]
-        # (1 - F(z)) * F(x) / p(x)
-        out[left] = (2.0 * normal_sf(z) * (2.0 * cap_phi(xl) - 1.0)
-                     / (2.0 * phi(xl)))
-        out[right] = ((2.0 * cap_phi(z) - 1.0) * 2.0 * normal_sf(xr)
-                      / (2.0 * phi(xr)))
+        out[left] = 2.0 * normal_sf(z) * aux_M(xs[left])
+        out[right] = (2.0 * cap_phi(z) - 1.0) * aux_N(xs[right])
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -178,8 +177,12 @@ def aux_M(x):
 
 
 def aux_N(x):
-    """(1-F(x))/p(x); finite at 0 with N(0) = sqrt(pi/2)."""
-    return normal_sf(x) / phi(x)
+    """(1-F(x))/p(x), the Mills ratio; N(0) = sqrt(pi/2).
+
+    Taken from the scaled complementary error function, so it stays finite
+    (about 1/x) where 1 - F and p both underflow.
+    """
+    return _SQRT_PI_2 * special.erfcx(np.asarray(x, dtype=float) / SQRT_2)
 
 
 def aux_H(x):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfnorm_stein import cli
+from halfnorm_stein import cli, simulate
 
 
 def run(capsys, *argv):
@@ -80,6 +80,35 @@ def test_simulate(capsys):
     _, out2 = run(capsys, "simulate", "--stat", "returns", "--n", "32",
                   "--trials", "20000", "--seed", "9", "--format", "json")
     assert out == out2
+
+
+def test_stein_solution_far_tail_has_no_nan(capsys):
+    code, out = run(capsys, "stein-solution", "--z", "1", "--x", "40")
+    assert code == 0
+    assert "nan" not in out.lower()
+
+
+def test_simulate_rejects_halfmax(capsys):
+    # the Monte Carlo oracle has no halfmax counts; argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--stat", "halfmax", "--n", "64"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'halfmax'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--stat", "max", "--n", "63"],
+    ["simulate", "--stat", "returns", "--n", "0"],
+], ids=["max-odd-n", "returns-n0"])
+def test_simulate_invalid_n_fails_before_drawing(monkeypatch, argv):
+    def no_walks(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(simulate, "_steps", no_walks)
+    with pytest.raises(ValueError):
+        cli.main(argv)
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
 from halfnorm_stein.normal import (HALF_NORMAL, HALF_NORMAL_MEAN,
-                                   INV_SQRT_2PI, cap_phi, inv_cap_phi,
-                                   mill_bounds, normal_sf, phi)
+                                   INV_SQRT_2PI, _hn_isf, cap_phi,
+                                   inv_cap_phi, mill_bounds, normal_sf, phi)
 
 
 def test_phi_at_zero():
@@ -132,6 +133,29 @@ def test_half_normal_ppf_just_below_one():
     assert HALF_NORMAL.sf(x) == pytest.approx(2.0 ** -53, rel=1e-12)
     with pytest.raises(ValueError):
         HALF_NORMAL.ppf(0.0)
+
+
+def test_half_normal_median_correctly_rounded():
+    # Phi^{-1}(3/4) = sqrt(2) erfinv(1/2) to 40 digits (mpmath, 50-digit
+    # working precision); budget: the median is this value correctly rounded
+    reference = mpmath.mpf("0.6744897501960817432022270145413071853869")
+    assert HALF_NORMAL.median == float(reference)
+
+
+def test_hn_isf_relative_error_down_to_two_to_minus_1000():
+    # Error budget: |x - x*| / x* <= 1e-14 for s = 2^-k, k = 1..1000, where
+    # x* is the 50-digit root of erfc(x/sqrt 2) = s (measured 3.0e-16). The
+    # error is taken in x: a residual in s is inflated by the conditioning
+    # of erfc out there (to about 4e-13 at k = 949) even when x is accurate.
+    worst = 0.0
+    with mpmath.workdps(50):
+        root2 = mpmath.sqrt(2)
+        for k in range(1, 1001):
+            s = mpmath.ldexp(1, -k)
+            x = float(_hn_isf(2.0 ** -k))
+            exact = mpmath.findroot(lambda t: mpmath.erfc(t / root2) - s, x)
+            worst = max(worst, float(abs((x - exact) / exact)))
+    assert worst <= 1e-14
 
 
 def test_half_normal_log_derivative():

@@ -69,6 +69,16 @@ def test_empirical_pmf_within_binomial_noise():
         assert abs(counts[k] - trials * mass) < 4.0 * sigma
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_counts_reject_empty_walks(monkeypatch, n):
+    def no_walks(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(simulate, "_steps", no_walks)
+    with pytest.raises(ValueError, match="n >= 1"):
+        simulate.empirical_pmf_counts("max", n, 20_000, seed=0)
+
+
 def test_unknown_statistic():
     with pytest.raises(ValueError):
         simulate.empirical_pmf_counts("drift", 10, 20_000, seed=0)

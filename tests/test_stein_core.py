@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,6 +68,18 @@ class TestIndicatorSolution:
                 b = stein.fz_prime_hg(z, x)
                 assert a == pytest.approx(b, abs=1e-12)
 
+    def test_fz_finite_far_in_the_tail(self):
+        # x = 40 lies past the underflow of both 1 - F(x) and p(x); there
+        # f_z(x) = F(z) N(x), so its budget is that of aux_N (1e-13).
+        f = stein.fz(1.0, 40.0)
+        with mpmath.workdps(50):
+            x, z = mpmath.mpf(40), mpmath.mpf(1)
+            exact = float(mpmath.erf(z / mpmath.sqrt(2))
+                          * mpmath.erfc(x / mpmath.sqrt(2))
+                          / (2 * mpmath.npdf(x)))
+        assert f == pytest.approx(exact, rel=1e-13)
+        assert math.isfinite(stein.fz_prime(1.0, 40.0))
+
 
 class TestLipschitzSolution:
     def test_solution_vanishes_at_origin(self):
@@ -108,6 +121,18 @@ class TestAuxFunctions:
         assert stein.aux_M(0.0) == 0.0
         assert stein.aux_N(0.0) == pytest.approx(math.sqrt(math.pi / 2.0),
                                                  rel=1e-13)
+
+    def test_n_is_the_mills_ratio_out_to_60(self):
+        # Error budget: relative error <= 1e-13 against 50-digit mpmath
+        # (1 - F)/p on [0, 60] (measured 5.6e-16); 1 - F and p both
+        # underflow past x ~ 38.6, so the ratio must not be formed from them.
+        xs = np.linspace(0.0, 60.0, 601)
+        vals = stein.aux_N(xs)
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.erfc(x / mpmath.sqrt(2))
+                                  / (2 * mpmath.npdf(x)))
+                            for x in map(mpmath.mpf, xs)])
+        assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
 
     def test_m_nondecreasing_n_nonincreasing(self):
         xs = np.linspace(0.0, 8.0, 400)

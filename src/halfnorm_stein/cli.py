@@ -1,8 +1,9 @@
 """Command-line surface: tables and machine-readable reports.
 
 Exit code 0 on success, 1 when a bound or identity check fails (so
-`check-bounds` works as a CI gate), 2 on usage errors. Exact rationals are
-serialized as "p/q" strings next to their float projections.
+`check-bounds` works as a CI gate), 2 on usage or domain errors, with one
+line on stderr. Exact rationals are serialized as "p/q" strings next to
+their float projections.
 """
 
 from __future__ import annotations
@@ -277,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except walks.DomainError as exc:  # any other error is a bug
+        print(f"halfnorm-stein {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

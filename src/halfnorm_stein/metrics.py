@@ -26,8 +26,8 @@ from scipy import integrate
 
 from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _hn_isf, _hn_quantile,
                      cap_phi, phi)
-from .walks import (FloatLaw, ScaledLaw, float_law, pmf_halfmax, pmf_max,
-                    scaled_law)
+from .walks import (FloatLaw, ScaledLaw, float_law, half_length, pmf_halfmax,
+                    pmf_max)
 
 
 def _hn_cdf(x: np.ndarray) -> np.ndarray:
@@ -143,23 +143,18 @@ def theorem_bound(statistic_tag: str, n: int, metric: str) -> float:
     metric ('K' for Kolmogorov, 'W' for Wasserstein)."""
     if metric not in ("K", "W"):
         raise ValueError("metric must be 'K' or 'W'")
+    half_length(statistic_tag, n)
     rn = math.sqrt(n)
     if statistic_tag == "max":
-        if n % 2 or n < 2:
-            raise ValueError("max requires even n")
         if metric == "W":
             return (3.0 + 2.0 / math.pi) / rn
         return (4.0 * _SQRT_2_PI + 0.5) / rn + 2.0 / n
     if statistic_tag == "returns":
-        if n % 2 or n < 2:
-            raise ValueError("returns requires even n")
         if metric == "W":
             return (2.0 / math.pi + 2.0) / rn + _SQRT_2_PI / n
         return ((3.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
                 + 0.75) / rn + 1.5 / n
     if statistic_tag == "signchanges":
-        if n % 2 == 0 or n < 3:
-            raise ValueError("sign changes require odd n >= 3")
         if metric == "W":
             return ((4.0 + 2.0 / math.pi) / rn + _SQRT_2_PI / n
                     + 2.0 * math.sqrt(2.0) / math.pi / n ** 1.5)
@@ -300,20 +295,20 @@ def rate_table(statistic_tag: str, n_list) -> list[RateRow]:
     """sqrt(n)-scaled distances, the mass at zero and the mean gap.
 
     For returns, sqrt(n) P(K_n = 0) tends to sqrt(2/pi) and
-    sqrt(n) |E[W] - E[Y]| tends to 1, pinning the n^{-1/2} rate.
+    sqrt(n) |E[W] - E[Y]| tends to 1, pinning the n^{-1/2} rate. One
+    ``float_law`` per n gives all columns; E[X] = scale * sum_k P(X > k).
     """
     n_list = list(n_list)
     if not n_list:
         raise ValueError("empty n list")
     rows = []
     for n in n_list:
-        report = bound_check(statistic_tag, n)
-        law = scaled_law(statistic_tag, n)
+        law = float_law(statistic_tag, n)
+        cdf = law.cdf()
         rn = math.sqrt(n)
-        p0 = law.base.mass(0)
-        mean_gap = rn * abs(law.mean() - HALF_NORMAL_MEAN)
-        rows.append(RateRow(n=n, sqrtn_dK=rn * report.kolmogorov,
-                            sqrtn_dW=rn * report.wasserstein,
-                            sqrtn_p0=rn * float(p0),
-                            sqrtn_mean_gap=mean_gap))
+        mean = law.scale * float(np.sum(1.0 - cdf[:-1]))
+        rows.append(RateRow(n=n, sqrtn_dK=rn * kolmogorov_exact(law),
+                            sqrtn_dW=rn * wasserstein_exact(law),
+                            sqrtn_p0=rn * float(cdf[0]),
+                            sqrtn_mean_gap=rn * abs(mean - HALF_NORMAL_MEAN)))
     return rows

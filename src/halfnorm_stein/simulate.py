@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walks import pmf_max, pmf_returns, pmf_signchanges
+from .walks import DomainError, scaled_law
 
 _CHUNK = 65536
 
@@ -92,16 +92,9 @@ def empirical_check(statistic_tag: str, n: int, trials: int,
     """Empirical-CDF deviation from the exact law, against the
     Dvoretzky-Kiefer-Wolfowitz threshold at alpha = 1e-3 with 2x slack."""
     if trials < 10_000:
-        raise ValueError("trials >= 10^4 required")
+        raise DomainError(f"trials >= 10^4 required, got {trials}")
     # The exact law validates n before any walk is drawn.
-    if statistic_tag == "returns":
-        exact = pmf_returns(n // 2)
-    elif statistic_tag == "max":
-        exact = pmf_max(n)
-    elif statistic_tag == "signchanges":
-        exact = pmf_signchanges((n - 1) // 2)
-    else:
-        raise ValueError(f"unknown statistic {statistic_tag!r}")
+    exact = scaled_law(statistic_tag, n).base
     counts = empirical_pmf_counts(statistic_tag, n, trials, seed)
     ecdf = np.cumsum(counts) / trials
     deviation = float(np.max(np.abs(ecdf - exact.float_cdf())))

@@ -63,9 +63,9 @@ def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
     """Closed-form Stein solution for the indicator 1_{[0,z]}.
 
     f_z(x) = (F(min(x,z)) - F(x)F(z)) / p(x), extended by 0 at x <= 0,
-    that is (1 - F(z)) M(x) for x <= z and F(z) N(x) for x > z, with M and N
-    from aux_M and aux_N. Elementwise in x; each branch is evaluated only
-    where it applies.
+    that is F(x) (1 - F(z)) / p(x) for x <= z and F(z) N(x) for x > z, with
+    N from aux_N. Elementwise in x; each branch is evaluated only where it
+    applies, and neither divides by p.
     """
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
@@ -73,7 +73,8 @@ def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
         positive = xs > 0.0
         left = positive & (xs <= z)
         right = positive & ~left
-        out[left] = 2.0 * normal_sf(z) * aux_M(xs[left])
+        out[left] = (2.0 * cap_phi(xs[left]) - 1.0) * _tail_over_density(
+            z, xs[left])
         out[right] = (2.0 * cap_phi(z) - 1.0) * aux_N(xs[right])
     return float(out) if np.ndim(x) == 0 else out
 
@@ -98,15 +99,21 @@ def fz_prime(z: float, x: float | np.ndarray,
 
 def fz_prime_hg(z: float, x: float, side: str | None = None) -> float:
     """Same derivative through the monotonicity factorisation:
-    (1-F(z)) H(x)/p(x) on x < z and -F(z) G(x)/p(x) on x > z.
+    (1-F(z)) H(x)/p(x) on x < z and -F(z) G(x)/p(x) on x > z, where
+    G/p = 1 - x N(x).
     """
     if x == z and side is None:
         raise ValueError("f_z' jumps at x = z; pass side='left' or side='right'")
-    left = x < z or (x == z and side == "left")
-    dens = 2.0 * phi(x)
-    if left:
-        return 2.0 * normal_sf(z) * aux_H(x) / dens
-    return -(2.0 * cap_phi(z) - 1.0) * aux_G(x) / dens
+    if x < z or (x == z and side == "left"):
+        return aux_H(x) * _tail_over_density(z, x)
+    return -(2.0 * cap_phi(z) - 1.0) * (1.0 - x * aux_N(x))
+
+
+def _tail_over_density(z: float, x):
+    """(1 - F(z))/p(x) = sqrt(pi/2) erfcx(z/sqrt(2)) exp((x - z)(x + z)/2)
+    for x <= z, finite where 1 - F(z) and p(x) both underflow."""
+    return (_SQRT_PI_2 * special.erfcx(z / SQRT_2)
+            * np.exp(0.5 * (x - z) * (x + z)))
 
 
 def _lipschitz_solver(h: LipschitzFunction,
@@ -206,10 +213,10 @@ def aux_V(x):
 
 
 def aux_S(x):
-    """Sharp Lipschitz bound on |f_h'|; max value sqrt(2/pi) at x = 0."""
-    dens = phi(x)
-    return (4.0 * (dens - x * normal_sf(x))
-            * (dens + x * (cap_phi(x) - 0.5) - 0.5 * INV_SQRT_2PI) / dens)
+    """Sharp Lipschitz bound on |f_h'|; max value sqrt(2/pi) at x = 0.
+    Its factor (phi - x (1 - cap_phi))/phi is 1 - x N(x), N = aux_N."""
+    return (4.0 * (1.0 - x * aux_N(x))
+            * (phi(x) + x * (cap_phi(x) - 0.5) - 0.5 * INV_SQRT_2PI))
 
 
 def aux_D1(x):

@@ -1,13 +1,13 @@
 """Exact distributions of simple-random-walk statistics.
 
-All masses are dyadic rationals with common denominator 2^n, built by
-multiplicative binomial recurrences so that a single pmf costs O(length)
-big-integer operations. A 2^n path enumeration (n <= 22) serves as an
-independent oracle for the closed forms.
-
-``float_law`` runs the same ratio recurrences in floating point and gives
-the atoms and CDF of a scaled law without big integers; the exact pmfs,
-rounded once by ``ExactPMF.float_cdf``, are its oracle.
+Each statistic is described once: ``_LAWS`` gives the parity of its walk
+lengths n = 2m + parity (``half_length`` is the one admissibility rule) and
+its scale, ``_ratios`` the ratio recurrence of its row of m + 1 entries and
+``_masses`` the map of that row onto the support. The exact pmfs run the
+recurrence in big integers (O(m) operations, denominator 2^(2m));
+``float_law`` runs it in floats and normalises, with the exact pmfs rounded
+once as its oracle. A 2^n path enumeration (n <= 22) is the oracle of the
+exact pmfs.
 """
 
 from __future__ import annotations
@@ -18,9 +18,17 @@ from fractions import Fraction
 
 import numpy as np
 
-STATISTICS = ("returns", "max", "halfmax", "signchanges")
+# statistic -> (parity of n = 2m + parity, c of the law c X_n / sqrt(n))
+_LAWS = {"returns": (0, 1.0), "max": (0, 1.0), "halfmax": (0, 2.0),
+         "signchanges": (1, 2.0)}
+
+STATISTICS = tuple(_LAWS)
 
 BRUTE_FORCE_MAX_N = 22
+
+
+class DomainError(ValueError):
+    """A statistic or walk length outside the laws this package states."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +125,18 @@ class FloatLaw:
         return self._cdf
 
 
+def half_length(statistic_tag: str, n: int) -> int:
+    """m for the walk lengths n = 2m + parity, m >= 1, where the statistic's
+    limit theorem holds; any other n raises DomainError."""
+    if statistic_tag not in _LAWS:
+        raise DomainError(f"unknown statistic {statistic_tag!r}")
+    parity = _LAWS[statistic_tag][0]
+    if n < 2 + parity or n % 2 != parity:
+        kind = "odd n = 2m + 1 >= 3" if parity else "even n = 2m >= 2"
+        raise DomainError(f"{statistic_tag} requires {kind}, got n = {n}")
+    return n // 2
+
+
 def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
     """The normalised law converging to the half-normal distribution.
 
@@ -124,15 +144,9 @@ def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
     signchanges: 2 C_n / sqrt(n) (n = 2m + 1 odd);
     halfmax: 2 N_n / sqrt(n) (the auxiliary variable V, n = 2m even).
     """
-    if statistic_tag == "returns":
-        return ScaledLaw(pmf_returns(_even_half(n)), 1.0 / math.sqrt(n))
-    if statistic_tag == "max":
-        return ScaledLaw(pmf_max(n), 1.0 / math.sqrt(n))
-    if statistic_tag == "halfmax":
-        return ScaledLaw(pmf_halfmax(_even_half(n)), 2.0 / math.sqrt(n))
-    if statistic_tag == "signchanges":
-        return ScaledLaw(pmf_signchanges(_odd_half(n)), 2.0 / math.sqrt(n))
-    raise ValueError(f"unknown statistic {statistic_tag!r}")
+    m = half_length(statistic_tag, n)
+    return ScaledLaw(_exact_pmf(statistic_tag, m),
+                     _LAWS[statistic_tag][1] / math.sqrt(n))
 
 
 def float_law(statistic_tag: str, n: int) -> FloatLaw:
@@ -144,72 +158,60 @@ def float_law(statistic_tag: str, n: int) -> FloatLaw:
     decreases. The atoms are those of ``scaled_law``; the CDF agrees with
     ``ScaledLaw.cdf()`` to about 1e-14 up to n = 4096.
     """
-    if statistic_tag == "returns":
-        m = _even_half(n)
-        weights = _float_row(_returns_ratios(m))
-        scale = 1.0 / math.sqrt(n)
-    elif statistic_tag == "max":
-        m = _even_half(n)
-        # the masses of pmf_max: binom(n, m + j) twice for each j >= 1
-        weights = np.repeat(_float_row(_half_row_ratios(n, m, m)), 2)[1:]
-        scale = 1.0 / math.sqrt(n)
-    elif statistic_tag == "halfmax":
-        m = _even_half(n)
-        weights = _float_row(_half_row_ratios(n, m, m))
-        weights[1:] *= 2.0
-        scale = 2.0 / math.sqrt(n)
-    elif statistic_tag == "signchanges":
-        m = _odd_half(n)
-        weights = _float_row(_half_row_ratios(n, m + 1, m))
-        scale = 2.0 / math.sqrt(n)
-    else:
-        raise ValueError(f"unknown statistic {statistic_tag!r}")
-    cdf = np.cumsum(weights)
+    m = half_length(statistic_tag, n)
+    cdf = np.cumsum(_masses(statistic_tag, _float_row(statistic_tag, m)))
     cdf /= cdf[-1]
-    return FloatLaw(scale, cdf)
+    return FloatLaw(_LAWS[statistic_tag][1] / math.sqrt(n), cdf)
 
 
-def _even_half(n: int) -> int:
-    if n < 2 or n % 2:
-        raise ValueError("even n = 2m >= 2 required")
-    return n // 2
+def _ratios(statistic_tag: str, m: int) -> tuple[range, range]:
+    """(numerators, denominators): row entry k + 1 is entry k times their
+    k-th quotient. returns: binom(2m - r, m) 2^r, quotients 2(m - r)/(2m - r);
+    the others: binom(n, c + j), c = n - m, quotients (m - j)/(c + j + 1).
+    """
+    if statistic_tag == "returns":
+        return range(2 * m, 0, -2), range(2 * m, m, -1)
+    c = m + _LAWS[statistic_tag][0]
+    return range(m, 0, -1), range(c + 1, c + m + 1)
 
 
-def _odd_half(n: int) -> int:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("sign changes require odd n = 2m + 1 >= 3")
-    return (n - 1) // 2
-
-
-# A ratio recurrence is a pair of ranges (numerators, denominators): entry
-# k + 1 of its row is entry k times numerators[k] / denominators[k]. The
-# exact pmfs and float_law run the same pairs.
-
-def _half_row_ratios(big_n: int, c: int, count: int) -> tuple[range, range]:
-    """Ratios binom(N, c + j + 1) / binom(N, c + j) for j = 0..count-1."""
-    return range(big_n - c, big_n - c - count, -1), range(c + 1, c + count + 1)
-
-
-def _returns_ratios(m: int) -> tuple[range, range]:
-    """Ratios N(r + 1) / N(r) = 2(m - r) / (2m - r) of pmf_returns."""
-    return range(2 * m, 0, -2), range(2 * m, m, -1)
-
-
-def _exact_row(first: int, ratios: tuple[range, range]) -> list[int]:
-    """The row from its first entry; every division is exact."""
-    row = [first]
-    for num, den in zip(*ratios):
-        row.append(row[-1] * num // den)
+def _masses(statistic_tag: str, row: np.ndarray) -> np.ndarray:
+    """The row mapped onto the support 0..upper; a float row or an object
+    row of exact ints alike."""
+    if statistic_tag == "max":
+        # P(M_n = r) = p_{n,r} + p_{n,r+1}: exactly one of r, r + 1 is even,
+        # so binom(n, m + j) is the mass at r = 2j - 1 and at r = 2j
+        return np.repeat(row, 2)[1:]
+    if statistic_tag == "halfmax":
+        # the boundary atom q(0) = P(M_n = 0) is not doubled
+        return np.concatenate((row[:1], 2 * row[1:]))
     return row
 
 
-def _float_row(ratios: tuple[range, range]) -> np.ndarray:
+def _exact_row(statistic_tag: str, m: int) -> np.ndarray:
+    """The row from binom(2m + parity, m), an object array of exact ints."""
+    row = [math.comb(2 * m + _LAWS[statistic_tag][0], m)]
+    for num, den in zip(*_ratios(statistic_tag, m)):
+        row.append(row[-1] * num // den)
+    return np.array(row, dtype=object)
+
+
+def _float_row(statistic_tag: str, m: int) -> np.ndarray:
     """The row divided by its first entry, by a float cumprod."""
     num, den = (np.arange(r.start, r.stop, r.step, dtype=float)
-                for r in ratios)
+                for r in _ratios(statistic_tag, m))
     row = np.ones(len(num) + 1)
     np.cumprod(num / den, out=row[1:])
     return row
+
+
+def _exact_pmf(statistic_tag: str, m: int) -> ExactPMF:
+    """The exact law at half-length m; every denominator is 2^(2m)."""
+    if m < 1:
+        raise DomainError(f"m >= 1 required, got m = {m}")
+    nums = _masses(statistic_tag, _exact_row(statistic_tag, m)).tolist()
+    return ExactPMF(0, len(nums) - 1, tuple(nums), 1 << (2 * m),
+                    statistic_tag)
 
 
 def position_prob(n: int, k: int) -> Fraction:
@@ -224,23 +226,12 @@ def pmf_returns(m: int) -> ExactPMF:
 
     P(K_n = r) = binom(2m - r, m) / 2^(2m - r) on r = 0..m.
     """
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    # numerators over 2^(2m): N(r) = binom(2m - r, m) * 2^r
-    nums = _exact_row(math.comb(2 * m, m), _returns_ratios(m))
-    return ExactPMF(0, m, tuple(nums), 1 << (2 * m), "returns")
+    return _exact_pmf("returns", m)
 
 
 def pmf_max(n: int) -> ExactPMF:
     """Law of M_n = max of the walk by even time n: P(M_n=r) = p_{n,r} + p_{n,r+1}."""
-    if n < 2 or n % 2:
-        raise ValueError("even n >= 2 required")
-    m = n // 2
-    binoms = _exact_row(math.comb(n, m), _half_row_ratios(n, m, m))
-    # p_{n,r} + p_{n,r+1}: exactly one of r, r + 1 is even, namely
-    # k = 2 ((r + 1) // 2), and p_{n,k} = binom(n, m + k / 2) / 2^n
-    nums = [binoms[(r + 1) // 2] for r in range(n + 1)]
-    return ExactPMF(0, n, tuple(nums), 1 << n, "max")
+    return _exact_pmf("max", half_length("max", n))
 
 
 def pmf_halfmax(m: int) -> ExactPMF:
@@ -249,11 +240,7 @@ def pmf_halfmax(m: int) -> ExactPMF:
     q(s) = 2 binom(2m, m+s) / 2^(2m) for s >= 1; the boundary atom is
     q(0) = P(M_n = 0) = binom(2m, m) / 2^(2m), without the factor 2.
     """
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    binoms = _exact_row(math.comb(2 * m, m), _half_row_ratios(2 * m, m, m))
-    nums = [binoms[0]] + [2 * b for b in binoms[1:]]
-    return ExactPMF(0, m, tuple(nums), 1 << (2 * m), "halfmax")
+    return _exact_pmf("halfmax", m)
 
 
 def pmf_signchanges(m: int) -> ExactPMF:
@@ -261,11 +248,7 @@ def pmf_signchanges(m: int) -> ExactPMF:
 
     P(C_n = s) = 2 binom(2m+1, m+s+1) / 2^(2m+1) on s = 0..m.
     """
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    binoms = _exact_row(math.comb(2 * m + 1, m + 1),
-                        _half_row_ratios(2 * m + 1, m + 1, m))
-    return ExactPMF(0, m, tuple(binoms), 1 << (2 * m), "signchanges")
+    return _exact_pmf("signchanges", m)
 
 
 def mean_exact(pmf: ExactPMF) -> Fraction:
@@ -336,28 +319,15 @@ def _enumerate_statistics(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
-    """Exact pmf by enumerating all 2^n paths; the oracle for the formulas."""
+    """Exact pmf by enumerating all 2^n paths; the oracle for the formulas.
+    The support is read off the enumeration, not assumed."""
+    half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-    if statistic_tag in ("returns", "max", "halfmax") and n % 2:
-        raise ValueError("even n required")
-    if statistic_tag == "signchanges" and (n % 2 == 0 or n < 3):
-        raise ValueError("odd n >= 3 required")
     max_val, returns, changes = _enumerate_statistics(n)
-    if statistic_tag == "max":
-        values = max_val
-        upper = n
-    elif statistic_tag == "returns":
-        values = returns
-        upper = n // 2
-    elif statistic_tag == "halfmax":
-        values = (max_val + 1) // 2
-        upper = n // 2
-    elif statistic_tag == "signchanges":
-        values = changes
-        upper = (n - 1) // 2
-    else:
-        raise ValueError(f"unknown statistic {statistic_tag!r}")
-    counts = np.bincount(values, minlength=upper + 1)
-    return ExactPMF(0, upper, tuple(int(c) for c in counts), 1 << n,
-                    statistic_tag)
+    values = {"max": max_val, "returns": returns,
+              "halfmax": (max_val + 1) // 2,
+              "signchanges": changes}[statistic_tag]
+    counts = np.bincount(values)
+    return ExactPMF(0, len(counts) - 1, tuple(int(c) for c in counts),
+                    1 << n, statistic_tag)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfnorm_stein import cli, simulate
+from halfnorm_stein import cli, metrics, simulate
 
 
 def run(capsys, *argv):
@@ -102,13 +102,34 @@ def test_simulate_rejects_halfmax(capsys):
     ["simulate", "--stat", "max", "--n", "63"],
     ["simulate", "--stat", "returns", "--n", "0"],
 ], ids=["max-odd-n", "returns-n0"])
-def test_simulate_invalid_n_fails_before_drawing(monkeypatch, argv):
+def test_simulate_invalid_n_fails_before_drawing(monkeypatch, capsys, argv):
     def no_walks(*args):
         raise AssertionError("a walk was drawn")
 
     monkeypatch.setattr(simulate, "_steps", no_walks)
-    with pytest.raises(ValueError):
-        cli.main(argv)
+    assert cli.main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# Each of these ended in a ValueError traceback with exit 1; a domain error
+# is a usage error: exit 2 and one line on stderr.
+@pytest.mark.parametrize("argv", [
+    "pmf --stat max --n 3",
+    "pmf --stat returns --m -2",
+    "stein-verify --stat max --m 0",
+    "distance --stat max --n 0",
+    "check-bounds --stat signchanges --n 4",
+    "rate-table --stat max --n 1",
+    "simulate --stat returns --n 0 --trials 10",
+    "simulate --stat returns --n 4 --trials 0",
+])
+def test_domain_errors_exit_two(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"halfnorm-stein {argv.split()[0]}: error: ")
+    assert "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):
@@ -132,9 +153,19 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
-def test_parity_error_propagates():
-    with pytest.raises(ValueError):
-        cli.main(["distance", "--stat", "returns", "--n", "5"])
+def test_parity_error_propagates(capsys):
+    assert cli.main(["distance", "--stat", "returns", "--n", "5"]) == 2
+    assert "returns requires even n" in capsys.readouterr().err
+
+
+def test_other_value_errors_are_not_domain_errors(monkeypatch):
+    # a ValueError from inside a check is a bug, not a usage error
+    def broken(*args):
+        raise ValueError("bug inside a check")
+
+    monkeypatch.setattr(metrics, "bound_check", broken)
+    with pytest.raises(ValueError, match="bug inside a check"):
+        cli.main(["distance", "--stat", "returns", "--n", "4"])
 
 
 @pytest.mark.parametrize("kind", ["indicator", "lipschitz"])

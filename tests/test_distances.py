@@ -165,3 +165,23 @@ def test_rate_table_limits_at_large_n():
     row = metrics.rate_table("returns", [4096])[0]
     assert 0.79 <= row.sqrtn_p0 <= 0.81
     assert 0.9 <= row.sqrtn_mean_gap <= 1.1
+
+
+@pytest.mark.parametrize("tag", ["returns", "max", "signchanges"])
+def test_rate_table_matches_exact_route(tag):
+    # One float law per n gives all four columns. Against the exact route
+    # (the big-integer P(X = 0) and mean), budgets 1e-13 for sqrt(n) p0 and
+    # 1e-10 for sqrt(n) |mean gap| (measured 7.5e-15 and 1.0e-11 up to
+    # n = 65537); the distances are those of bound_check, bit for bit.
+    first = 3 if tag == "signchanges" else 2
+    ns = [*range(first, 257, 2), *range(first + 256, first + 4094, 62),
+          first + 4094]
+    for n, row in zip(ns, metrics.rate_table(tag, ns)):
+        law = walks.scaled_law(tag, n)
+        rn = math.sqrt(n)
+        assert abs(row.sqrtn_p0 - rn * float(law.base.mass(0))) <= 1e-13
+        assert abs(row.sqrtn_mean_gap
+                   - rn * abs(law.mean() - HALF_NORMAL_MEAN)) <= 1e-10
+        report = metrics.bound_check(tag, n)
+        assert row.sqrtn_dK == rn * report.kolmogorov
+        assert row.sqrtn_dW == rn * report.wasserstein

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfnorm_stein import walks
+from halfnorm_stein import metrics, simulate, walks
 
 
 def masses_dict(pmf):
@@ -192,3 +192,54 @@ def test_pmf_equality_by_cross_multiplication():
                              pmf.denominator, pmf.statistic_tag)
     assert shifted != pmf
     assert pmf != pmf.masses()
+
+
+@pytest.mark.parametrize("tag,n,m", [("returns", 2, 1), ("max", 64, 32),
+                                     ("halfmax", 10, 5),
+                                     ("signchanges", 3, 1),
+                                     ("signchanges", 65, 32)])
+def test_half_length(tag, n, m):
+    assert walks.half_length(tag, n) == m
+
+
+@pytest.mark.parametrize("tag,n", [("returns", 5), ("signchanges", 4),
+                                   ("mean", 4)])
+def test_half_length_rejects(tag, n):
+    with pytest.raises(walks.DomainError):
+        walks.half_length(tag, n)
+
+
+class _Reached(Exception):
+    """Raised by a patched enumeration or walk drawer: n was accepted."""
+
+
+def _accepts(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except _Reached:
+        return True
+    except walks.DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_every_entry_point_shares_one_domain(monkeypatch, tag):
+    # the exact law, the float law, the 2^n oracle, the theorem bounds and
+    # the Monte Carlo check accept the same walk lengths; the last two
+    # state nothing for halfmax
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(walks, "_enumerate_statistics", reached)
+    monkeypatch.setattr(walks, "BRUTE_FORCE_MAX_N", 30)
+    monkeypatch.setattr(simulate, "_steps", reached)
+    for n in range(-3, 31):
+        verdicts = {_accepts(walks.scaled_law, tag, n),
+                    _accepts(walks.float_law, tag, n),
+                    _accepts(walks.brute_force_pmf, tag, n)}
+        if tag != "halfmax":
+            verdicts |= {_accepts(metrics.theorem_bound, tag, n, "K"),
+                         _accepts(simulate.empirical_check, tag, n, 10_000)}
+        assert len(verdicts) == 1, (tag, n)
+        assert verdicts.pop() == (n >= 2 and n % 2 == (tag == "signchanges"))

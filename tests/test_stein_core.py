@@ -81,6 +81,34 @@ class TestIndicatorSolution:
         assert math.isfinite(stein.fz_prime(1.0, 40.0))
 
 
+    # Deep in the tail 1 - F(z) and p(x) both underflow, so no ratio may be
+    # formed from them. References: 50-digit mpmath, 1 - F(z) as erfc, not
+    # as a difference. Budgets: relative 1e-13 for f_z and for the left
+    # branch of fz_prime_hg (measured 1.4e-16); relative 1e-11 where
+    # 1 - x N(x) cancels to about 1/x^2 (measured 2.5e-13 at x = 40).
+    @pytest.mark.parametrize("z,x", [(40.0, 39.0), (38.0, 37.0)])
+    def test_fz_left_branch_deep_in_the_tail(self, z, x):
+        with mpmath.workdps(50):
+            zm, xm = mpmath.mpf(z), mpmath.mpf(x)
+            exact = float(mpmath.erf(xm / mpmath.sqrt(2))
+                          * mpmath.erfc(zm / mpmath.sqrt(2))
+                          / (2 * mpmath.npdf(xm)))
+        assert stein.fz(z, x) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_fz_prime_hg_deep_in_the_tail(self):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(40)
+            r = mpmath.erfc(x / mpmath.sqrt(2)) / (2 * mpmath.npdf(x))
+            right = float(-mpmath.erf(1 / mpmath.sqrt(2)) * (1 - x * r))
+            h = 2 * mpmath.npdf(39) + 39 * mpmath.erf(39 / mpmath.sqrt(2))
+            left = float(h * mpmath.erfc(x / mpmath.sqrt(2))
+                         / (2 * mpmath.npdf(39)))
+        assert stein.fz_prime_hg(1.0, 40.0) == \
+            pytest.approx(right, rel=1e-11, abs=0.0)
+        assert stein.fz_prime_hg(40.0, 39.0) == \
+            pytest.approx(left, rel=1e-13, abs=0.0)
+
+
 class TestLipschitzSolution:
     def test_solution_vanishes_at_origin(self):
         assert stein.solve_fh(stein.IDENTITY, 0.0) == 0.0
@@ -133,6 +161,16 @@ class TestAuxFunctions:
                                   / (2 * mpmath.npdf(x)))
                             for x in map(mpmath.mpf, xs)])
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+    def test_s_deep_in_the_tail(self):
+        # budget as for fz_prime_hg above: 1 - x N(x) cancels
+        with mpmath.workdps(50):
+            x = mpmath.mpf(40)
+            r = mpmath.erfc(x / mpmath.sqrt(2)) / (2 * mpmath.npdf(x))
+            exact = float(4 * (1 - x * r)
+                          * (mpmath.npdf(x) + x * (mpmath.ncdf(x) - 0.5)
+                             - 1 / (2 * mpmath.sqrt(2 * mpmath.pi))))
+        assert stein.aux_S(40.0) == pytest.approx(exact, rel=1e-11, abs=0.0)
 
     def test_m_nondecreasing_n_nonincreasing(self):
         xs = np.linspace(0.0, 8.0, 400)

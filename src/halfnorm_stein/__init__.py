@@ -23,7 +23,8 @@ from .stein import (BoundCheck, BoundReport, HalfLineIndicator,
 from .walks import (DomainError, ExactPMF, FloatLaw, ScaledLaw,
                     brute_force_pmf, float_law, half_length, mean_exact,
                     moment_bounds_check, pmf_halfmax, pmf_max, pmf_returns,
-                    pmf_signchanges, position_prob, scaled_law)
+                    pmf_signchanges, position_prob, scaled_law,
+                    walk_length)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import characterization, metrics, simulate, stein, walks
@@ -79,10 +80,7 @@ def _render(args, rows: list[dict]) -> None:
 
 
 def _cmd_pmf(args) -> int:
-    if args.m is not None:
-        n = 2 * args.m + 1 if args.stat == "signchanges" else 2 * args.m
-    else:
-        n = args.n
+    n = args.n if args.m is None else walks.walk_length(args.stat, args.m)
     law = walks.scaled_law(args.stat, n)
     pmf = law.base
     payload = {
@@ -152,6 +150,13 @@ def _cmd_stein_verify(args) -> int:
 
 
 def _cmd_stein_solution(args) -> int:
+    # the solution is evaluated on the half-normal's support x >= 0, and an
+    # indicator 1_{[0,z]} needs a level z >= 0 there
+    level = [] if args.z is None else [("z", args.z)]
+    for name, value in level + [("x", x) for x in args.x]:
+        if not 0.0 <= value < math.inf:
+            raise walks.DomainError(
+                f"{name} must be finite and >= 0, got {name} = {value}")
     if args.z is not None:
         h = stein.HalfLineIndicator(args.z)
     elif args.lipschitz == "identity":

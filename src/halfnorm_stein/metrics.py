@@ -26,8 +26,8 @@ from scipy import integrate
 
 from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _hn_isf, _hn_quantile,
                      cap_phi, phi)
-from .walks import (FloatLaw, ScaledLaw, float_law, half_length, pmf_halfmax,
-                    pmf_max)
+from .walks import (DomainError, FloatLaw, ScaledLaw, float_law, half_length,
+                    pmf_halfmax, pmf_max)
 
 
 def _hn_cdf(x: np.ndarray) -> np.ndarray:
@@ -160,7 +160,7 @@ def theorem_bound(statistic_tag: str, n: int, metric: str) -> float:
                     + 2.0 * math.sqrt(2.0) / math.pi / n ** 1.5)
         return (((2.0 * math.sqrt(2.0) + 4.0) / math.sqrt(math.pi) + 1.5) / rn
                 + 3.0 / n + 4.0 / math.sqrt(math.pi) / n ** 1.5)
-    raise ValueError(f"no theorem bound for statistic {statistic_tag!r}")
+    raise DomainError(f"no theorem bound for statistic {statistic_tag!r}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 Paths are driven by the counter-based Philox generator keyed by the seed,
 so identical (n, trials, seed) inputs reproduce byte-identical results and
 steps come from single PRNG bits (exactly symmetric, no float comparisons).
+Steps are int8 and the walk is their cumsum, in int8 below n = 128; returns
+and sign changes are counted from the zeros of the walk and the steps.
 """
 
 from __future__ import annotations
@@ -27,18 +29,22 @@ class WalkSummary:
 
 def _path_statistics(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (max, returns, sign changes) for a chunk of +-1 step rows."""
-    s = np.cumsum(steps, axis=1, dtype=np.int32)
+    # |S_k| <= n, so int8 holds the walk below n = 128; numpy wraps an
+    # overflowing cumsum without a warning
+    s = np.cumsum(steps, axis=1,
+                  dtype=np.int8 if steps.shape[1] < 128 else np.int32)
     max_value = np.maximum(s.max(axis=1), 0)
-    returns = (s == 0).sum(axis=1)
-    full = np.concatenate([np.zeros((s.shape[0], 1), dtype=np.int32), s],
-                          axis=1)
-    sign_changes = (full[:, :-2] * full[:, 2:] < 0).sum(axis=1)
+    zero = s == 0
+    returns = np.count_nonzero(zero, axis=1)
+    # sign change at time k: S_k = 0 and step_k = step_{k+1}
+    sign_changes = np.count_nonzero(
+        zero[:, :-1] & (steps[:, :-1] == steps[:, 1:]), axis=1)
     return max_value, returns, sign_changes
 
 
 def _steps(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    bits = rng.integers(0, 2, size=(rows, n), dtype=np.int8)
-    return (bits * 2 - 1).astype(np.int8)
+    """Rows of int8 +-1 steps, one Philox bit each."""
+    return rng.integers(0, 2, size=(rows, n), dtype=np.int8) * 2 - 1
 
 
 def simulate_walk(n: int, seed: int) -> WalkSummary:

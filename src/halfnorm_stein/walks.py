@@ -1,13 +1,14 @@
 """Exact distributions of simple-random-walk statistics.
 
 Each statistic is described once: ``_LAWS`` gives the parity of its walk
-lengths n = 2m + parity (``half_length`` is the one admissibility rule) and
-its scale, ``_ratios`` the ratio recurrence of its row of m + 1 entries and
-``_masses`` the map of that row onto the support. The exact pmfs run the
-recurrence in big integers (O(m) operations, denominator 2^(2m));
-``float_law`` runs it in floats and normalises, with the exact pmfs rounded
-once as its oracle. A 2^n path enumeration (n <= 22) is the oracle of the
-exact pmfs.
+lengths n = 2m + parity (``half_length`` is the one admissibility rule,
+``walk_length`` its inverse) and its scale, ``_ratios`` the ratio recurrence
+of its row of m + 1 entries and ``_masses`` the map of that row onto the
+support. The exact pmfs run the recurrence in big integers (O(m)
+operations, denominator 2^(2m)); ``float_law`` runs it in floats and
+normalises, with the exact pmfs rounded once as its oracle. The oracle of
+the exact pmfs is an enumeration of all 2^n paths (n <= 22) by prefix
+doubling: int8 state per prefix, O(2^n) work in all, no formula.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ BRUTE_FORCE_MAX_N = 22
 
 
 class DomainError(ValueError):
-    """A statistic or walk length outside the laws this package states."""
+    """An input outside the laws this package states: a statistic, a walk
+    length, a trial count, or a point off the half-normal's support."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +127,29 @@ class FloatLaw:
         return self._cdf
 
 
+def _parity(statistic_tag: str) -> int:
+    if statistic_tag not in _LAWS:
+        raise DomainError(f"unknown statistic {statistic_tag!r}")
+    return _LAWS[statistic_tag][0]
+
+
 def half_length(statistic_tag: str, n: int) -> int:
     """m for the walk lengths n = 2m + parity, m >= 1, where the statistic's
     limit theorem holds; any other n raises DomainError."""
-    if statistic_tag not in _LAWS:
-        raise DomainError(f"unknown statistic {statistic_tag!r}")
-    parity = _LAWS[statistic_tag][0]
+    parity = _parity(statistic_tag)
     if n < 2 + parity or n % 2 != parity:
         kind = "odd n = 2m + 1 >= 3" if parity else "even n = 2m >= 2"
         raise DomainError(f"{statistic_tag} requires {kind}, got n = {n}")
     return n // 2
+
+
+def walk_length(statistic_tag: str, m: int) -> int:
+    """n = 2m + parity, the walk length whose half_length is m >= 1; any
+    other m raises DomainError."""
+    parity = _parity(statistic_tag)
+    if m < 1:
+        raise DomainError(f"m >= 1 required, got m = {m}")
+    return 2 * m + parity
 
 
 def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
@@ -298,23 +313,26 @@ def moment_bounds_check(m: int) -> MomentBoundReport:
 
 
 def _enumerate_statistics(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Statistics of all 2^n paths, vectorised over the path index."""
-    paths = np.arange(1 << n, dtype=np.uint32)
-    s_prev2 = np.zeros(1 << n, dtype=np.int8)  # S_{k-1}
-    s = np.zeros(1 << n, dtype=np.int8)        # S_k
-    max_val = np.zeros(1 << n, dtype=np.int8)
-    returns = np.zeros(1 << n, dtype=np.int8)
-    changes = np.zeros(1 << n, dtype=np.int8)
-    for k in range(1, n + 1):
-        step = (((paths >> (k - 1)) & 1) << 1).astype(np.int8) - 1
-        s_next = s + step
-        np.maximum(max_val, s_next, out=max_val)
-        returns += s_next == 0
-        if k >= 2:
-            # sign change at index k-1: S_{k-2} * S_k < 0
-            changes += (s_prev2.astype(np.int16) * s_next) < 0
-        s_prev2 = s
-        s = s_next
+    """(max, returns, sign changes) of all 2^n paths, by prefix doubling.
+
+    Every length-k prefix holds int8 state (S_k, S_{k-1}, running max,
+    returns, sign changes); extending all prefixes by a step of -1 and of
+    +1 doubles the arrays, so the 2^n paths cost about 2 * 2^n updates.
+    """
+    steps = np.array([-1, 1], dtype=np.int8)
+    s = prev = max_val = returns = changes = np.zeros(1, dtype=np.int8)
+    for k in range(n):
+        both = np.concatenate((s, s))
+        s_next = both + np.repeat(steps, s.size)
+        max_val = np.maximum(np.concatenate((max_val, max_val)), s_next)
+        returns = np.concatenate((returns, returns)) + (s_next == 0)
+        changes = np.concatenate((changes, changes))
+        if k:
+            # sign change at time k: S_k = 0 and S_{k-1} != S_{k+1}; the
+            # product S_{k-1} S_{k+1} would overflow int8
+            prev = np.concatenate((prev, prev))
+            changes += (both == 0) & (prev != s_next)
+        prev, s = both, s_next
     return max_val, returns, changes
 
 

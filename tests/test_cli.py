@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from halfnorm_stein import cli, metrics, simulate
+from halfnorm_stein import cli, metrics, simulate, walks
 
 
 def run(capsys, *argv):
@@ -122,6 +125,10 @@ def test_simulate_invalid_n_fails_before_drawing(monkeypatch, capsys, argv):
     "rate-table --stat max --n 1",
     "simulate --stat returns --n 0 --trials 10",
     "simulate --stat returns --n 4 --trials 0",
+    "distance --stat halfmax --n 2",
+    "check-bounds --stat halfmax --n 2:8:2",
+    "stein-solution --z -1 --x 1",
+    "stein-solution --z 1 --x -1",
 ])
 def test_domain_errors_exit_two(capsys, argv):
     assert cli.main(argv.split()) == 2
@@ -177,3 +184,44 @@ def test_verify_lemmas_rejects_degenerate_grid(capsys, kind, grid):
     err = capsys.readouterr().err
     assert "grid needs at least 2 points" in err
     assert "Traceback" not in err
+
+
+_STAT = st.sampled_from(walks.STATISTICS + ("bogus",))
+_N = st.integers(-3, 64).map(str)
+_N_RANGE = _N | st.tuples(st.integers(-3, 64), st.integers(-3, 64),
+                          st.integers(-1, 8)).map(
+    lambda t: ":".join(map(str, t)))
+_FORMAT = st.sampled_from(("pretty", "csv", "json"))
+_REAL = st.floats(-2.0, 12.0).map(repr)
+_ARGV = st.one_of(
+    st.tuples(st.just("pmf"), _STAT, st.sampled_from(("--m", "--n")),
+              st.integers(-2, 32).map(str), _FORMAT).map(
+        lambda a: ["pmf", "--stat", a[1], a[2], a[3], "--format", a[4]]),
+    st.tuples(st.sampled_from(("distance", "check-bounds")), _STAT,
+              _N_RANGE, _FORMAT).map(
+        lambda a: [a[0], "--stat", a[1], "--n", a[2], "--format", a[3]]),
+    st.tuples(st.one_of(st.tuples(st.just("--z"), _REAL),
+                        st.tuples(st.just("--lipschitz"),
+                                  st.sampled_from(("identity", "min1")))),
+              st.lists(_REAL, min_size=1, max_size=2)).map(
+        lambda a: ["stein-solution", *a[0], "--x", *a[1]]),
+    st.tuples(_STAT, _N, st.sampled_from(("0", "9999", "10000")),
+              st.integers(0, 3).map(str)).map(
+        lambda a: ["simulate", "--stat", a[0], "--n", a[1],
+                   "--trials", a[2], "--seed", a[3]]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_cli_exit_codes(argv):
+    # every argv ends in exit 0, 1 or 2; any other exception is a traceback
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

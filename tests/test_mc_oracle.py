@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -82,3 +84,43 @@ def test_counts_reject_empty_walks(monkeypatch, n):
 def test_unknown_statistic():
     with pytest.raises(ValueError):
         simulate.empirical_pmf_counts("drift", 10, 20_000, seed=0)
+
+
+def _naive_walk_statistics(steps):
+    """(max, returns, sign changes) of one walk, in Python integers; a sign
+    change at time k is S_{k-1} S_{k+1} < 0."""
+    walk = list(itertools.accumulate(steps, initial=0))
+    changes = sum(walk[k - 1] * walk[k + 1] < 0 for k in range(1, len(steps)))
+    return max(walk), walk[1:].count(0), changes
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 127, 128, 300])
+def test_path_statistics_match_per_walk_loop(n):
+    # seeded walks, plus the extreme walks that reach |S_n| = n, where a
+    # too narrow cumsum dtype would wrap without a warning
+    rng = np.random.Generator(np.random.Philox(key=n))
+    steps = np.concatenate((
+        simulate._steps(rng, 300, n),
+        np.ones((1, n), dtype=np.int8),
+        -np.ones((1, n), dtype=np.int8),
+        np.resize(np.array([1, -1], dtype=np.int8), (1, n)),
+        np.resize(np.array([-1, 1], dtype=np.int8), (1, n))))
+    assert steps.dtype == np.int8
+    columns = simulate._path_statistics(steps)
+    for row, *stats in zip(steps.tolist(), *columns):
+        assert tuple(int(v) for v in stats) == _naive_walk_statistics(row)
+
+
+# Digests of the counts at (n, trials = 70 000, seed = 5), recorded from the
+# int32 implementation; the trials span two chunks, and n = 130 takes the
+# wide cumsum. A change of the Philox stream or of a statistic moves them.
+@pytest.mark.parametrize("tag,n,digest", [
+    ("returns", 64, "2c1f0a3bc0733c28"),
+    ("max", 64, "b0dc12d1357b169e"),
+    ("signchanges", 65, "05f022ae864ae02d"),
+    ("max", 130, "25925473d279911b"),
+])
+def test_counts_digest_pinned(tag, n, digest):
+    counts = simulate.empirical_pmf_counts(tag, n, 70_000, seed=5)
+    assert hashlib.sha256(repr(counts.tolist()).encode()).hexdigest()[:16] \
+        == digest

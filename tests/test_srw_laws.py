@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 from fractions import Fraction
 
@@ -104,6 +106,38 @@ def test_brute_force_oracle_equality():
             walks.brute_force_pmf("signchanges", n)
 
 
+def _naive_statistics(n):
+    """(max, returns, sign changes) of each of the 2^n paths, one path at a
+    time; a sign change at time k is S_{k-1} S_{k+1} < 0."""
+    for steps in itertools.product((-1, 1), repeat=n):
+        walk = list(itertools.accumulate(steps, initial=0))
+        yield {"max": max(walk),
+               "returns": walk[1:].count(0),
+               "halfmax": (max(walk) + 1) // 2,
+               "signchanges": sum(walk[k - 1] * walk[k + 1] < 0
+                                  for k in range(1, n))}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_brute_force_matches_per_path_loop(n):
+    paths = list(_naive_statistics(n))
+    # the joint law: the marginal law of the sign changes equals that of the
+    # zeros where the walk touches without crossing
+    joint = collections.Counter(
+        zip(*(a.tolist() for a in walks._enumerate_statistics(n))))
+    assert joint == collections.Counter(
+        (p["max"], p["returns"], p["signchanges"]) for p in paths)
+    for tag in walks.STATISTICS:
+        if n % 2 != (tag == "signchanges"):
+            continue
+        counts = collections.Counter(path[tag] for path in paths)
+        expected = tuple(counts[k] for k in range(max(counts) + 1))
+        enumerated = walks.brute_force_pmf(tag, n)
+        assert (enumerated.lower, enumerated.upper) == (0, len(expected) - 1)
+        assert enumerated.numerators == expected
+        assert enumerated.denominator == 1 << n
+
+
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         walks.brute_force_pmf("returns", 24)
@@ -200,6 +234,21 @@ def test_pmf_equality_by_cross_multiplication():
                                      ("signchanges", 65, 32)])
 def test_half_length(tag, n, m):
     assert walks.half_length(tag, n) == m
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_walk_length_inverts_half_length(tag):
+    for m in range(1, 40):
+        n = walks.walk_length(tag, m)
+        assert n % 2 == (tag == "signchanges")
+        assert walks.half_length(tag, n) == m
+
+
+@pytest.mark.parametrize("tag,m", [("returns", 0), ("signchanges", -1),
+                                   ("mean", 3)])
+def test_walk_length_rejects(tag, m):
+    with pytest.raises(walks.DomainError):
+        walks.walk_length(tag, m)
 
 
 @pytest.mark.parametrize("tag,n", [("returns", 5), ("signchanges", 4),

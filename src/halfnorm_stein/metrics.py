@@ -5,9 +5,9 @@ measured against.
 The Kolmogorov supremum over a discrete/continuous pair is attained at an
 atom, approached from the left or the right; both candidates are checked.
 The Wasserstein distance is the integral of |F_law - F_Y|, evaluated
-segment by segment with the analytic antiderivative of F_Y and the exact
-crossing point on each segment, so quadrature noise never touches the
-theorem margins. A quantile-side quadrature provides an independent
+segment by segment with the antiderivatives H and G of ``normal`` and the
+exact crossing point on each segment, so quadrature noise never touches
+the theorem margins. A quantile-side quadrature provides an independent
 second route.
 
 A law is anything with ``atoms()`` and ``cdf()``: the sweep reads the float
@@ -24,19 +24,10 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, _hn_isf, _hn_quantile,
-                     cap_phi, phi)
+from .normal import (HALF_NORMAL_MEAN, _hn_isf, _hn_quantile, hn_cdf,
+                     hn_cdf_integral, hn_tail_integral)
 from .walks import (DomainError, FloatLaw, ScaledLaw, float_law, half_length,
                     pmf_halfmax, pmf_max)
-
-
-def _hn_cdf(x: np.ndarray) -> np.ndarray:
-    return 2.0 * cap_phi(x) - 1.0
-
-
-def _hn_cdf_antiderivative(x: np.ndarray) -> np.ndarray:
-    """d/dx [2(x cap_phi(x) + phi(x)) - x] = 2 cap_phi(x) - 1."""
-    return 2.0 * (x * cap_phi(x) + phi(x)) - x
 
 
 def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
@@ -44,7 +35,7 @@ def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
     atoms = law.atoms()
     cdf = law.cdf()
     cdf_left = np.concatenate(([0.0], cdf[:-1]))
-    target = np.where(atoms > 0.0, _hn_cdf(atoms), 0.0)
+    target = hn_cdf(atoms)
     return float(np.max(np.maximum(np.abs(cdf - target),
                                    np.abs(cdf_left - target))))
 
@@ -52,51 +43,34 @@ def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
 def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
     """Integral of |F_law(t) - F_Y(t)| over [0, inf), piecewise analytic.
 
-    Between consecutive atoms F_law is a constant c; F_Y crosses it at
-    t* = cap_phi^{-1}((1+c)/2) and the antiderivative of F_Y is known, so
+    On each segment [a, b] between 0 and the first atom or between
+    consecutive atoms, F_law is a constant c (0 on the first); F_Y crosses
+    it at t* = F^{-1}(c) and H = p + x F is the antiderivative of F_Y, so
     every segment contributes in closed form. Beyond the last atom the
-    contribution is G(x_last) = 2 phi(x) - 2 x (1 - cap_phi(x)).
+    contribution is G(x_last), G = p - x (1 - F).
     """
     atoms = law.atoms()
-    cdf = law.cdf()
-
-    total = 0.0
-    if atoms[0] > 0.0:
-        total += float(_hn_cdf_antiderivative(atoms[0])
-                       - _hn_cdf_antiderivative(0.0))
-
-    if len(atoms) > 1:
-        a = atoms[:-1]
-        b = atoms[1:]
-        c = cdf[:-1]
-        anti_a = _hn_cdf_antiderivative(a)
-        anti_b = _hn_cdf_antiderivative(b)
-        crossing = _hn_quantile(c)
-
-        below = np.clip(crossing, a, b)  # F_Y < c on [a, below)
-        anti_split = np.where(crossing <= a, anti_a,
-                              np.where(crossing >= b, anti_b,
-                                       _hn_cdf_antiderivative(below)))
-        seg = ((c * (below - a) - (anti_split - anti_a))
-               + ((anti_b - anti_split) - c * (b - below)))
-        total += float(np.sum(seg))
-
-    last = float(atoms[-1])
-    total += 2.0 * float(phi(last)) - 2.0 * last * (1.0 - float(cap_phi(last)))
-    return total
+    a = np.concatenate(([0.0], atoms[:-1]))
+    b = atoms
+    c = np.concatenate(([0.0], law.cdf()[:-1]))
+    anti_a = hn_cdf_integral(a)
+    anti_b = hn_cdf_integral(b)
+    below = np.clip(_hn_quantile(c), a, b)  # F_Y < c on [a, below)
+    anti_split = hn_cdf_integral(below)
+    seg = ((c * (below - a) - (anti_split - anti_a))
+           + ((anti_b - anti_split) - c * (b - below)))
+    return float(np.sum(seg)) + float(hn_tail_integral(atoms[-1]))
 
 
-def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
+def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
     """Independent Wasserstein route: integral of the quantile gap.
 
     Integrates |Q_law(u) - Q_Y(u)| over (0, 1) by adaptive quadrature,
     splitting each step of Q_law at the point where Q_Y crosses its level.
-    The final piece touching u = 1 is mapped through u = 1 - exp(-v) to
-    tame the slowly diverging quantile, which is read there from the
-    survival side at s = exp(-v).
+    Every piece is mapped through u = 1 - exp(-v), which tames the slowly
+    diverging quantile at u = 1, and Q_Y is read from the survival side
+    at s = exp(-v).
     """
-    if nodes < 64:
-        raise ValueError("nodes >= 64 required")
     atoms = law.atoms()
     cdf = law.cdf()
     lows = np.concatenate(([0.0], cdf[:-1]))
@@ -105,29 +79,19 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw, nodes: int = 128) -> float:
     for x, lo, hi in zip(atoms, lows, cdf):
         if hi - lo < 1e-15:
             continue
-        split = HALF_NORMAL.cdf(x) if x > 0.0 else 0.0
+        split = hn_cdf(x)
         points = sorted({lo, min(max(split, lo), hi), hi})
-        if hi < 1.0:
-            for u0, u1 in zip(points[:-1], points[1:]):
-                # full_output=1 silences the warning quad emits on pieces
-                # too small for its relative tolerance; epsabs governs here.
-                out = integrate.quad(
-                    lambda u: abs(x - float(_hn_quantile(u))), u0, u1,
-                    epsabs=1e-11, epsrel=1e-10, limit=nodes, full_output=1)
-                total += out[0]
-        else:
-            # top piece: substitute u = 1 - exp(-v)
-            for u0, u1 in zip(points[:-1], points[1:]):
-                if 1.0 - u0 < 1e-15:
-                    continue
-                v0 = -math.log1p(-u0)
-                v1 = -math.log1p(-u1) if u1 < 1.0 else v0 + 60.0
-                out = integrate.quad(
-                    lambda v: abs(x - float(_hn_isf(math.exp(-v))))
-                    * math.exp(-v),
-                    v0, v1, epsabs=1e-11, epsrel=1e-10, limit=nodes,
-                    full_output=1)
-                total += out[0]
+        for u0, u1 in zip(points[:-1], points[1:]):
+            if 1.0 - u0 < 1e-15:
+                continue
+            v0 = -math.log1p(-u0)
+            v1 = -math.log1p(-u1) if u1 < 1.0 else v0 + 60.0
+            # full_output=1 silences the warning quad emits on pieces too
+            # small for its relative tolerance; epsabs governs there.
+            out = integrate.quad(
+                lambda v: abs(x - float(_hn_isf(math.exp(-v)))) * math.exp(-v),
+                v0, v1, epsabs=1e-11, epsrel=1e-10, limit=128, full_output=1)
+            total += out[0]
     return total
 
 

@@ -4,8 +4,9 @@ All functions accept scalars or numpy arrays and evaluate elementwise.
 Tail quantities go through the complementary error function so that
 relative accuracy survives out to x ~ 8 and beyond. There is one normal
 quantile, scipy's ``ndtri``; the half-normal quantiles read it from the
-survival side. The Mills ratio lives in ``stein.aux_N``, through scipy's
-``erfcx``.
+survival side. The half-normal closed forms live here, for x >= 0: the CDF
+F = 2 Phi - 1, the Mills ratio R = (1 - F)/p with p = 2 phi (scipy's
+``erfcx``), H = p + x F = int F and G = p - x (1 - F) = int_x^inf (1 - F).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from scipy import special
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
 
 def phi(x):
@@ -33,6 +35,32 @@ def cap_phi(x):
 def normal_sf(x):
     """Upper tail 1 - cap_phi(x), accurate to full relative precision."""
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / SQRT_2)
+
+
+def hn_cdf(x):
+    """Half-normal CDF F(x) = 2 cap_phi(x) - 1 at x >= 0."""
+    return 2.0 * cap_phi(x) - 1.0
+
+
+def mills(x):
+    """Mills ratio R(x) = (1 - F(x))/p(x) = (1 - cap_phi(x))/phi(x);
+    R(0) = sqrt(pi/2).
+
+    Taken from the scaled complementary error function, so it stays finite
+    (about 1/x) where 1 - F and p both underflow.
+    """
+    return _SQRT_PI_2 * special.erfcx(np.asarray(x, dtype=float) / SQRT_2)
+
+
+def hn_cdf_integral(x):
+    """H(x) = p(x) + x F(x), the antiderivative of F with H(0) = p(0)."""
+    return 2.0 * phi(x) + x * hn_cdf(x)
+
+
+def hn_tail_integral(x):
+    """G(x) = p(x) - x (1 - F(x)), the integral of 1 - F over [x, inf).
+    Its terms cancel to about p/x^2, so its relative error grows as eps x^4."""
+    return 2.0 * phi(x) - 2.0 * x * normal_sf(x)
 
 
 def inv_cap_phi(p):
@@ -96,7 +124,7 @@ class HalfNormal:
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 0.0, 2.0 * cap_phi(arr) - 1.0, 0.0)
+        out = np.where(arr > 0.0, hn_cdf(arr), 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def sf(self, x):

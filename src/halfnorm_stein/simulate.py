@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walks import DomainError, scaled_law
+from .walks import DomainError, path_statistic, scaled_law, support_size
 
 _CHUNK = 65536
 
@@ -60,24 +60,18 @@ def simulate_walk(n: int, seed: int) -> WalkSummary:
 
 def empirical_pmf_counts(statistic_tag: str, n: int, trials: int,
                          seed: int) -> np.ndarray:
-    """Counts of the statistic over seeded trials, chunked and deterministic."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if statistic_tag in ("returns", "max"):
-        upper = n if statistic_tag == "max" else n // 2
-    elif statistic_tag == "signchanges":
-        upper = (n - 1) // 2
-    else:
-        raise ValueError(f"unknown statistic {statistic_tag!r}")
+    """Counts of the statistic over seeded trials, chunked and deterministic,
+    one per atom of the exact law; an inadmissible statistic or n raises
+    DomainError before any walk is drawn."""
+    size = support_size(statistic_tag, n)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = np.zeros(upper + 1, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
     done = 0
     while done < trials:
         rows = min(_CHUNK, trials - done)
-        max_value, returns, sign_changes = _path_statistics(_steps(rng, rows, n))
-        values = {"max": max_value, "returns": returns,
-                  "signchanges": sign_changes}[statistic_tag]
-        counts += np.bincount(values, minlength=upper + 1)
+        values = path_statistic(statistic_tag,
+                                *_path_statistics(_steps(rng, rows, n)))
+        counts += np.bincount(values, minlength=size)
         done += rows
     return counts
 

@@ -3,8 +3,9 @@ and the auxiliary functions needed to certify their norm bounds.
 
 Test functions come in two flavours: half-line indicators 1_{[0,z]} (the
 Kolmogorov class restricted to the nonnegative axis) and Lipschitz functions
-with a known constant (the Wasserstein class). Indicators admit closed forms;
-Lipschitz solutions are evaluated by adaptive quadrature.
+with a known constant (the Wasserstein class). Indicators admit closed forms
+in the half-normal CDF F and Mills ratio R of ``normal``; Lipschitz
+solutions are evaluated by adaptive quadrature, on x <= LIPSCHITZ_X_MAX.
 """
 
 from __future__ import annotations
@@ -14,15 +15,22 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
-from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, INV_SQRT_2PI, SQRT_2,
-                     cap_phi, normal_sf, phi)
+from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, INV_SQRT_2PI, cap_phi,
+                     hn_cdf, hn_cdf_integral, hn_tail_integral, mills,
+                     normal_sf, phi)
+from .walks import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the central difference that gives f_h' for Lipschitz h.
 FH_PRIME_STEP = 1e-5
-_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
+# Largest x where the quadrature of f_h is trusted (agreement with the
+# closed forms to 1e-10); beyond about x = 2000 the peak of width 1/x inside
+# [x, x + 12] escapes the quadrature rule and f_h comes out wrong.
+LIPSCHITZ_X_MAX = 1000.0
+SUP_GRID = 400
+SUP_RESOLUTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,10 @@ def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
     """Closed-form Stein solution for the indicator 1_{[0,z]}.
 
     f_z(x) = (F(min(x,z)) - F(x)F(z)) / p(x), extended by 0 at x <= 0,
-    that is F(x) (1 - F(z)) / p(x) for x <= z and F(z) N(x) for x > z, with
-    N from aux_N. Elementwise in x; each branch is evaluated only where it
-    applies, and neither divides by p.
+    that is F(x) (1 - F(z)) / p(x) for x <= z and F(z) R(x) for x > z, with
+    the Mills ratio R; on the diagonal f_z(z) = F(z) R(z). Elementwise in
+    x; each branch is evaluated only where it applies, and neither divides
+    by p.
     """
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
@@ -73,9 +82,8 @@ def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
         positive = xs > 0.0
         left = positive & (xs <= z)
         right = positive & ~left
-        out[left] = (2.0 * cap_phi(xs[left]) - 1.0) * _tail_over_density(
-            z, xs[left])
-        out[right] = (2.0 * cap_phi(z) - 1.0) * aux_N(xs[right])
+        out[left] = hn_cdf(xs[left]) * _tail_over_density(z, xs[left])
+        out[right] = hn_cdf(z) * mills(xs[right])
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -86,7 +94,7 @@ def fz_prime(z: float, x: float | np.ndarray,
     Elementwise in x. f_z' jumps at x = z; there the caller must pick side
     'left' or 'right'.
     The left limit is f_z'(z-) = z R(z) F(z) + 1 - F(z) with the Mills ratio
-    R = (1 - Phi)/phi, and the Mills-ratio bounds z/(1+z^2) <= R(z) <= 1/z
+    R = (1 - F)/p, and the Mills-ratio bounds z/(1+z^2) <= R(z) <= 1/z
     (see normal.mill_bounds) give z^2/(1+z^2) <= f_z'(z-) <= 1.
     """
     xs = np.asarray(x, dtype=float)
@@ -100,20 +108,20 @@ def fz_prime(z: float, x: float | np.ndarray,
 def fz_prime_hg(z: float, x: float, side: str | None = None) -> float:
     """Same derivative through the monotonicity factorisation:
     (1-F(z)) H(x)/p(x) on x < z and -F(z) G(x)/p(x) on x > z, where
-    G/p = 1 - x N(x).
+    G/p = 1 - x R(x). It shares F and R with fz_prime, so the independent
+    oracle of both is mpmath, not the other route.
     """
     if x == z and side is None:
         raise ValueError("f_z' jumps at x = z; pass side='left' or side='right'")
     if x < z or (x == z and side == "left"):
-        return aux_H(x) * _tail_over_density(z, x)
-    return -(2.0 * cap_phi(z) - 1.0) * (1.0 - x * aux_N(x))
+        return hn_cdf_integral(x) * _tail_over_density(z, x)
+    return -hn_cdf(z) * (1.0 - x * mills(x))
 
 
 def _tail_over_density(z: float, x):
-    """(1 - F(z))/p(x) = sqrt(pi/2) erfcx(z/sqrt(2)) exp((x - z)(x + z)/2)
-    for x <= z, finite where 1 - F(z) and p(x) both underflow."""
-    return (_SQRT_PI_2 * special.erfcx(z / SQRT_2)
-            * np.exp(0.5 * (x - z) * (x + z)))
+    """(1 - F(z))/p(x) = R(z) exp((x - z)(x + z)/2) for x <= z, finite
+    where 1 - F(z) and p(x) both underflow."""
+    return mills(z) * np.exp(0.5 * (x - z) * (x + z))
 
 
 def _lipschitz_solver(h: LipschitzFunction,
@@ -123,12 +131,16 @@ def _lipschitz_solver(h: LipschitzFunction,
     The integral representation is switched at the half-normal median:
     below it the integral from 0 is short and well conditioned, above it
     the complementary integral avoids cancellation against exp(x^2/2).
+    An x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError.
     """
     median = HALF_NORMAL.median
 
     def solve(x: float) -> float:
         if x <= 0.0:
             return 0.0
+        if not x <= LIPSCHITZ_X_MAX:
+            raise DomainError(f"f_h is evaluated by quadrature only for "
+                              f"x <= {LIPSCHITZ_X_MAX:g}, got x = {x}")
         lo, hi = (0.0, x) if x <= median else (x, x + 12.0)
         val, _ = integrate.quad(
             lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
@@ -138,11 +150,10 @@ def _lipschitz_solver(h: LipschitzFunction,
     return solve
 
 
-def _difference_quotient(solve: Callable[[float], float], x: float,
-                         step: float = FH_PRIME_STEP) -> float:
+def _difference_quotient(solve: Callable[[float], float], x: float) -> float:
     """Central difference of solve at x, forward where x - step < 0."""
-    lo = max(x - step, 0.0)
-    return (solve(x + step) - solve(lo)) / (x + step - lo)
+    lo = max(x - FH_PRIME_STEP, 0.0)
+    return (solve(x + FH_PRIME_STEP) - solve(lo)) / (x + FH_PRIME_STEP - lo)
 
 
 def solve_fh(h: TestFunction, x: float) -> float:
@@ -155,12 +166,11 @@ def solve_fh(h: TestFunction, x: float) -> float:
     return _lipschitz_solver(h, mu_h(h))(x)
 
 
-def solve_fh_prime(h: TestFunction, x: float,
-                   step: float = FH_PRIME_STEP) -> float:
+def solve_fh_prime(h: TestFunction, x: float) -> float:
     """Central-difference derivative of f_h (closed form for indicators)."""
     if isinstance(h, HalfLineIndicator):
         return fz_prime(h.z, x, side="left")
-    return _difference_quotient(_lipschitz_solver(h, mu_h(h)), x, step)
+    return _difference_quotient(_lipschitz_solver(h, mu_h(h)), x)
 
 
 def stein_residual_continuous(h: TestFunction, x: float) -> float:
@@ -180,26 +190,13 @@ def stein_residual_continuous(h: TestFunction, x: float) -> float:
 
 def aux_M(x):
     """F(x)/p(x); M(0) = 0 by continuous extension."""
-    return (2.0 * cap_phi(x) - 1.0) / (2.0 * phi(x))
+    return hn_cdf(x) / (2.0 * phi(x))
 
 
-def aux_N(x):
-    """(1-F(x))/p(x), the Mills ratio; N(0) = sqrt(pi/2).
-
-    Taken from the scaled complementary error function, so it stays finite
-    (about 1/x) where 1 - F and p both underflow.
-    """
-    return _SQRT_PI_2 * special.erfcx(np.asarray(x, dtype=float) / SQRT_2)
-
-
-def aux_H(x):
-    """p - F*psi = 2 phi(x) + x (2 cap_phi(x) - 1)."""
-    return 2.0 * phi(x) + x * (2.0 * cap_phi(x) - 1.0)
-
-
-def aux_G(x):
-    """H + psi = 2 phi(x) - 2 x (1 - cap_phi(x)); decays to 0."""
-    return 2.0 * phi(x) - 2.0 * x * normal_sf(x)
+# The paper's N = (1 - F)/p, H = p - F psi and G = H + psi, psi(x) = -x.
+aux_N = mills
+aux_H = hn_cdf_integral
+aux_G = hn_tail_integral
 
 
 def aux_U(x):
@@ -209,19 +206,18 @@ def aux_U(x):
 def aux_V(x):
     """Second-derivative weight; named aux_V to avoid clashing with the
     auxiliary random variable V = 2 N_n / sqrt(n)."""
-    return -(2.0 * cap_phi(x) - 1.0) * (1.0 + np.square(x)) - 2.0 * x * phi(x)
+    return -hn_cdf(x) * (1.0 + np.square(x)) - 2.0 * x * phi(x)
 
 
 def aux_S(x):
     """Sharp Lipschitz bound on |f_h'|; max value sqrt(2/pi) at x = 0.
-    Its factor (phi - x (1 - cap_phi))/phi is 1 - x N(x), N = aux_N."""
-    return (4.0 * (1.0 - x * aux_N(x))
-            * (phi(x) + x * (cap_phi(x) - 0.5) - 0.5 * INV_SQRT_2PI))
+    It is 2 (G/p)(x) (H(x) - phi(0)), with G/p = 1 - x R(x)."""
+    return 2.0 * (1.0 - x * mills(x)) * (hn_cdf_integral(x) - INV_SQRT_2PI)
 
 
 def aux_D1(x):
-    """phi/2 - (1-cap_phi)(2 cap_phi - 1); nonnegative on [0, inf)."""
-    return 0.5 * phi(x) - normal_sf(x) * (2.0 * cap_phi(x) - 1.0)
+    """phi/2 - (1 - cap_phi) F; nonnegative on [0, inf)."""
+    return 0.5 * phi(x) - normal_sf(x) * hn_cdf(x)
 
 
 def aux_D2(x):
@@ -243,26 +239,26 @@ def aux_eval(name: str, x):
 # Supremum certification.
 # ---------------------------------------------------------------------------
 
-def sup_search(f: Callable[[float], float], lo: float, hi: float,
-               resolution: float = 1e-6, grid: int = 400) -> tuple[float, float]:
-    """Locate the supremum of f on [lo, hi].
+def sup_search(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Locate the supremum of f on [lo, hi]; f is elementwise in x.
 
-    Coarse grid scan followed by golden-section refinement on the bracket
-    around the best grid point. Exact within `resolution` for unimodal f;
-    for general f the result is the refined grid maximum.
+    Coarse scan of SUP_GRID points in one call of f, followed by
+    golden-section refinement on the bracket around the best grid point.
+    Exact within SUP_RESOLUTION for unimodal f; for general f the result
+    is the refined grid maximum.
     """
     if hi <= lo:
         raise ValueError("empty search interval")
-    xs = np.linspace(lo, hi, grid)
-    vals = np.array([f(x) for x in xs])
+    xs = np.linspace(lo, hi, SUP_GRID)
+    vals = f(xs)
     i = int(np.argmax(vals))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid - 1)]
+    b = xs[min(i + 1, SUP_GRID - 1)]
 
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > resolution:
+    while b - a > SUP_RESOLUTION:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -272,7 +268,7 @@ def sup_search(f: Callable[[float], float], lo: float, hi: float,
             d = a + GOLDEN * (b - a)
             fd = f(d)
     best = max((vals[i], xs[i]), (fc, c), (fd, d))
-    return best[1], best[0]
+    return float(best[1]), float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +314,7 @@ def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
         if z > 0.0:
             sup_prime = max(sup_prime, abs(fz_prime(z, z, side="left")))
     # The sup of |f_z| over x sits at x = z; refine along that diagonal.
-    _, diag_sup = sup_search(lambda z: fz(z, z), 0.0, z_hi, resolution=1e-6)
+    _, diag_sup = sup_search(lambda z: hn_cdf(z) * mills(z), 0.0, z_hi)
     sup_abs = max(sup_abs, diag_sup)
     return BoundReport(kind="indicator", checks=(
         BoundCheck("sup |f_z|", sup_abs, 0.5),

@@ -152,6 +152,23 @@ def walk_length(statistic_tag: str, m: int) -> int:
     return 2 * m + parity
 
 
+def support_size(statistic_tag: str, n: int) -> int:
+    """Number of atoms 0..upper of the statistic's law at walk length n;
+    an inadmissible n raises DomainError."""
+    m = half_length(statistic_tag, n)
+    return len(_masses(statistic_tag, np.zeros(m + 1)))
+
+
+def path_statistic(statistic_tag: str, max_value: np.ndarray,
+                   returns: np.ndarray, sign_changes: np.ndarray) -> np.ndarray:
+    """The statistic on each path from its maximum M, returns and sign
+    changes; halfmax N = ceil(M / 2) is M - M // 2, which cannot wrap."""
+    if statistic_tag == "halfmax":
+        return max_value - max_value // 2
+    return {"max": max_value, "returns": returns,
+            "signchanges": sign_changes}[statistic_tag]
+
+
 def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
     """The normalised law converging to the half-normal distribution.
 
@@ -342,10 +359,7 @@ def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
     half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-    max_val, returns, changes = _enumerate_statistics(n)
-    values = {"max": max_val, "returns": returns,
-              "halfmax": (max_val + 1) // 2,
-              "signchanges": changes}[statistic_tag]
-    counts = np.bincount(values)
+    counts = np.bincount(path_statistic(statistic_tag,
+                                        *_enumerate_statistics(n)))
     return ExactPMF(0, len(counts) - 1, tuple(int(c) for c in counts),
                     1 << n, statistic_tag)

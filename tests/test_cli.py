@@ -92,7 +92,8 @@ def test_stein_solution_far_tail_has_no_nan(capsys):
 
 
 def test_simulate_rejects_halfmax(capsys):
-    # the Monte Carlo oracle has no halfmax counts; argparse refuses it
+    # the command offers the statistics with a theorem bound; argparse
+    # refuses halfmax
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--stat", "halfmax", "--n", "64"])
     assert exc.value.code == 2
@@ -129,6 +130,8 @@ def test_simulate_invalid_n_fails_before_drawing(monkeypatch, capsys, argv):
     "check-bounds --stat halfmax --n 2:8:2",
     "stein-solution --z -1 --x 1",
     "stein-solution --z 1 --x -1",
+    "stein-solution --lipschitz identity --x 1e4",
+    "stein-solution --lipschitz identity --x 1e12",
 ])
 def test_domain_errors_exit_two(capsys, argv):
     assert cli.main(argv.split()) == 2

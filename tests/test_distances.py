@@ -84,9 +84,15 @@ def test_wasserstein_quantile_finite_below_top_atom(tag, n):
     assert abs(quad - metrics.wasserstein_exact(law)) <= 1e-8
 
 
-def test_wasserstein_quantile_node_floor():
-    with pytest.raises(ValueError):
-        metrics.wasserstein_quantile(walks.scaled_law("returns", 4), nodes=32)
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_wasserstein_routes_agree_on_a_stride(tag):
+    # every admissible n <= 160 at stride 4 (offset by the statistic's
+    # parity); the two routes share no code beyond F and the quantile
+    first = 3 if tag == "signchanges" else 2
+    for n in range(first, 161, 4):
+        law = walks.scaled_law(tag, n)
+        assert abs(metrics.wasserstein_quantile(law)
+                   - metrics.wasserstein_exact(law)) <= 1e-8
 
 
 def test_theorem_bound_values():

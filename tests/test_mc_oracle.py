@@ -77,8 +77,21 @@ def test_counts_reject_empty_walks(monkeypatch, n):
         raise AssertionError("a walk was drawn")
 
     monkeypatch.setattr(simulate, "_steps", no_walks)
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(walks.DomainError, match="requires even n"):
         simulate.empirical_pmf_counts("max", n, 20_000, seed=0)
+
+
+@pytest.mark.parametrize("tag,n", [("returns", 12), ("max", 12),
+                                   ("halfmax", 12), ("signchanges", 13)])
+def test_counts_cover_the_exact_support(tag, n):
+    counts = simulate.empirical_pmf_counts(tag, n, 20_000, seed=3)
+    assert len(counts) == walks.scaled_law(tag, n).base.upper + 1
+    assert counts.sum() == 20_000
+
+
+def test_empirical_check_halfmax():
+    # N = ceil(M / 2), from the same walks as the maximum
+    assert simulate.empirical_check("halfmax", 64, 100_000, seed=0).passed
 
 
 def test_unknown_statistic():

@@ -274,9 +274,9 @@ def _accepts(fn, *args) -> bool:
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_every_entry_point_shares_one_domain(monkeypatch, tag):
-    # the exact law, the float law, the 2^n oracle, the theorem bounds and
-    # the Monte Carlo check accept the same walk lengths; the last two
-    # state nothing for halfmax
+    # the exact law, the float law, the 2^n oracle, the Monte Carlo counts,
+    # the theorem bounds and the Monte Carlo check accept the same walk
+    # lengths; the last two state nothing for halfmax
     def reached(*args):
         raise _Reached
 
@@ -286,7 +286,8 @@ def test_every_entry_point_shares_one_domain(monkeypatch, tag):
     for n in range(-3, 31):
         verdicts = {_accepts(walks.scaled_law, tag, n),
                     _accepts(walks.float_law, tag, n),
-                    _accepts(walks.brute_force_pmf, tag, n)}
+                    _accepts(walks.brute_force_pmf, tag, n),
+                    _accepts(simulate.empirical_pmf_counts, tag, n, 1, 0)}
         if tag != "halfmax":
             verdicts |= {_accepts(metrics.theorem_bound, tag, n, "K"),
                          _accepts(simulate.empirical_check, tag, n, 10_000)}

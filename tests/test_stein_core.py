@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from halfnorm_stein import stein
-from halfnorm_stein.normal import HALF_NORMAL, cap_phi, normal_sf, phi
+from halfnorm_stein import stein, walks
+from halfnorm_stein.normal import (HALF_NORMAL, cap_phi, hn_cdf, mills,
+                                   normal_sf, phi)
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -127,6 +128,27 @@ class TestLipschitzSolution:
                    - x * stein.solve_fh(stein.IDENTITY, x))
             assert lhs == pytest.approx(x - SQRT_2_PI, abs=1e-7)
 
+    @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
+                             ids=["identity", "min1"])
+    def test_quadrature_matches_closed_form_up_to_x_max(self, h):
+        # for x > 1: f = sqrt(2/pi) R(x) - 1 for h(x) = x and
+        # f = -(1 - E[min(Y, 1)]) R(x) for h(x) = min(x, 1); budget 1e-10
+        # absolute (measured 3.5e-11 for the identity up to x = 1000)
+        mu = stein.mu_h(h)
+        for x in np.geomspace(1.5, stein.LIPSCHITZ_X_MAX, 80):
+            closed = (SQRT_2_PI * mills(x) - 1.0 if h is stein.IDENTITY
+                      else -(1.0 - mu) * mills(x))
+            assert abs(stein.solve_fh(h, x) - closed) <= 1e-10, x
+
+    @pytest.mark.parametrize("x", [1000.5, 1e4, 1e12, math.inf, math.nan])
+    def test_quadrature_refused_beyond_x_max(self, x):
+        # at x = 1e4 the quadrature misses the peak and gave f = -9.2e-55
+        # for a true -0.99992; at 1e12 the difference quotient divided by 0
+        for fn in (stein.solve_fh, stein.solve_fh_prime,
+                   stein.stein_residual_continuous):
+            with pytest.raises(walks.DomainError, match="x <= 1000"):
+                fn(stein.CAPPED_AT_ONE, x)
+
 
 class TestSteinResidual:
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 4.0])
@@ -220,10 +242,26 @@ class TestAuxFunctions:
             stein.aux_eval("Q", 1.0)
 
 
+def _diagonal(z):
+    """f_z(z) = F(z) R(z), elementwise."""
+    return hn_cdf(z) * mills(z)
+
+
 class TestSupSearch:
     def test_diagonal_supremum(self):
-        _, peak = stein.sup_search(lambda z: stein.fz(z, z), 0.0, 8.0)
+        _, peak = stein.sup_search(_diagonal, 0.0, 8.0)
         assert peak == pytest.approx(0.456296, abs=5e-4)
+
+    def test_diagonal_closed_form_is_fz_bitwise(self):
+        zs = np.linspace(0.0, 8.0, stein.SUP_GRID)
+        assert list(_diagonal(zs)) == [stein.fz(z, z) for z in zs]
+
+    @pytest.mark.parametrize("f", [stein.aux_S, stein.aux_D2, _diagonal],
+                             ids=["S", "D2", "diagonal"])
+    def test_rows_match_scalar_calls(self, f):
+        # sup_search scans its grid in one call of f
+        xs = np.linspace(0.0, 8.0, stein.SUP_GRID)
+        assert list(f(xs)) == [f(x) for x in xs]
 
     def test_s_supremum(self):
         argmax, peak = stein.sup_search(stein.aux_S, 0.0, 10.0)
@@ -295,8 +333,7 @@ def _reference_indicator_report(z_hi, grid):
                                 abs(stein.fz_prime(z, x, side="right")))
             else:
                 sup_prime = max(sup_prime, abs(stein.fz_prime(z, x)))
-    _, diag_sup = stein.sup_search(lambda z: stein.fz(z, z), 0.0, z_hi,
-                                   resolution=1e-6)
+    _, diag_sup = stein.sup_search(_diagonal, 0.0, z_hi)
     return max(sup_abs, diag_sup), sup_prime
 
 

@@ -201,6 +201,7 @@ def _cmd_simulate(args) -> int:
         "statistic": report.statistic_tag, "n": report.n,
         "trials": report.trials, "seed": report.seed,
         "max_cdf_deviation": report.max_cdf_deviation,
+        "worst_atom": report.worst_atom,
         "dkw_threshold": report.dkw_threshold,
         "passed": report.passed,
     }

@@ -58,9 +58,10 @@ def hn_cdf_integral(x):
 
 
 def hn_tail_integral(x):
-    """G(x) = p(x) - x (1 - F(x)), the integral of 1 - F over [x, inf).
-    Its terms cancel to about p/x^2, so its relative error grows as eps x^4."""
-    return 2.0 * phi(x) - 2.0 * x * normal_sf(x)
+    """G(x) = p(x) - x (1 - F(x)) = p(x) (1 - x R(x)), the integral of 1 - F
+    over [x, inf). 1 - x R is about 1/x^2, so the relative error of R and
+    the eps x^2/2 rounding of p's exponent both grow as eps x^2."""
+    return 2.0 * phi(x) * (1.0 - x * mills(x))
 
 
 def inv_cap_phi(p):

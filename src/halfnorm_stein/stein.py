@@ -119,9 +119,15 @@ def fz_prime_hg(z: float, x: float, side: str | None = None) -> float:
 
 
 def _tail_over_density(z: float, x):
-    """(1 - F(z))/p(x) = R(z) exp((x - z)(x + z)/2) for x <= z, finite
-    where 1 - F(z) and p(x) both underflow."""
-    return mills(z) * np.exp(0.5 * (x - z) * (x + z))
+    """(1 - F(z))/p(x) = R(z) exp(-d m) for 0 <= x <= z, with d = z - x and
+    m = (x + z)/2 >= d/2, finite where 1 - F(z) and p(x) both underflow.
+
+    d is capped at 40 and m at 1e300, so d m cannot overflow. The caps
+    bind only where exp(-d m) is 0.0 anyway: d >= 40 gives d m >= 800, and
+    m > 1e300 needs z > 1e300, where d = 0 or d > 40.
+    """
+    m = np.minimum(0.5 * x + 0.5 * z, 1e300)
+    return mills(z) * np.exp(-np.minimum(z - x, 40.0) * m)
 
 
 def _lipschitz_solver(h: LipschitzFunction,
@@ -340,7 +346,7 @@ def _lipschitz_bound_report(h: LipschitzFunction, x_hi: float,
         if x < step:
             continue
         f2 = (solve(x + step) - 2.0 * f_x + solve(x - step)) / (step * step)
-        sup_fpp = max(sup_fpp, abs(f2))
+        sup_fpp = max(sup_fpp, float(abs(f2)))
     return BoundReport(kind="lipschitz", checks=(
         BoundCheck("sup |f_h|", sup_f, lip),
         BoundCheck("sup |f_h'|", sup_fp, HALF_NORMAL_MEAN * lip),

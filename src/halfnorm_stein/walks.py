@@ -159,14 +159,14 @@ def support_size(statistic_tag: str, n: int) -> int:
     return len(_masses(statistic_tag, np.zeros(m + 1)))
 
 
-def path_statistic(statistic_tag: str, max_value: np.ndarray,
-                   returns: np.ndarray, sign_changes: np.ndarray) -> np.ndarray:
-    """The statistic on each path from its maximum M, returns and sign
-    changes; halfmax N = ceil(M / 2) is M - M // 2, which cannot wrap."""
+def path_statistic(statistic_tag: str,
+                   paths: dict[str, np.ndarray]) -> np.ndarray:
+    """The statistic on each path from its per-path "max", "returns" or
+    "signchanges"; halfmax N = ceil(M / 2) is M - M // 2 of the max M,
+    which cannot wrap."""
     if statistic_tag == "halfmax":
-        return max_value - max_value // 2
-    return {"max": max_value, "returns": returns,
-            "signchanges": sign_changes}[statistic_tag]
+        return paths["max"] - paths["max"] // 2
+    return paths[statistic_tag]
 
 
 def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
@@ -359,7 +359,10 @@ def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
     half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-    counts = np.bincount(path_statistic(statistic_tag,
-                                        *_enumerate_statistics(n)))
-    return ExactPMF(0, len(counts) - 1, tuple(int(c) for c in counts),
-                    1 << n, statistic_tag)
+    values = path_statistic(statistic_tag, dict(zip(
+        ("max", "returns", "signchanges"), _enumerate_statistics(n))))
+    # one pass per atom over the int8 values; np.bincount would first widen
+    # all 2^n of them to intp
+    counts = tuple(int(np.count_nonzero(values == k))
+                   for k in range(int(values.max()) + 1))
+    return ExactPMF(0, len(counts) - 1, counts, 1 << n, statistic_tag)

@@ -85,6 +85,40 @@ def test_simulate(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_simulate_names_its_worst_atom(capsys, fmt):
+    code, out = run(capsys, "simulate", "--stat", "max", "--n", "32",
+                    "--trials", "20000", "--seed", "1", "--format", fmt)
+    assert code == 0
+    worst = simulate.empirical_check("max", 32, 20_000, seed=1).worst_atom
+    if fmt == "json":
+        assert json.loads(out)["worst_atom"] == worst
+    else:
+        header, row = (line.split(",") if fmt == "csv" else line.split()
+                       for line in out.splitlines())
+        assert row[header.index("worst_atom")] == str(worst)
+
+
+def test_stein_solution_far_level_does_not_overflow(capsys):
+    # exp((x - z)(x + z)/2) at z = 1e308 overflowed in its exponent; the
+    # suite turns a RuntimeWarning into a failure
+    code = cli.main(["stein-solution", "--z", "1e308", "--x", "1",
+                     "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)[0]["f"] == 0.0
+    assert err == ""
+
+
+def test_verify_lemmas_lipschitz_json(capsys):
+    # the second-derivative supremum was a numpy float, and its check's
+    # numpy bool ended the JSON output in a traceback
+    code, out = run(capsys, "verify-lemmas", "--kind", "lipschitz",
+                    "--grid", "3", "--format", "json")
+    assert code == 0
+    assert all(row["passed"] is True for row in json.loads(out))
+
+
 def test_stein_solution_far_tail_has_no_nan(capsys):
     code, out = run(capsys, "stein-solution", "--z", "1", "--x", "40")
     assert code == 0
@@ -212,6 +246,16 @@ _ARGV = st.one_of(
               st.integers(0, 3).map(str)).map(
         lambda a: ["simulate", "--stat", a[0], "--n", a[1],
                    "--trials", a[2], "--seed", a[3]]),
+    st.tuples(_STAT, _N_RANGE, _FORMAT).map(
+        lambda a: ["rate-table", "--stat", a[0], "--n", a[1],
+                   "--format", a[2]]),
+    st.tuples(_STAT, st.integers(-2, 24).map(str), _FORMAT).map(
+        lambda a: ["stein-verify", "--stat", a[0], "--m", a[1],
+                   "--format", a[2]]),
+    st.tuples(st.sampled_from(("indicator", "lipschitz", "all")),
+              st.integers(-1, 6).map(str), _FORMAT).map(
+        lambda a: ["verify-lemmas", "--kind", a[0], "--grid", a[1],
+                   "--format", a[2]]),
 )
 
 

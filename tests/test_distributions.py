@@ -177,10 +177,10 @@ def test_half_normal_closed_forms_against_mpmath():
     # F, R = (1 - F)/p, H = p + x F and G = p - x (1 - F) on [0, 40]
     # against 50-digit mpmath. Budgets, with eps = 2^-52: where the
     # reference is a normal float, relative 8 eps for F, R and H (measured
-    # 2.7 eps) and 8 eps (1 + x^4) for G, whose two terms cancel to about
-    # p/x^2 and so magnify the eps x^2/2 rounding of p's exponent by x^2
-    # (measured 3.0 eps (1 + x^4), 3.0e-10 at x = 36.2); below the normal
-    # range, which G leaves at x = 37.44, absolute 2^-1022.
+    # 2.7 eps) and 8 eps (1 + x^2) for G = p (1 - x R), where 1 - x R is
+    # about 1/x^2 and the eps x^2/2 rounding of p's exponent is not
+    # magnified again (measured 1.8 eps (1 + x^2)); below the normal range,
+    # which G leaves at x = 37.44, absolute 2^-1022.
     xs = np.linspace(0.0, 40.0, 401)
     eps = np.finfo(float).eps
     tiny = np.finfo(float).tiny
@@ -197,6 +197,6 @@ def test_half_normal_closed_forms_against_mpmath():
             refs[hn_tail_integral].append(float(p - x * tail))
     for fn, ref in refs.items():
         ref = np.array(ref)
-        rel = 8.0 * eps * ((1.0 + xs ** 4) if fn is hn_tail_integral else 1.0)
+        rel = 8.0 * eps * ((1.0 + xs ** 2) if fn is hn_tail_integral else 1.0)
         budget = np.where(np.abs(ref) >= tiny, rel * np.abs(ref), tiny)
         assert np.all(np.abs(fn(xs) - ref) <= budget), fn.__name__

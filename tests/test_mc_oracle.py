@@ -107,26 +107,63 @@ def _naive_walk_statistics(steps):
     return max(walk), walk[1:].count(0), changes
 
 
+def _unpack(packed, n):
+    """The (rows, n) 0/1 up-steps of packed walks."""
+    return np.unpackbits(packed, axis=0, count=n, bitorder="little").T
+
+
+@pytest.mark.parametrize("chunks,n", [
+    ((simulate._CHUNK,), 64),           # one full chunk
+    ((simulate._CHUNK, 1001), 7),       # partial last chunk, 7007 bytes
+    ((1,), 50),                         # a single row, as simulate_walk
+], ids=["full-chunk", "partial-chunk", "single-row"])
+def test_steps_are_the_bounded_integer_stream(chunks, n):
+    # the top bit of each raw Philox byte is what Generator.integers(0, 2)
+    # returns, chunk after chunk from one generator
+    bitgen = np.random.Philox(key=9)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    for rows in chunks:
+        expected = rng.integers(0, 2, size=(rows, n), dtype=np.int8)
+        assert np.array_equal(_unpack(simulate._steps(bitgen, rows, n), n),
+                              expected)
+
+
 @pytest.mark.parametrize("n", [1, 2, 65, 127, 128, 300])
 def test_path_statistics_match_per_walk_loop(n):
     # seeded walks, plus the extreme walks that reach |S_n| = n, where a
-    # too narrow cumsum dtype would wrap without a warning
-    rng = np.random.Generator(np.random.Philox(key=n))
-    steps = np.concatenate((
-        simulate._steps(rng, 300, n),
-        np.ones((1, n), dtype=np.int8),
-        -np.ones((1, n), dtype=np.int8),
-        np.resize(np.array([1, -1], dtype=np.int8), (1, n)),
-        np.resize(np.array([-1, 1], dtype=np.int8), (1, n))))
-    assert steps.dtype == np.int8
-    columns = simulate._path_statistics(steps)
-    for row, *stats in zip(steps.tolist(), *columns):
+    # too narrow walk dtype would wrap without a warning
+    up = np.concatenate((
+        _unpack(simulate._steps(np.random.Philox(key=n), 300, n), n),
+        np.ones((1, n), dtype=np.uint8),
+        np.zeros((1, n), dtype=np.uint8),
+        np.resize(np.array([1, 0], dtype=np.uint8), (1, n)),
+        np.resize(np.array([0, 1], dtype=np.uint8), (1, n))))
+    packed = simulate._pack(up.astype(bool))
+    columns = [simulate._path_statistic(kind, packed, n)
+               for kind in ("max", "returns", "signchanges")]
+    for row, *stats in zip((2 * up.astype(int) - 1).tolist(), *columns):
         assert tuple(int(v) for v in stats) == _naive_walk_statistics(row)
+
+
+def test_simulate_walk_is_the_first_row():
+    walk = simulate.simulate_walk(70, seed=4)
+    steps = np.random.Generator(np.random.Philox(key=4)).integers(
+        0, 2, size=70, dtype=np.int8) * 2 - 1
+    assert (walk.max_value, walk.returns, walk.sign_changes) == \
+        _naive_walk_statistics(steps.tolist())
+
+
+def test_empirical_check_names_its_worst_atom():
+    report = simulate.empirical_check("max", 64, 20_000, seed=2)
+    counts = simulate.empirical_pmf_counts("max", 64, 20_000, seed=2)
+    gaps = np.abs(np.cumsum(counts) / 20_000
+                  - walks.scaled_law("max", 64).cdf())
+    assert gaps[report.worst_atom] == report.max_cdf_deviation == gaps.max()
 
 
 # Digests of the counts at (n, trials = 70 000, seed = 5), recorded from the
 # int32 implementation; the trials span two chunks, and n = 130 takes the
-# wide cumsum. A change of the Philox stream or of a statistic moves them.
+# int16 walk. A change of the Philox stream or of a statistic moves them.
 @pytest.mark.parametrize("tag,n,digest", [
     ("returns", 64, "2c1f0a3bc0733c28"),
     ("max", 64, "b0dc12d1357b169e"),

@@ -16,7 +16,7 @@ from .metrics import (AuxiliaryReport, DistanceReport, RateRow,
 from .normal import (HALF_NORMAL, HalfNormal, cap_phi, inv_cap_phi,
                      mill_bounds, phi)
 from .simulate import EmpiricalReport, WalkSummary, empirical_check, simulate_walk
-from .stein import (BoundCheck, BoundReport, HalfLineIndicator,
+from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
                     LipschitzFunction, aux_eval, fz, fz_prime, mu_h,
                     solve_fh, sup_search, verify_lemma_bounds,
                     verify_monotone_xfz)

@@ -61,6 +61,8 @@ def _csv(rows: list[dict]) -> str:
 def _format_cell(v) -> str:
     if isinstance(v, float):
         return repr(float(v))
+    if isinstance(v, tuple):  # a point (z, x), kept free of commas for csv
+        return "(" + " ".join(map(_format_cell, v)) + ")"
     return str(v)
 
 
@@ -189,7 +191,8 @@ def _cmd_verify_lemmas(args) -> int:
         for chk in rep.checks:
             rows.append({"suite": rep.kind, "bound": chk.name,
                          "observed": chk.observed, "limit": chk.limit,
-                         "margin": chk.margin, "passed": chk.passed})
+                         "margin": chk.margin, "passed": chk.passed,
+                         "at": chk.at})
     _render(args, rows)
     return 0 if all(r.passed for r in reports) else 1
 

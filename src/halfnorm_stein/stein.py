@@ -1,18 +1,21 @@
 """Solutions of the half-normal Stein equation f'(x) - x f(x) = h(x) - E[h(Y)]
 and the auxiliary functions needed to certify their norm bounds.
 
-Test functions come in two flavours: half-line indicators 1_{[0,z]} (the
-Kolmogorov class restricted to the nonnegative axis) and Lipschitz functions
-with a known constant (the Wasserstein class). Indicators admit closed forms
-in the half-normal CDF F and Mills ratio R of ``normal``; Lipschitz
-solutions are evaluated by adaptive quadrature, on x <= LIPSCHITZ_X_MAX.
+Test functions come in three flavours: half-line indicators 1_{[0,z]} (the
+Kolmogorov class restricted to the nonnegative axis), the capped identities
+min(x, c), c in (0, inf], and opaque Lipschitz functions with a known
+constant (the Wasserstein class). Indicators and capped identities admit
+closed forms in the half-normal CDF F and Mills ratio R of ``normal``;
+an opaque Lipschitz h is solved by adaptive quadrature, which the tests
+also use as the oracle of the closed forms. Every Lipschitz solution is
+evaluated on x <= LIPSCHITZ_X_MAX.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy import integrate
@@ -25,12 +28,17 @@ from .walks import DomainError
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the central difference that gives f_h' for Lipschitz h.
 FH_PRIME_STEP = 1e-5
-# Largest x where the quadrature of f_h is trusted (agreement with the
-# closed forms to 1e-10); beyond about x = 2000 the peak of width 1/x inside
-# [x, x + 12] escapes the quadrature rule and f_h comes out wrong.
+# Largest x where f_h of a Lipschitz h is evaluated. The quadrature of an
+# opaque h agrees with the closed forms to 1e-10 up to here; beyond about
+# x = 2000 the peak of width 1/x inside [x, x + 12] escapes the quadrature
+# rule and f_h comes out wrong.
 LIPSCHITZ_X_MAX = 1000.0
 SUP_GRID = 400
 SUP_RESOLUTION = 1e-6
+# Levels z per block of the indicator suite's (z, x) grid: large enough to
+# amortise numpy's per-call cost, small enough that a block's temporaries
+# stay a few pages of memory.
+Z_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,22 @@ class HalfLineIndicator:
 
 
 @dataclass(frozen=True)
+class CappedIdentity:
+    """h(x) = min(x, c) for a cap c in (0, inf]; c = inf is h(x) = x.
+    Elementwise in x; its Stein solution has a closed form."""
+
+    c: float = math.inf
+    lipschitz_constant: ClassVar[float] = 1.0
+
+    def __call__(self, x):
+        return np.minimum(x, self.c)
+
+
+@dataclass(frozen=True)
 class LipschitzFunction:
+    """An opaque scalar h with a known Lipschitz constant, solved by
+    quadrature."""
+
     fn: Callable[[float], float]
     lipschitz_constant: float
 
@@ -52,16 +75,25 @@ class LipschitzFunction:
         return self.fn(x)
 
 
-TestFunction = HalfLineIndicator | LipschitzFunction
+Lipschitz = CappedIdentity | LipschitzFunction
+TestFunction = HalfLineIndicator | Lipschitz
 
-IDENTITY = LipschitzFunction(lambda x: x, 1.0)
-CAPPED_AT_ONE = LipschitzFunction(lambda x: min(x, 1.0), 1.0)
+IDENTITY = CappedIdentity()
+CAPPED_AT_ONE = CappedIdentity(1.0)
 
 
 def mu_h(h: TestFunction) -> float:
-    """E[h(Y)] under the half-normal law."""
+    """E[h(Y)] under the half-normal law.
+
+    For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
+    which is sqrt(2/pi) at c = inf; an opaque h is integrated by quadrature.
+    """
     if isinstance(h, HalfLineIndicator):
         return HALF_NORMAL.cdf(h.z)
+    if isinstance(h, CappedIdentity):
+        if h.c == math.inf:
+            return HALF_NORMAL_MEAN
+        return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
     val, _ = integrate.quad(lambda t: h(t) * HALF_NORMAL.pdf(t), 0.0, np.inf,
                             epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
@@ -89,94 +121,161 @@ def fz(z: float, x: float | np.ndarray) -> float | np.ndarray:
 
 def fz_prime(z: float, x: float | np.ndarray,
              side: str | None = None) -> float | np.ndarray:
-    """Derivative of f_z via f_z'(x) = x f_z(x) + 1_{[0,z]}(x) - F(z).
+    """Derivative of f_z, elementwise in x.
 
-    Elementwise in x. f_z' jumps at x = z; there the caller must pick side
-    'left' or 'right'.
-    The left limit is f_z'(z-) = z R(z) F(z) + 1 - F(z) with the Mills ratio
-    R = (1 - F)/p, and the Mills-ratio bounds z/(1+z^2) <= R(z) <= 1/z
-    (see normal.mill_bounds) give z^2/(1+z^2) <= f_z'(z-) <= 1.
+    f_z'(x) = x f_z(x) + 1_{[0,z]}(x) - F(z), evaluated through the
+    monotonicity factorisation: H(x) (1 - F(z))/p(x) on x < z and
+    -F(z) G(x)/p(x) = -F(z) (1 - x R(x)) on x > z, with H = int F and the
+    Mills ratio R. The left branch does not cancel where F(z) rounds to 1,
+    as x f_z + 1 - F(z) does. At x < 0, where f_z = 0, the value is
+    that at x = 0, 1 - F(z); for z < 0, f_z = 0 and so is f_z'.
+    f_z' jumps at x = z; there the caller must pick side 'left' or 'right'.
+    The left limit is f_z'(z-) = H(z) R(z), and the Mills-ratio bounds
+    z/(1+z^2) <= R(z) <= 1/z (see normal.mill_bounds) give
+    z^2/(1+z^2) <= f_z'(z-) <= 1.
     """
     xs = np.asarray(x, dtype=float)
     if side is None and np.any(xs == z):
         raise ValueError("f_z' jumps at x = z; pass side='left' or side='right'")
-    indicator = np.where(xs <= z if side == "left" else xs < z, 1.0, 0.0)
-    out = xs * fz(z, xs) + indicator - HALF_NORMAL.cdf(z)
+    out = np.zeros_like(xs)
+    if not z < 0.0:
+        left = xs <= z if side == "left" else xs < z
+        right = ~left
+        at = np.maximum(xs[left], 0.0)
+        out[left] = hn_cdf_integral(at) * _tail_over_density(z, at)
+        out[right] = -hn_cdf(z) * (1.0 - xs[right] * mills(xs[right]))
     return float(out) if np.ndim(x) == 0 else out
 
 
-def fz_prime_hg(z: float, x: float, side: str | None = None) -> float:
-    """Same derivative through the monotonicity factorisation:
-    (1-F(z)) H(x)/p(x) on x < z and -F(z) G(x)/p(x) on x > z, where
-    G/p = 1 - x R(x). It shares F and R with fz_prime, so the independent
-    oracle of both is mpmath, not the other route.
+def fz_prime_hg(z: float, x, side: str | None = None):
+    """f_z' through the factorisation (1-F(z)) H(x)/p(x) on x < z and
+    -F(z) G(x)/p(x) on x > z, which is how fz_prime evaluates it; the
+    independent oracle of both is mpmath.
     """
-    if x == z and side is None:
-        raise ValueError("f_z' jumps at x = z; pass side='left' or side='right'")
-    if x < z or (x == z and side == "left"):
-        return hn_cdf_integral(x) * _tail_over_density(z, x)
-    return -hn_cdf(z) * (1.0 - x * mills(x))
+    return fz_prime(z, x, side)
 
 
-def _tail_over_density(z: float, x):
-    """(1 - F(z))/p(x) = R(z) exp(-d m) for 0 <= x <= z, with d = z - x and
-    m = (x + z)/2 >= d/2, finite where 1 - F(z) and p(x) both underflow.
+def _density_ratio(z, x):
+    """p(z)/p(x) = exp(-d m) for 0 <= x <= z, with d = z - x and
+    m = (x + z)/2 >= d/2, elementwise in z and x.
 
-    d is capped at 40 and m at 1e300, so d m cannot overflow. The caps
+    d is clipped to [0, 40] and m capped at 1e300, so d m can neither
+    overflow nor turn the exponent positive where x > z. The upper caps
     bind only where exp(-d m) is 0.0 anyway: d >= 40 gives d m >= 800, and
     m > 1e300 needs z > 1e300, where d = 0 or d > 40.
     """
     m = np.minimum(0.5 * x + 0.5 * z, 1e300)
-    return mills(z) * np.exp(-np.minimum(z - x, 40.0) * m)
+    return np.exp(-np.clip(z - x, 0.0, 40.0) * m)
 
 
-def _lipschitz_solver(h: LipschitzFunction,
-                      mu: float) -> Callable[[float], float]:
-    """x -> f_h(x) for Lipschitz h with E[h(Y)] = mu bound once.
+def _tail_over_density(z, x):
+    """(1 - F(z))/p(x) = R(z) p(z)/p(x) for 0 <= x <= z, finite where
+    1 - F(z) and p(x) both underflow."""
+    return mills(z) * _density_ratio(z, x)
+
+
+def _capped_identity_solution(h: CappedIdentity, mu: float, xs):
+    """f_h at x > 0 for h = min(x, c) with E[h(Y)] = mu, elementwise.
+
+    Solving f' - x f = h - mu with f(0) = 0 gives
+    f = mu R(x) - 1 + (1 - c R(c)) p(c)/p(x) on x <= c and
+    f = -(c - mu) R(x) on x > c; the last term of the left branch vanishes
+    at c = inf. Each branch is evaluated only where it applies.
+    """
+    c = h.c
+    out = np.empty_like(xs)
+    left = xs <= c
+    out[left] = mu * mills(xs[left]) - 1.0
+    if c < math.inf:
+        out[left] += (1.0 - c * mills(c)) * _density_ratio(c, xs[left])
+    out[~left] = -(c - mu) * mills(xs[~left])
+    return out
+
+
+def _quadrature_solution(h: LipschitzFunction, mu: float, xs):
+    """f_h at x > 0 for an opaque h with E[h(Y)] = mu, one adaptive
+    quadrature per point.
 
     The integral representation is switched at the half-normal median:
     below it the integral from 0 is short and well conditioned, above it
     the complementary integral avoids cancellation against exp(x^2/2).
-    An x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError.
     """
     median = HALF_NORMAL.median
-
-    def solve(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if not x <= LIPSCHITZ_X_MAX:
-            raise DomainError(f"f_h is evaluated by quadrature only for "
-                              f"x <= {LIPSCHITZ_X_MAX:g}, got x = {x}")
+    out = np.empty_like(xs)
+    for i, x in enumerate(xs):
         lo, hi = (0.0, x) if x <= median else (x, x + 12.0)
         val, _ = integrate.quad(
             lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
             lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
-        return val if x <= median else -val
-
-    return solve
-
-
-def _difference_quotient(solve: Callable[[float], float], x: float) -> float:
-    """Central difference of solve at x, forward where x - step < 0."""
-    lo = max(x - FH_PRIME_STEP, 0.0)
-    return (solve(x + FH_PRIME_STEP) - solve(lo)) / (x + FH_PRIME_STEP - lo)
+        out[i] = val if x <= median else -val
+    return out
 
 
-def solve_fh(h: TestFunction, x: float) -> float:
-    """The standard Stein-equation solution f_h at x >= 0.
+def _lipschitz_solution(h: Lipschitz, mu: float, x) -> np.ndarray:
+    """f_h(x) for Lipschitz h with E[h(Y)] = mu, elementwise: the closed
+    form for min(x, c), quadrature for an opaque h; f_h = 0 at x <= 0.
+    An x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError.
+    """
+    xs = np.asarray(x, dtype=float)
+    positive = ~(xs <= 0.0)
+    beyond = positive & ~(xs <= LIPSCHITZ_X_MAX)
+    if np.any(beyond):
+        raise DomainError(f"f_h of a Lipschitz h is evaluated only for "
+                          f"x <= {LIPSCHITZ_X_MAX:g}, "
+                          f"got x = {xs[beyond].flat[0]}")
+    solve = (_capped_identity_solution if isinstance(h, CappedIdentity)
+             else _quadrature_solution)
+    out = np.zeros_like(xs)
+    out[positive] = solve(h, mu, xs[positive])
+    return out
 
-    Indicators use the closed form, Lipschitz h adaptive quadrature.
+
+def _difference_quotient(h: Lipschitz, mu: float, x) -> np.ndarray:
+    """f_h' at x by differences of f_h, elementwise: central with step s,
+    forward where x - s < 0.
+
+    f_h'' jumps where h' does, at x = c for min(x, c), and a central
+    stencil across that kink is off by s/4 (2.5e-6). Within s of the kink
+    (and at x >= 2 s) the stencil is the second-order one-sided one,
+    (4 f(x + t) - 3 f(x) - f(x + 2t)) / (2t), with t = s on x >= c and
+    t = -s below it. The kinks of an opaque h are unknown.
+    """
+    def f(u):
+        return _lipschitz_solution(h, mu, u)
+
+    s = FH_PRIME_STEP
+    xs = np.asarray(x, dtype=float)
+    lo = np.maximum(xs - s, 0.0)
+    out = np.array((f(xs + s) - f(lo)) / (xs + s - lo))
+    if isinstance(h, CappedIdentity):
+        near = (np.abs(xs - h.c) < s) & (xs >= 2.0 * s)
+        if np.any(near):
+            at = xs[near]
+            t = np.where(at >= h.c, s, -s)
+            out[near] = (4.0 * f(at + t) - 3.0 * f(at)
+                         - f(at + 2.0 * t)) / (2.0 * t)
+    return out
+
+
+def solve_fh(h: TestFunction, x):
+    """The standard Stein-equation solution f_h at x >= 0, elementwise.
+
+    Indicators and capped identities use their closed forms, an opaque
+    Lipschitz h adaptive quadrature.
     """
     if isinstance(h, HalfLineIndicator):
         return fz(h.z, x)
-    return _lipschitz_solver(h, mu_h(h))(x)
+    out = _lipschitz_solution(h, mu_h(h), x)
+    return float(out) if np.ndim(x) == 0 else out
 
 
-def solve_fh_prime(h: TestFunction, x: float) -> float:
-    """Central-difference derivative of f_h (closed form for indicators)."""
+def solve_fh_prime(h: TestFunction, x):
+    """f_h', elementwise: the closed form for indicators, a central
+    difference of f_h for Lipschitz h."""
     if isinstance(h, HalfLineIndicator):
         return fz_prime(h.z, x, side="left")
-    return _difference_quotient(_lipschitz_solver(h, mu_h(h)), x)
+    out = _difference_quotient(h, mu_h(h), x)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def stein_residual_continuous(h: TestFunction, x: float) -> float:
@@ -185,9 +284,9 @@ def stein_residual_continuous(h: TestFunction, x: float) -> float:
     if isinstance(h, HalfLineIndicator):
         f_prime, f = fz_prime(h.z, x, side="left"), fz(h.z, x)
     else:
-        solve = _lipschitz_solver(h, mu)
-        f_prime, f = _difference_quotient(solve, x), solve(x)
-    return f_prime - x * f - (h(x) - mu)
+        f_prime = _difference_quotient(h, mu, x)
+        f = _lipschitz_solution(h, mu, x)
+    return float(f_prime - x * f - (h(x) - mu))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +382,13 @@ def sup_search(f: Callable, lo: float, hi: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """observed = the supremum found, attained at `at`: the point (z, x) for
+    the indicator bounds, x for the Lipschitz bounds."""
+
     name: str
     observed: float
     limit: float
+    at: tuple[float, float] | float | None = None
 
     @property
     def margin(self) -> float:
@@ -306,56 +409,76 @@ class BoundReport:
         return all(c.passed for c in self.checks)
 
 
+def _peak(vals: np.ndarray, *axes: np.ndarray):
+    """(max |vals|, where it sits): vals is a grid over the axes, and the
+    location is a coordinate for one axis, a tuple for two. An empty grid
+    gives (0.0, None)."""
+    if not vals.size:
+        return 0.0, None
+    vals = np.abs(vals)
+    idx = np.unravel_index(np.argmax(vals), vals.shape)
+    at = tuple(float(axis[i]) for axis, i in zip(axes, idx))
+    return float(vals[idx]), at if len(at) > 1 else at[0]
+
+
 def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
-    # One row per level z, vectorised over x. The z grid is the x grid, so
-    # x = z lies in each row: the row holds the right limit of f_z' there,
-    # and the left limit is added where the region x < z is nonempty.
+    # The (z, x) grid in blocks of Z_BLOCK levels z, each broadcast over x
+    # with the operations of fz and fz_prime, so every value equals the
+    # scalar one; F, R, H and G/p are read once per grid point. The z grid
+    # is the x grid, so x = z lies in each row: the row holds the right
+    # limit of f_z' there, and the left limit H(z) R(z) is added for z > 0.
     xs = np.linspace(0.0, z_hi, grid)
-    sup_abs = 0.0
-    sup_prime = 0.0
-    for z in xs:
-        sup_abs = max(sup_abs, float(np.max(np.abs(fz(z, xs)))))
-        sup_prime = max(sup_prime,
-                        float(np.max(np.abs(fz_prime(z, xs, side="right")))))
-        if z > 0.0:
-            sup_prime = max(sup_prime, abs(fz_prime(z, z, side="left")))
+    cdf, ratio, cdf_int = hn_cdf(xs), mills(xs), hn_cdf_integral(xs)
+    tail_int = 1.0 - xs * ratio
+    peaks_f, peaks_fp = [], []
+    for lo in range(0, grid, Z_BLOCK):
+        rows = slice(lo, lo + Z_BLOCK)
+        z = xs[rows, None]
+        tail = ratio[rows, None] * _density_ratio(z, xs)
+        f = np.where(xs <= z, cdf * tail, cdf[rows, None] * ratio)
+        fp = np.where(xs < z, cdf_int * tail, -cdf[rows, None] * tail_int)
+        peaks_f.append(_peak(f, xs[rows], xs))
+        peaks_fp.append(_peak(fp, xs[rows], xs))
+    value, z = _peak(cdf_int[1:] * ratio[1:], xs[1:])
+    peaks_fp.append((value, (z, z)))
     # The sup of |f_z| over x sits at x = z; refine along that diagonal.
-    _, diag_sup = sup_search(lambda z: hn_cdf(z) * mills(z), 0.0, z_hi)
-    sup_abs = max(sup_abs, diag_sup)
+    z, value = sup_search(lambda z: hn_cdf(z) * mills(z), 0.0, z_hi)
+    peaks_f.append((value, (z, z)))
+    (sup_f, at_f), (sup_fp, at_fp) = (max(peaks, key=lambda p: p[0])
+                                      for peaks in (peaks_f, peaks_fp))
     return BoundReport(kind="indicator", checks=(
-        BoundCheck("sup |f_z|", sup_abs, 0.5),
-        BoundCheck("sup |f_z'|", sup_prime, 1.0),
+        BoundCheck("sup |f_z|", sup_f, 0.5, at_f),
+        BoundCheck("sup |f_z'|", sup_fp, 1.0, at_fp),
     ))
 
 
-def _lipschitz_bound_report(h: LipschitzFunction, x_hi: float,
+def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
                             grid: int) -> BoundReport:
     lip = h.lipschitz_constant
-    solve = _lipschitz_solver(h, mu_h(h))
+    mu = mu_h(h)
     xs = np.linspace(0.0, x_hi, grid)
-    f_vals = np.array([solve(x) for x in xs])
+    f_vals = _lipschitz_solution(h, mu, xs)
+    fp_vals = _difference_quotient(h, mu, xs)
 
-    sup_f = float(np.max(np.abs(f_vals)))
-    sup_fp = float(max(abs(_difference_quotient(solve, x)) for x in xs))
-
-    # Second derivative by a wide central difference: f is only accurate to
-    # quadrature tolerance, so a 1e-3 step keeps the roundoff term below 1e-4.
+    # Second derivative by a wide central difference at x >= step: f by
+    # quadrature is only accurate to its tolerance, so a 1e-3 step keeps
+    # the roundoff term below 1e-4.
     step = 1e-3
-    sup_fpp = 0.0
-    for x, f_x in zip(xs, f_vals):
-        if x < step:
-            continue
-        f2 = (solve(x + step) - 2.0 * f_x + solve(x - step)) / (step * step)
-        sup_fpp = max(sup_fpp, float(abs(f2)))
+    inner = xs >= step
+    x2 = xs[inner]
+    f2 = (_lipschitz_solution(h, mu, x2 + step) - 2.0 * f_vals[inner]
+          + _lipschitz_solution(h, mu, x2 - step)) / (step * step)
+    (sup_f, at_f), (sup_fp, at_fp), (sup_f2, at_f2) = (
+        _peak(f_vals, xs), _peak(fp_vals, xs), _peak(f2, x2))
     return BoundReport(kind="lipschitz", checks=(
-        BoundCheck("sup |f_h|", sup_f, lip),
-        BoundCheck("sup |f_h'|", sup_fp, HALF_NORMAL_MEAN * lip),
-        BoundCheck("sup |f_h''|", sup_fpp, 2.0 * lip + 1e-4),
+        BoundCheck("sup |f_h|", sup_f, lip, at_f),
+        BoundCheck("sup |f_h'|", sup_fp, HALF_NORMAL_MEAN * lip, at_fp),
+        BoundCheck("sup |f_h''|", sup_f2, 2.0 * lip + 1e-4, at_f2),
     ))
 
 
 def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
-                        h: LipschitzFunction | None = None) -> BoundReport:
+                        h: Lipschitz | None = None) -> BoundReport:
     """Certify the proved norm bounds on a grid with local refinement.
 
     kind='indicator': sup |f_z| <= 1/2 and sup |f_z'| <= 1 over z, x in

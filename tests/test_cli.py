@@ -119,6 +119,20 @@ def test_verify_lemmas_lipschitz_json(capsys):
     assert all(row["passed"] is True for row in json.loads(out))
 
 
+def test_verify_lemmas_prints_where_each_supremum_sits(capsys):
+    # on [0, 8] the sup of |f_z'| is the left limit at the top level z = 8
+    argv = ("verify-lemmas", "--kind", "indicator", "--grid", "41")
+    rows = json.loads(run(capsys, *argv, "--format", "json")[1])
+    assert rows[1]["bound"] == "sup |f_z'|" and rows[1]["at"] == [8.0, 8.0]
+    header, _, row = run(capsys, *argv, "--format", "csv")[1].splitlines()
+    assert header.split(",")[-1] == "at"
+    assert row.split(",")[-1] == "(8.0 8.0)"
+    assert "(8.0 8.0)" in run(capsys, *argv, "--format", "pretty")[1]
+    rows = json.loads(run(capsys, "verify-lemmas", "--kind", "lipschitz",
+                          "--grid", "41", "--format", "json")[1])
+    assert all(isinstance(row["at"], float) for row in rows)
+
+
 def test_stein_solution_far_tail_has_no_nan(capsys):
     code, out = run(capsys, "stein-solution", "--z", "1", "--x", "40")
     assert code == 0

@@ -1,10 +1,11 @@
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from halfnorm_stein import stein, walks
+from halfnorm_stein import cli, stein, walks
 from halfnorm_stein.normal import (HALF_NORMAL, cap_phi, hn_cdf, mills,
                                    normal_sf, phi)
 
@@ -96,6 +97,17 @@ class TestIndicatorSolution:
                           / (2 * mpmath.npdf(xm)))
         assert stein.fz(z, x) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("z,x", [(50.0, 49.0), (10.0, 9.0)])
+    def test_fz_prime_left_branch_against_mpmath(self, z, x):
+        # x f + 1 - F(z) cancelled once F(z) rounds toward 1: it gave 0.0
+        # at (50, 49) for a true 3.1e-22. Budget: relative 1e-13.
+        with mpmath.workdps(50):
+            zm, xm = mpmath.mpf(z), mpmath.mpf(x)
+            h = 2 * mpmath.npdf(xm) + xm * mpmath.erf(xm / mpmath.sqrt(2))
+            exact = float(h * mpmath.erfc(zm / mpmath.sqrt(2))
+                          / (2 * mpmath.npdf(xm)))
+        assert stein.fz_prime(z, x) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_fz_prime_hg_deep_in_the_tail(self):
         with mpmath.workdps(50):
             x = mpmath.mpf(40)
@@ -128,17 +140,20 @@ class TestLipschitzSolution:
                    - x * stein.solve_fh(stein.IDENTITY, x))
             assert lhs == pytest.approx(x - SQRT_2_PI, abs=1e-7)
 
-    @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
-                             ids=["identity", "min1"])
-    def test_quadrature_matches_closed_form_up_to_x_max(self, h):
-        # for x > 1: f = sqrt(2/pi) R(x) - 1 for h(x) = x and
-        # f = -(1 - E[min(Y, 1)]) R(x) for h(x) = min(x, 1); budget 1e-10
-        # absolute (measured 3.5e-11 for the identity up to x = 1000)
-        mu = stein.mu_h(h)
-        for x in np.geomspace(1.5, stein.LIPSCHITZ_X_MAX, 80):
-            closed = (SQRT_2_PI * mills(x) - 1.0 if h is stein.IDENTITY
-                      else -(1.0 - mu) * mills(x))
-            assert abs(stein.solve_fh(h, x) - closed) <= 1e-10, x
+    @pytest.mark.parametrize("c", [math.inf, 1.0, 0.3, 1.3, 2.5, 8.0],
+                             ids=["identity", "min1", "min0.3", "min1.3",
+                                  "min2.5", "min8"])
+    def test_quadrature_matches_closed_form_up_to_x_max(self, c):
+        # The closed form of min(x, c) against quadrature of the same h
+        # passed as an opaque function. Budgets: 1e-10 absolute for f
+        # (measured 4.1e-11, at c = inf) and 1e-13 for E[h(Y)] (measured
+        # 3.2e-14, at c = 1.3).
+        capped = stein.CappedIdentity(c)
+        opaque = stein.LipschitzFunction(lambda t: min(t, c), 1.0)
+        assert abs(stein.mu_h(capped) - stein.mu_h(opaque)) <= 1e-13
+        for x in np.geomspace(0.01, stein.LIPSCHITZ_X_MAX, 80):
+            assert abs(stein.solve_fh(capped, x)
+                       - stein.solve_fh(opaque, x)) <= 1e-10, x
 
     @pytest.mark.parametrize("x", [1000.5, 1e4, 1e12, math.inf, math.nan])
     def test_quadrature_refused_beyond_x_max(self, x):
@@ -164,6 +179,21 @@ class TestSteinResidual:
     def test_lipschitz_residual(self, h):
         for x in np.linspace(0.05, 8.0, 160):
             assert abs(stein.stein_residual_continuous(h, x)) < 1e-7
+
+    @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
+                             ids=["identity", "min1"])
+    @pytest.mark.parametrize("x", [8.0, 100.0, 300.0, 999.9])
+    def test_lipschitz_residual_far_out(self, h, x):
+        # by quadrature the residual grew to 2.9e-7 at x = 999.9: its error
+        # of about 1e-12 was divided by the 2e-5 of the central difference
+        assert abs(stein.stein_residual_continuous(h, x)) <= 1e-9
+
+    @pytest.mark.parametrize("x", [1.0 - 5e-6, 1.0, 1.0 + 5e-6])
+    def test_lipschitz_residual_at_the_kink(self, x):
+        # f_h'' of min(x, 1) jumps by 1 at x = 1, so a central difference
+        # across it is off by step/4 = 2.5e-6
+        assert abs(stein.stein_residual_continuous(stein.CAPPED_AT_ONE,
+                                                   x)) <= 1e-9
 
 
 class TestAuxFunctions:
@@ -315,6 +345,25 @@ class TestLemmaReports:
         for kind in ("indicator", "lipschitz"):
             assert stein.verify_lemma_bounds(kind, grid=2).passed
 
+    def test_indicator_suprema_are_located(self):
+        # grid 41 on [0, 5]: |f_z'| peaks at the left limit of the top
+        # level, and |f_z| on the refined diagonal
+        f_z, f_z_prime = stein.verify_lemma_bounds("indicator", z_hi=5.0,
+                                                   grid=41).checks
+        assert f_z_prime.at == (5.0, 5.0)
+        assert f_z_prime.observed == stein.fz_prime(5.0, 5.0, side="left")
+        z, x = f_z.at
+        assert z == x and f_z.observed == stein.fz(z, x)
+
+    @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
+                             ids=["identity", "min1"])
+    def test_lipschitz_suprema_are_located(self, h):
+        f, f_prime, f_second = stein.verify_lemma_bounds("lipschitz", grid=30,
+                                                         h=h).checks
+        assert f.observed == abs(stein.solve_fh(h, f.at))
+        assert f_prime.observed == abs(stein.solve_fh_prime(h, f_prime.at))
+        assert f_second.at >= 1e-3
+
 
 def _reference_indicator_report(z_hi, grid):
     """The indicator suite as a scalar double loop over fz and fz_prime."""
@@ -382,6 +431,33 @@ class TestReportParity:
     def test_fz_prime_row_needs_side_at_jump(self):
         with pytest.raises(ValueError):
             stein.fz_prime(1.0, np.array([0.5, 1.0, 1.5]))
+
+
+class TestClosedFormPaths:
+    """Indicators and min(x, c) are solved and certified without quadrature."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature on a closed-form path")
+
+        monkeypatch.setattr(stein.integrate, "quad", refuse)
+
+    def test_opaque_h_still_needs_quadrature(self):
+        with pytest.raises(AssertionError, match="closed-form path"):
+            stein.mu_h(stein.LipschitzFunction(lambda t: t, 1.0))
+
+    def test_suites(self):
+        assert stein.verify_lemma_bounds("indicator", grid=400).passed
+        for h in (stein.IDENTITY, stein.CAPPED_AT_ONE):
+            assert stein.verify_lemma_bounds("lipschitz", grid=400, h=h).passed
+
+    @pytest.mark.parametrize("name", ["identity", "min1"])
+    def test_stein_solution_command(self, capsys, name):
+        assert cli.main(["stein-solution", "--lipschitz", name, "--x", "0.5",
+                         "1", "999.9", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for row in rows for v in row.values())
 
 
 class TestMuHCalls:

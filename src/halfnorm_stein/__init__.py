@@ -17,7 +17,7 @@ from .normal import (HALF_NORMAL, HalfNormal, cap_phi, inv_cap_phi,
                      mill_bounds, phi)
 from .simulate import EmpiricalReport, WalkSummary, empirical_check, simulate_walk
 from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
-                    LipschitzFunction, aux_eval, fz, fz_prime, mu_h,
+                    LipschitzFunction, fz, fz_prime, mu_h,
                     solve_fh, sup_search, verify_lemma_bounds,
                     verify_monotone_xfz)
 from .walks import (DomainError, ExactPMF, FloatLaw, ScaledLaw,

@@ -1,13 +1,15 @@
 """Discrete Stein characterizations of the walk statistics.
 
-For a pmf p on the integer interval [a, b] and a weight function c that is
-nonzero on [a, b], the identity
+For a pmf p on the integer interval [a, b], a weight c on [a-1, b] that is
+nonzero on [a, b] and a function gamma on [a, b], the identity
 
-    E[ c(X-1) Dg(X-1) + (c(X) psi(X) + Dc(X-1)) g(X) ] = 0,
-    psi(k) = (p(k+1) - p(k)) / p(k),  Dg(k) = g(k+1) - g(k),
+    E[ c(X-1) Dg(X-1) + gamma(X) g(X) ] = 0,  Dg(k) = g(k+1) - g(k),
 
-holds for X ~ p and every g with g(a-1) = 0, and only for X ~ p. Everything
-here is exact rational arithmetic: a residual of zero is a literal equality.
+for every g with g(a-1) = 0 determines p: over the indicator basis it
+fixes p(k+1)/p(k) = (c(k-1) + gamma(k)) / c(k) (see recover_pmf). The
+operators of the convergence proofs are integers in closed form
+(make_spec), not read off the pmf, so a zero residual is evidence that the
+pmf is the law the operator characterizes. Everything here is exact.
 """
 
 from __future__ import annotations
@@ -32,54 +34,53 @@ def indicator_sequence(j: int) -> Callable[[int], int]:
 
 @dataclass(frozen=True)
 class CharacterizationSpec:
-    """pmf plus weight c on [a-1, b], with psi and gamma derived from them."""
+    """A pmf with the integer operator claimed to characterize it."""
 
     pmf: ExactPMF
-    c_values: tuple[Fraction, ...]  # indexed a-1 .. b
+    c_values: tuple[int, ...]      # indexed a-1 .. b
+    gamma_values: tuple[int, ...]  # indexed a .. b
 
     def __post_init__(self):
-        if len(self.c_values) != self.pmf.upper - self.pmf.lower + 2:
+        size = self.pmf.upper - self.pmf.lower + 1
+        if len(self.c_values) != size + 1:
             raise ValueError("c must be defined on [a-1, b]")
-        if any(v == 0 for v in self.c_values[1:]):
+        if len(self.gamma_values) != size:
+            raise ValueError("gamma must be defined on [a, b]")
+        if 0 in self.c_values[1:]:
             raise ValueError("c must be nonzero on the support [a, b]")
 
-    def c(self, k: int) -> Fraction:
+    def c(self, k: int) -> int:
         return self.c_values[k - self.pmf.lower + 1]
 
-    def psi(self, k: int) -> Fraction:
-        """(p(k+1) - p(k)) / p(k); equals -1 at the right endpoint."""
-        mass = self.pmf.mass(k)
-        if mass == 0:
-            raise ValueError(f"psi undefined off the support at k={k}")
-        return (self.pmf.mass(k + 1) - mass) / mass
-
-    def gamma(self, k: int) -> Fraction:
-        return self.c(k) * self.psi(k) + self.c(k) - self.c(k - 1)
+    def gamma(self, k: int) -> int:
+        return self.gamma_values[k - self.pmf.lower]
 
 
 def make_spec(statistic_tag: str, m: int) -> CharacterizationSpec:
-    """The characterization used in the convergence proofs.
+    """The characterization used in the convergence proofs, on [0, m]:
 
-    returns:      c(r) = 2m - r, giving gamma(r) = -(r + 1);
-    halfmax:      c(s) = m + s + 1, giving gamma(s) = -2s for s >= 1;
-    signchanges:  c(s) = m + s + 2.
-    gamma is always derived from the actual pmf, so the Stein identity
-    holds exactly, including at the boundary atom s = 0.
+    returns:      c(r) = 2m - r,     gamma(r) = -(r + 1);
+    halfmax:      c(s) = m + s + 1,  gamma(0) = m, gamma(s) = -2s for s >= 1;
+    signchanges:  c(s) = m + s + 2,  gamma(s) = -(2s + 1).
     """
+    support = range(m + 1)
     if statistic_tag == "returns":
         pmf = pmf_returns(m)
-        c = [Fraction(2 * m - r) for r in range(-1, m + 1)]
+        c = [2 * m - r for r in range(-1, m + 1)]
+        gamma = [-(r + 1) for r in support]
     elif statistic_tag in ("halfmax", "max"):
         # For max: psi vanishes on the odd atoms of M_n, so the proofs route
         # through the halfmax variable N_n; do the same here.
         pmf = pmf_halfmax(m)
-        c = [Fraction(m + s + 1) for s in range(-1, m + 1)]
+        c = [m + s + 1 for s in range(-1, m + 1)]
+        gamma = [m] + [-2 * s for s in support[1:]]
     elif statistic_tag == "signchanges":
         pmf = pmf_signchanges(m)
-        c = [Fraction(m + s + 2) for s in range(-1, m + 1)]
+        c = [m + s + 2 for s in range(-1, m + 1)]
+        gamma = [-(2 * s + 1) for s in support]
     else:
         raise ValueError(f"unknown statistic {statistic_tag!r}")
-    return CharacterizationSpec(pmf, tuple(c))
+    return CharacterizationSpec(pmf, tuple(c), tuple(gamma))
 
 
 def stein_residual(spec: CharacterizationSpec,
@@ -100,57 +101,63 @@ def stein_residual(spec: CharacterizationSpec,
 
 
 def indicator_residuals(spec: CharacterizationSpec) -> list[Fraction]:
-    """stein_residual(spec, 1{k >= j}) for every j in [a, b], computed with
-    suffix sums over common-denominator integer numerators (O(b - a) total).
+    """stein_residual(spec, 1{k >= j}) for every j in [a, b].
+
+    The residual for 1{k >= j} is c(j-1) N_j + sum_{k >= j} gamma(k) N_k
+    over the pmf's denominator, N the numerators: one suffix sum of
+    integers serves every j.
     """
     pmf = spec.pmf
-    a, b = pmf.lower, pmf.upper
-    nums = list(pmf.numerators)
-    # gamma(k) * p(k) = c(k) (p(k+1) - p(k)) + (c(k) - c(k-1)) p(k)
-    gamma_nums = []
-    for k in range(a, b + 1):
-        nxt = nums[k - a + 1] if k < b else 0
-        gamma_nums.append(spec.c(k) * (nxt - nums[k - a])
-                          + (spec.c(k) - spec.c(k - 1)) * nums[k - a])
+    weighted = [g * v for g, v in zip(spec.gamma_values, pmf.numerators)]
+    suffix = sum(weighted)
     out = []
-    suffix = sum(gamma_nums)
-    for j in range(a, b + 1):
-        # residual for g = 1{k >= j}: c(j-1) p(j) + sum_{k >= j} gamma(k) p(k)
-        out.append((spec.c(j - 1) * nums[j - a] + suffix)
-                   / pmf.denominator)
-        suffix -= gamma_nums[j - a]
-    return out
+    for c, v, w in zip(spec.c_values, pmf.numerators, weighted):
+        out.append(c * v + suffix)
+        suffix -= w
+    return [Fraction(r, pmf.denominator) for r in out]
 
 
 def recover_pmf(lower: int, upper: int,
-                c: Callable[[int], Fraction],
-                gamma: Callable[[int], Fraction],
+                c: Callable[[int], int],
+                gamma: Callable[[int], int],
                 statistic_tag: str = "recovered") -> ExactPMF:
     """Solve the Stein identity over the indicator basis for the unique pmf.
 
     The basis equations are triangular: differencing the equations for
-    1{k >= j} and 1{k >= j+1} gives p(j+1)/p(j) = (c(j-1) + gamma(j))/c(j).
-    The leftover top equation must be identically zero; if it is not, the
-    data contradict the characterization and a ValueError is raised.
+    1{k >= j} and 1{k >= j+1} gives p(j+1)/p(j) = u/v with
+    u = c(j-1) + gamma(j) and v = c(j). The leftover top equation must be
+    identically zero; if it is not, the data contradict the characterization
+    and a ValueError is raised. c and gamma must be integer-valued.
+
+    Numerators follow N(j+1) = N(j) u / v from the smallest N(a) that keeps
+    every N an integer, so the result is in lowest terms.
     """
     if upper < lower:
         raise ValueError("empty interval")
-    for k in range(lower, upper + 1):
-        if Fraction(c(k)) == 0:
-            raise ValueError(f"c({k}) = 0 makes the system singular")
-    if Fraction(c(upper - 1)) + Fraction(gamma(upper)) != 0:
+    cs = [c(k) for k in range(lower - 1, upper + 1)]
+    gammas = [gamma(k) for k in range(lower, upper + 1)]
+    if any(int(v) != v for v in cs + gammas):
+        raise ValueError("c and gamma must be integer-valued")
+    if cs[-2] + gammas[-1] != 0:
         raise ValueError("inconsistent system: top equation has no solution "
                          "with mass at the right endpoint")
-    masses = [Fraction(1)]
-    for k in range(lower, upper):
-        ratio = (Fraction(c(k - 1)) + Fraction(gamma(k))) / Fraction(c(k))
-        if ratio <= 0:
-            raise ValueError(f"nonpositive mass ratio at k={k}")
-        masses.append(masses[-1] * ratio)
-    total = sum(masses)
-    masses = [v / total for v in masses]
-    denom = 1
-    for v in masses:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    nums = tuple(int(v * denom) for v in masses)
-    return ExactPMF(lower, upper, nums, denom, statistic_tag)
+    ratios = []
+    for i in range(upper - lower):
+        u, v = cs[i] + gammas[i], cs[i + 1]
+        if u * v <= 0:
+            raise ValueError(
+                f"nonpositive mass ratio {u}/{v} at k={lower + i}")
+        ratios.append((abs(int(u)), abs(int(v))))
+    # First pass: run the chain from 1, and wherever N u / v is not an
+    # integer scale the start (and N) by the least d that makes it one,
+    # d = v / gcd(N u, v). The product of these d is the smallest start.
+    start = n = 1
+    for u, v in ratios:
+        n *= u
+        d = v // math.gcd(n % v, v)
+        start *= d
+        n = n * d // v
+    nums = [start]
+    for u, v in ratios:
+        nums.append(nums[-1] * u // v)
+    return ExactPMF(lower, upper, tuple(nums), sum(nums), statistic_tag)

@@ -131,7 +131,9 @@ def _cmd_rate_table(args) -> int:
 def _cmd_stein_verify(args) -> int:
     spec = characterization.make_spec(args.stat, args.m)
     residuals = characterization.indicator_residuals(spec)
-    all_zero = all(r == 0 for r in residuals)
+    first_nonzero = next((j for j, r in zip(spec.pmf.support(), residuals)
+                          if r != 0), None)
+    all_zero = first_nonzero is None
     recovered = characterization.recover_pmf(
         spec.pmf.lower, spec.pmf.upper, spec.c, spec.gamma, args.stat)
     exact_match = recovered == spec.pmf
@@ -139,13 +141,14 @@ def _cmd_stein_verify(args) -> int:
         "statistic": args.stat, "m": args.m,
         "basis_functions": len(residuals),
         "residuals_all_zero": all_zero,
+        "first_nonzero_residual": first_nonzero,
         "pmf_recovered_exactly": exact_match,
     }
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         verdict = "exactly" if exact_match else "NOT exactly"
-        zero = "0" if all_zero else "NONZERO"
+        zero = "0" if all_zero else f"NONZERO (first at j = {first_nonzero})"
         _emit(args, f"residual {zero} for {len(residuals)} basis functions; "
                     f"pmf recovered {verdict}\n")
     return 0 if all_zero and exact_match else 1

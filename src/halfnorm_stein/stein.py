@@ -39,6 +39,10 @@ SUP_RESOLUTION = 1e-6
 # amortise numpy's per-call cost, small enough that a block's temporaries
 # stay a few pages of memory.
 Z_BLOCK = 16
+# A cap c past which G(c) = p(c) (1 - c R(c)) is 0.0 in double precision
+# (from c = 38.41), so mu_h of min(x, c) is exactly sqrt(2/pi). mu_h returns
+# that without forming p(c), whose np.square overflows from c ~ 1.3e154.
+G_UNDERFLOW_CAP = 40.0
 
 
 @dataclass(frozen=True)
@@ -86,12 +90,13 @@ def mu_h(h: TestFunction) -> float:
     """E[h(Y)] under the half-normal law.
 
     For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
-    which is sqrt(2/pi) at c = inf; an opaque h is integrated by quadrature.
+    which is sqrt(2/pi) from c = G_UNDERFLOW_CAP on; an opaque h is
+    integrated by quadrature.
     """
     if isinstance(h, HalfLineIndicator):
         return HALF_NORMAL.cdf(h.z)
     if isinstance(h, CappedIdentity):
-        if h.c == math.inf:
+        if h.c >= G_UNDERFLOW_CAP:
             return HALF_NORMAL_MEAN
         return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
     val, _ = integrate.quad(lambda t: h(t) * HALF_NORMAL.pdf(t), 0.0, np.inf,
@@ -145,14 +150,6 @@ def fz_prime(z: float, x: float | np.ndarray,
         out[left] = hn_cdf_integral(at) * _tail_over_density(z, at)
         out[right] = -hn_cdf(z) * (1.0 - xs[right] * mills(xs[right]))
     return float(out) if np.ndim(x) == 0 else out
-
-
-def fz_prime_hg(z: float, x, side: str | None = None):
-    """f_z' through the factorisation (1-F(z)) H(x)/p(x) on x < z and
-    -F(z) G(x)/p(x) on x > z, which is how fz_prime evaluates it; the
-    independent oracle of both is mpmath.
-    """
-    return fz_prime(z, x, side)
 
 
 def _density_ratio(z, x):
@@ -328,16 +325,6 @@ def aux_D1(x):
 def aux_D2(x):
     """-x/2 + 4 cap_phi(x) - 3; nonpositive with max about -0.01702."""
     return -0.5 * x + 4.0 * cap_phi(x) - 3.0
-
-
-_AUX = {"M": aux_M, "N": aux_N, "H": aux_H, "G": aux_G,
-        "U": aux_U, "V": aux_V, "S": aux_S, "D1": aux_D1, "D2": aux_D2}
-
-
-def aux_eval(name: str, x):
-    if name not in _AUX:
-        raise ValueError(f"unknown auxiliary function {name!r}")
-    return _AUX[name](x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 
 from halfnorm_stein import characterization as ch
 from halfnorm_stein import metrics, simulate, stein, walks
+from halfnorm_stein.normal import HALF_NORMAL
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -48,15 +49,13 @@ def test_rate_is_exactly_order_inverse_sqrt_n():
 
 
 def test_discrete_characterization_is_exact():
-    # residual identically zero over the indicator basis (m <= 200) and
-    # exact pmf recovery from the identity (m <= 64); < 2 min
+    # residual identically zero over the indicator basis and exact pmf
+    # recovery from the closed-form operator, both for m <= 200; < 2 min
     start = time.monotonic()
     for tag in ("returns", "halfmax", "signchanges"):
         for m in range(1, 201):
-            residuals = ch.indicator_residuals(ch.make_spec(tag, m))
-            assert all(r == 0 for r in residuals)
-        for m in range(1, 65):
             spec = ch.make_spec(tag, m)
+            assert all(r == 0 for r in ch.indicator_residuals(spec))
             assert ch.recover_pmf(spec.pmf.lower, spec.pmf.upper, spec.c,
                                   spec.gamma, tag) == spec.pmf
     assert time.monotonic() - start < 120.0
@@ -92,7 +91,9 @@ def test_solution_norm_bounds_certified():
     observed = abs(stein.fz_prime(8.0, 8.0, side="left"))
     assert observed <= 1.0
     assert observed >= z * z / (1.0 + z * z)
-    assert abs(observed - stein.fz_prime_hg(8.0, 8.0, side="left")) <= 1e-12
+    # the Stein equation's route to the same limit, z f_z(z) + 1 - F(z)
+    ode = z * stein.fz(z, z) + 1.0 - HALF_NORMAL.cdf(z)
+    assert abs(observed - ode) <= 1e-12
 
 
 def test_stein_equation_residuals_vanish():

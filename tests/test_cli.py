@@ -65,6 +65,15 @@ def test_stein_verify_pretty(capsys):
         "residual 0 for 65 basis functions; pmf recovered exactly"
 
 
+def test_stein_verify_json(capsys):
+    code, out = run(capsys, "stein-verify", "--stat", "signchanges", "--m",
+                    "9", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["residuals_all_zero"] and payload["pmf_recovered_exactly"]
+    assert payload["first_nonzero_residual"] is None
+
+
 def test_stein_solution(capsys):
     code, out = run(capsys, "stein-solution", "--z", "1.5", "--x", "0.5",
                     "--format", "json")

@@ -1,10 +1,18 @@
+import dataclasses
+import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfnorm_stein import characterization as ch
-from halfnorm_stein import walks
+from halfnorm_stein import cli, walks
+
+
+def _psi(spec, k):
+    """(p(k+1) - p(k)) / p(k), read off the pmf."""
+    return (spec.pmf.mass(k + 1) - spec.pmf.mass(k)) / spec.pmf.mass(k)
 
 
 def test_forward_diff():
@@ -19,7 +27,7 @@ def test_returns_spec_shape():
     spec = ch.make_spec("returns", 3)
     # psi(r) = -r / (2m - r) and gamma(r) = -(r + 1)
     for r in range(0, 3):
-        assert spec.psi(r) == Fraction(-r, 6 - r)
+        assert _psi(spec, r) == Fraction(-r, 6 - r)
     for r in range(0, 4):
         assert spec.gamma(r) == -(r + 1)
 
@@ -29,15 +37,64 @@ def test_halfmax_spec_shape():
     spec = ch.make_spec("halfmax", m)
     # away from the boundary atom: psi(s) = -(2s+1)/(m+s+1), gamma(s) = -2s
     for s in range(1, m):
-        assert spec.psi(s) == Fraction(-(2 * s + 1), m + s + 1)
+        assert _psi(spec, s) == Fraction(-(2 * s + 1), m + s + 1)
         assert spec.gamma(s) == -2 * s
 
 
 def test_c_nonzero_enforced():
     pmf = walks.pmf_returns(2)
-    with pytest.raises(ValueError):
-        ch.CharacterizationSpec(pmf, (Fraction(1), Fraction(0), Fraction(1),
-                                      Fraction(1)))
+    with pytest.raises(ValueError, match="nonzero"):
+        ch.CharacterizationSpec(pmf, (1, 0, 1, 1), (-1, -2, -3))
+    with pytest.raises(ValueError, match="gamma"):
+        ch.CharacterizationSpec(pmf, (1, 1, 1, 1), (-1, -2))
+    with pytest.raises(ValueError, match="c must be defined"):
+        ch.CharacterizationSpec(pmf, (1, 1, 1), (-1, -2, -3))
+
+
+def _derived_gamma_holds(spec):
+    """gamma(k) N_k == c(k)(N_{k+1} - N_k) + (c(k) - c(k-1)) N_k at every
+    atom: gamma = c psi + Dc read off the pmf, in integers."""
+    nums = spec.pmf.numerators + (0,)
+    return all(
+        spec.gamma(k) * nums[i]
+        == spec.c(k) * (nums[i + 1] - nums[i])
+        + (spec.c(k) - spec.c(k - 1)) * nums[i]
+        for i, k in enumerate(spec.pmf.support()))
+
+
+@pytest.mark.parametrize("tag", ["returns", "halfmax", "signchanges"])
+def test_closed_forms_equal_derived_gamma(tag):
+    for m in [*range(1, 201), *range(256, 4097, 160)]:
+        assert _derived_gamma_holds(ch.make_spec(tag, m)), m
+
+
+def test_moved_mass_fails_every_check(monkeypatch, capsys):
+    # 7 units of numerator moved from atom 9 to atom 5 keep the total; a
+    # gamma derived from the pmf would make every residual 0 regardless
+    spec = ch.make_spec("returns", 40)
+    nums = list(spec.pmf.numerators)
+    nums[9] -= 7
+    nums[5] += 7
+    bad = dataclasses.replace(spec.pmf, numerators=tuple(nums))
+    residuals = ch.indicator_residuals(dataclasses.replace(spec, pmf=bad))
+    # j <= 5 sees 7 (gamma(5) - gamma(9)) = 28 units, j in 6..9 more
+    assert residuals[0] == Fraction(28, bad.denominator)
+    assert [j for j, r in enumerate(residuals) if r != 0] == list(range(10))
+    recovered = ch.recover_pmf(0, 40, spec.c, spec.gamma, "returns")
+    assert recovered != bad
+    assert recovered == spec.pmf
+
+    monkeypatch.setattr(ch, "pmf_returns", lambda m: bad)
+    argv = ["stein-verify", "--stat", "returns", "--m", "40"]
+    assert cli.main(argv + ["--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["first_nonzero_residual"] == 0
+    assert not payload["residuals_all_zero"]
+    assert not payload["pmf_recovered_exactly"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out.strip() == (
+        "residual NONZERO (first at j = 0) for 41 basis functions; "
+        "pmf recovered NOT exactly")
 
 
 @pytest.mark.parametrize("tag", ["returns", "halfmax", "signchanges", "max"])
@@ -104,6 +161,7 @@ def test_recover_pmf_roundtrip(tag, m):
     recovered = ch.recover_pmf(spec.pmf.lower, spec.pmf.upper, spec.c,
                                spec.gamma, tag)
     assert recovered == spec.pmf
+    assert math.gcd(*recovered.numerators) == 1    # lowest terms
 
 
 def test_recover_small_cases():
@@ -129,3 +187,5 @@ def test_recover_rejects_inconsistent_data():
         ch.recover_pmf(0, 3, lambda k: Fraction(0), spec.gamma)
     with pytest.raises(ValueError):
         ch.recover_pmf(3, 0, spec.c, spec.gamma)
+    with pytest.raises(ValueError, match="integer-valued"):
+        ch.recover_pmf(0, 3, lambda k: Fraction(spec.c(k), 2), spec.gamma)

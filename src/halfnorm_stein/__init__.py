@@ -11,7 +11,7 @@ from .characterization import (CharacterizationSpec, indicator_residuals,
                                stein_residual)
 from .metrics import (AuxiliaryReport, DistanceReport, RateRow,
                       auxiliary_bounds, bound_check, bound_sweep,
-                      kolmogorov_exact, rate_table, theorem_bound,
+                      distances, kolmogorov_exact, rate_table, theorem_bound,
                       wasserstein_exact, wasserstein_quantile)
 from .normal import (HALF_NORMAL, HalfNormal, cap_phi, inv_cap_phi,
                      mill_bounds, phi)

@@ -2,13 +2,15 @@
 half-normal distribution, plus the closed-form error bounds they are
 measured against.
 
-The Kolmogorov supremum over a discrete/continuous pair is attained at an
+``distances`` gives both from one evaluation of F and p at the atoms. The
+Kolmogorov supremum over a discrete/continuous pair is attained at an
 atom, approached from the left or the right; both candidates are checked.
 The Wasserstein distance is the integral of |F_law - F_Y|, evaluated
-segment by segment with the antiderivatives H and G of ``normal`` and the
-exact crossing point on each segment, so quadrature noise never touches
-the theorem margins. A quantile-side quadrature provides an independent
-second route.
+segment by segment with the antiderivative H = p + xF, read off the same
+F and p, and the exact crossing point on each segment. At a crossing
+inside a segment F_Y equals the law's CDF, so only p is evaluated there.
+Quadrature noise never touches the theorem margins. A quantile-side
+quadrature provides an independent second route.
 
 A law is anything with ``atoms()`` and ``cdf()``: the sweep reads the float
 CDF of ``walks.float_law``, the exact oracles a ``ScaledLaw`` whose CDF is
@@ -25,41 +27,56 @@ import numpy as np
 from scipy import integrate
 
 from .normal import (HALF_NORMAL_MEAN, _hn_isf, _hn_quantile, hn_cdf,
-                     hn_cdf_integral, hn_tail_integral)
+                     hn_pdf, mills)
 from .walks import (DomainError, FloatLaw, ScaledLaw, float_law, half_length,
                     pmf_halfmax, pmf_max)
 
 
+_P0 = float(hn_pdf(0.0))  # p(0) = H(0)
+
+
+def distances(law: ScaledLaw | FloatLaw) -> tuple[float, float]:
+    """(d_K, d_W) against the half-normal for atoms on [0, inf), from one
+    evaluation of F and p at the atoms.
+
+    d_K = sup_z |F_law(z) - F(z)|, taken at each atom from both sides.
+    d_W = integral of |F_law - F| over [0, inf). On each segment [a, b]
+    between 0 and the first atom or between consecutive atoms, F_law is a
+    constant c (0 on the first). F crosses it at t* = F^{-1}(c), clipped to
+    [a, b], and the segment contributes c (2t* - a - b) + H(a) + H(b)
+    - 2 H(t*). H(b) = p + xF at the atoms and H(a) is H(b) shifted by one
+    atom, with H(0) = p(0). Clipped to a or b, H(t*) is H(a) or H(b);
+    inside, F(t*) = c, so the segment is H(a) + H(b) - c (a + b) - 2 p(t*).
+    Beyond the last atom the contribution is G = p (1 - xR).
+    """
+    x = law.atoms()
+    cdf = law.cdf()
+    c = np.concatenate(([0.0], cdf[:-1]))  # F_law on [a, b), left of b
+    f = hn_cdf(x)
+    d_k = float(np.max(np.maximum(np.abs(cdf - f), np.abs(c - f))))
+
+    p = hn_pdf(x)
+    anti_b = p + x * f
+    anti_a = np.concatenate(([_P0], anti_b[:-1]))
+    a = np.concatenate(([0.0], x[:-1]))
+    t = _hn_quantile(c)
+    rise = anti_b - anti_a - c * (x - a)
+    seg = np.where(t >= x, -rise, rise)  # F < c on all of [a, b), or >= c
+    inner = (a < t) & (t < x)
+    seg[inner] = ((anti_a + anti_b - c * (a + x))[inner]
+                  - 2.0 * hn_pdf(t[inner]))
+    tail = p[-1] * (1.0 - x[-1] * mills(x[-1]))
+    return d_k, float(np.sum(seg)) + float(tail)
+
+
 def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
     """sup_z |F_law(z) - F_Y(z)| for atoms on [0, inf)."""
-    atoms = law.atoms()
-    cdf = law.cdf()
-    cdf_left = np.concatenate(([0.0], cdf[:-1]))
-    target = hn_cdf(atoms)
-    return float(np.max(np.maximum(np.abs(cdf - target),
-                                   np.abs(cdf_left - target))))
+    return distances(law)[0]
 
 
 def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
-    """Integral of |F_law(t) - F_Y(t)| over [0, inf), piecewise analytic.
-
-    On each segment [a, b] between 0 and the first atom or between
-    consecutive atoms, F_law is a constant c (0 on the first); F_Y crosses
-    it at t* = F^{-1}(c) and H = p + x F is the antiderivative of F_Y, so
-    every segment contributes in closed form. Beyond the last atom the
-    contribution is G(x_last), G = p - x (1 - F).
-    """
-    atoms = law.atoms()
-    a = np.concatenate(([0.0], atoms[:-1]))
-    b = atoms
-    c = np.concatenate(([0.0], law.cdf()[:-1]))
-    anti_a = hn_cdf_integral(a)
-    anti_b = hn_cdf_integral(b)
-    below = np.clip(_hn_quantile(c), a, b)  # F_Y < c on [a, below)
-    anti_split = hn_cdf_integral(below)
-    seg = ((c * (below - a) - (anti_split - anti_a))
-           + ((anti_b - anti_split) - c * (b - below)))
-    return float(np.sum(seg)) + float(hn_tail_integral(atoms[-1]))
+    """Integral of |F_law(t) - F_Y(t)| over [0, inf), piecewise analytic."""
+    return distances(law)[1]
 
 
 def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
@@ -160,11 +177,9 @@ def bound_check(statistic_tag: str, n: int) -> DistanceReport:
     Both distances read one CDF from ``float_law``; it agrees with the
     exactly rounded CDF of ``scaled_law`` to about 1e-14.
     """
-    law = float_law(statistic_tag, n)
+    d_k, d_w = distances(float_law(statistic_tag, n))
     return DistanceReport(
-        statistic_tag=statistic_tag, n=n,
-        kolmogorov=kolmogorov_exact(law),
-        wasserstein=wasserstein_exact(law),
+        statistic_tag=statistic_tag, n=n, kolmogorov=d_k, wasserstein=d_w,
         bound_K=theorem_bound(statistic_tag, n, "K"),
         bound_W=theorem_bound(statistic_tag, n, "W"),
     )
@@ -221,8 +236,7 @@ def auxiliary_bounds(m: int) -> AuxiliaryReport:
     dw_vw = Fraction(gap_num, denom) / Fraction(rn)
 
     v_law = ScaledLaw(half_pmf, 2.0 / rn)
-    dk_vy = kolmogorov_exact(v_law)
-    dw_vy = wasserstein_exact(v_law)
+    dk_vy, dw_vy = distances(v_law)
 
     # d_K(V, W) <= sqrt(2/pi)/sqrt(n) and d_W(V, W) <= 1/sqrt(n); on the
     # integer lattice the second reads sum of CDF gaps <= 1, an exact check.
@@ -271,8 +285,8 @@ def rate_table(statistic_tag: str, n_list) -> list[RateRow]:
         cdf = law.cdf()
         rn = math.sqrt(n)
         mean = law.scale * float(np.sum(1.0 - cdf[:-1]))
-        rows.append(RateRow(n=n, sqrtn_dK=rn * kolmogorov_exact(law),
-                            sqrtn_dW=rn * wasserstein_exact(law),
+        d_k, d_w = distances(law)
+        rows.append(RateRow(n=n, sqrtn_dK=rn * d_k, sqrtn_dW=rn * d_w,
                             sqrtn_p0=rn * float(cdf[0]),
                             sqrtn_mean_gap=rn * abs(mean - HALF_NORMAL_MEAN)))
     return rows

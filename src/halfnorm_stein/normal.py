@@ -4,9 +4,10 @@ All functions accept scalars or numpy arrays and evaluate elementwise.
 Tail quantities go through the complementary error function so that
 relative accuracy survives out to x ~ 8 and beyond. There is one normal
 quantile, scipy's ``ndtri``; the half-normal quantiles read it from the
-survival side. The half-normal closed forms live here, for x >= 0: the CDF
-F = 2 Phi - 1, the Mills ratio R = (1 - F)/p with p = 2 phi (scipy's
-``erfcx``), H = p + x F = int F and G = p - x (1 - F) = int_x^inf (1 - F).
+survival side. The half-normal closed forms live here, for x >= 0: the
+density p = 2 phi, the CDF F = 2 Phi - 1, the Mills ratio R = (1 - F)/p
+(scipy's ``erfcx``), H = p + x F = int F and G = p - x (1 - F) =
+int_x^inf (1 - F).
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def normal_sf(x):
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / SQRT_2)
 
 
+def hn_pdf(x):
+    """Half-normal density p(x) = 2 phi(x) at x >= 0."""
+    return 2.0 * phi(x)
+
+
 def hn_cdf(x):
     """Half-normal CDF F(x) = 2 cap_phi(x) - 1 at x >= 0."""
     return 2.0 * cap_phi(x) - 1.0
@@ -54,14 +60,14 @@ def mills(x):
 
 def hn_cdf_integral(x):
     """H(x) = p(x) + x F(x), the antiderivative of F with H(0) = p(0)."""
-    return 2.0 * phi(x) + x * hn_cdf(x)
+    return hn_pdf(x) + x * hn_cdf(x)
 
 
 def hn_tail_integral(x):
     """G(x) = p(x) - x (1 - F(x)) = p(x) (1 - x R(x)), the integral of 1 - F
     over [x, inf). 1 - x R is about 1/x^2, so the relative error of R and
     the eps x^2/2 rounding of p's exponent both grow as eps x^2."""
-    return 2.0 * phi(x) * (1.0 - x * mills(x))
+    return hn_pdf(x) * (1.0 - x * mills(x))
 
 
 def inv_cap_phi(p):
@@ -120,7 +126,7 @@ class HalfNormal:
 
     def pdf(self, x):
         arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 0.0, 2.0 * phi(arr), 0.0)
+        out = np.where(arr > 0.0, hn_pdf(arr), 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def cdf(self, x):

@@ -81,10 +81,13 @@ class ExactPMF:
     def __eq__(self, other):
         if not isinstance(other, ExactPMF):
             return NotImplemented
-        # a / d == b / e  iff  a * e == b * d, without reducing fractions
+        # a / d == b / e  iff  a (e / g) == b (d / g) for g = gcd(d, e); the
+        # multipliers are a few bits when both denominators are powers of 2
+        g = math.gcd(self.denominator, other.denominator)
+        mine, theirs = other.denominator // g, self.denominator // g
         return (self.lower == other.lower and self.upper == other.upper
                 and len(self.numerators) == len(other.numerators)
-                and all(a * other.denominator == b * self.denominator
+                and all(a * mine == b * theirs
                         for a, b in zip(self.numerators, other.numerators)))
 
 

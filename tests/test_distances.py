@@ -2,12 +2,13 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from halfnorm_stein import metrics, walks
+from halfnorm_stein import metrics, normal, stein, walks
 from halfnorm_stein.normal import HALF_NORMAL, HALF_NORMAL_MEAN
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
@@ -191,3 +192,220 @@ def test_rate_table_matches_exact_route(tag):
         report = metrics.bound_check(tag, n)
         assert row.sqrtn_dK == rn * report.kolmogorov
         assert row.sqrtn_dW == rn * report.wasserstein
+
+
+# ---------------------------------------------------------------------------
+# The one-pass route of ``distances`` against references.
+# ---------------------------------------------------------------------------
+
+def _four_pass_distances(law):
+    """The route ``distances`` replaced, kept as its reference: F at the
+    atoms for d_K, then H = p + xF at a, at b and at the clipped crossing
+    t* for every segment, and G beyond the last atom."""
+    atoms = law.atoms()
+    cdf = law.cdf()
+    target = normal.hn_cdf(atoms)
+    cdf_left = np.concatenate(([0.0], cdf[:-1]))
+    d_k = float(np.max(np.maximum(np.abs(cdf - target),
+                                  np.abs(cdf_left - target))))
+    a = np.concatenate(([0.0], atoms[:-1]))
+    b = atoms
+    c = cdf_left
+    anti_a = normal.hn_cdf_integral(a)
+    anti_b = normal.hn_cdf_integral(b)
+    below = np.clip(normal._hn_quantile(c), a, b)
+    anti_split = normal.hn_cdf_integral(below)
+    seg = ((c * (below - a) - (anti_split - anti_a))
+           + ((anti_b - anti_split) - c * (b - below)))
+    d_w = float(np.sum(seg)) + float(normal.hn_tail_integral(atoms[-1]))
+    return d_k, d_w
+
+
+def _crossing_branches(law):
+    """Per segment: is t* clipped to a, inside (a, b), or clipped to b."""
+    atoms = law.atoms()
+    a = np.concatenate(([0.0], atoms[:-1]))
+    t = normal._hn_quantile(np.concatenate(([0.0], law.cdf()[:-1])))
+    return {"low": bool(np.any((t <= a) & (a < atoms))),
+            "inner": bool(np.any((a < t) & (t < atoms))),
+            "high": bool(np.any((t >= atoms) & (a < atoms)))}
+
+
+# d_W, one pass against four passes or against 40 digits. Measured between
+# the routes: 2.2e-14 on the swept statistics. On halfmax at n = 4000 the
+# routes differ by 9.7e-14, each about 5e-14 from the 40-digit value on
+# opposite sides, so that comparison gets twice the budget.
+ONE_PASS_BUDGET = 1e-13
+
+
+@pytest.mark.parametrize("tag,first,budget", [
+    ("returns", 2, ONE_PASS_BUDGET), ("max", 2, ONE_PASS_BUDGET),
+    ("signchanges", 3, ONE_PASS_BUDGET), ("halfmax", 2, 2 * ONE_PASS_BUDGET)])
+def test_one_pass_matches_four_pass_route(tag, first, budget):
+    # every admissible n up to 4096/4097: d_K bit for bit, d_W in budget
+    for n in range(first, 4098, 2):
+        law = walks.float_law(tag, n)
+        d_k, d_w = metrics.distances(law)
+        ref_k, ref_w = _four_pass_distances(law)
+        assert d_k == ref_k, n
+        assert abs(d_w - ref_w) <= budget, n
+
+
+def _uniform(size, scale):
+    return walks.ScaledLaw(
+        walks.ExactPMF(0, size - 1, (1,) * size, size, "uniform"), scale)
+
+
+HAND_MADE_LAWS = {
+    "uniform 0..4, scale 1": _uniform(5, 1.0),
+    "uniform 0..4, scale 0.1": _uniform(5, 0.1),
+    "uniform 0..49, scale 0.05": _uniform(50, 0.05),
+    "point mass at the mean": walks.ScaledLaw(
+        walks.ExactPMF(1, 1, (1,), 1, "point"), HALF_NORMAL_MEAN),
+    "two atoms off zero": walks.ScaledLaw(
+        walks.ExactPMF(2, 3, (1, 3), 4, "pair"), 0.5),
+}
+
+
+def test_hand_made_laws_cover_every_crossing_branch():
+    # no walk law puts t* below a, so these laws carry the low branch
+    seen = {"low": False, "inner": False, "high": False}
+    for law in HAND_MADE_LAWS.values():
+        for branch, hit in _crossing_branches(law).items():
+            seen[branch] = seen[branch] or hit
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", HAND_MADE_LAWS)
+def test_one_pass_matches_four_pass_on_hand_made_laws(name):
+    law = HAND_MADE_LAWS[name]
+    d_k, d_w = metrics.distances(law)
+    ref_k, ref_w = _four_pass_distances(law)
+    assert d_k == ref_k
+    assert abs(d_w - ref_w) <= ONE_PASS_BUDGET
+    assert abs(d_w - _wasserstein_mpmath(law)) <= ONE_PASS_BUDGET
+    assert (metrics.kolmogorov_exact(law), metrics.wasserstein_exact(law)) \
+        == (d_k, d_w)
+
+
+def _wasserstein_mpmath(law):
+    """The segment sums of d_W at 40 digits, from the law's float atoms
+    and CDF taken as exact binary numbers. The crossing is the float
+    quantile refined by three Newton steps."""
+    with mpmath.workdps(40):
+        root2 = mpmath.sqrt(2)
+        density0 = mpmath.sqrt(2 / mpmath.pi)
+
+        def cdf_y(t):
+            return mpmath.erf(t / root2)
+
+        def density(t):
+            return density0 * mpmath.exp(-t * t / 2)
+
+        def anti(t, f):
+            return density(t) + t * f
+
+        levels = np.concatenate(([0.0], law.cdf()[:-1]))
+        guesses = normal._hn_quantile(levels)
+        total = mpmath.mpf(0)
+        a, f_a, h_a = mpmath.mpf(0), mpmath.mpf(0), density0
+        for b, c, t in zip(map(mpmath.mpf, law.atoms().tolist()),
+                           map(mpmath.mpf, levels.tolist()),
+                           guesses.tolist()):
+            f_b = cdf_y(b)
+            h_b = anti(b, f_b)
+            if f_a >= c:
+                total += h_b - h_a - c * (b - a)
+            elif f_b <= c:
+                total += c * (b - a) - (h_b - h_a)
+            else:
+                t = mpmath.mpf(t)
+                for _ in range(3):
+                    t -= (cdf_y(t) - c) / density(t)
+                total += (c * (2 * t - a - b) + h_a + h_b
+                          - 2 * anti(t, cdf_y(t)))
+            a, f_a, h_a = b, f_b, h_b
+        total += density(a) - a * mpmath.erfc(a / root2)
+        return float(total)
+
+
+@pytest.mark.parametrize("tag,n", [("returns", 256), ("returns", 4096),
+                                   ("max", 1024), ("max", 4096),
+                                   ("signchanges", 1025), ("halfmax", 4000)])
+def test_one_pass_wasserstein_against_mpmath(tag, n):
+    # measured: one pass within 6.6e-15, four passes within 1.3e-15, except
+    # on halfmax at n = 4000 (5.2e-14 and 4.5e-14)
+    law = walks.float_law(tag, n)
+    exact = _wasserstein_mpmath(law)
+    assert abs(metrics.distances(law)[1] - exact) <= ONE_PASS_BUDGET
+    assert abs(_four_pass_distances(law)[1] - exact) <= ONE_PASS_BUDGET
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counters on the normal CDF (erfc) and density (exp), through which
+    F, p, H and G all evaluate, and on the quantile ``metrics`` reads."""
+    counted = {}
+    for module, name in ((normal, "cap_phi"), (normal, "phi"),
+                         (metrics, "_hn_quantile")):
+        counted[name] = _Counted(getattr(module, name))
+        monkeypatch.setattr(module, name, counted[name])
+    return counted
+
+
+def _calls(counted):
+    return tuple(counted[k].calls for k in ("cap_phi", "phi",
+                                            "_hn_quantile"))
+
+
+@pytest.mark.parametrize("tag,n", [("returns", 2), ("max", 4096),
+                                   ("signchanges", 1025)])
+def test_bound_check_evaluates_f_and_p_once(evaluations, tag, n):
+    metrics.bound_check(tag, n)
+    f, p, q = _calls(evaluations)
+    assert (f, q) == (1, 1) and p <= 2
+
+
+def test_rate_table_evaluates_f_and_p_once_per_row(evaluations):
+    ns = [2, 64, 1024, 4096]
+    metrics.rate_table("max", ns)
+    f, p, q = _calls(evaluations)
+    assert (f, q) == (len(ns), len(ns)) and p <= 2 * len(ns)
+
+
+def test_auxiliary_bounds_evaluates_f_and_p_once_per_law(evaluations):
+    # one V-law and the bound_check of the maximum it is compared with
+    metrics.auxiliary_bounds(300)
+    f, p, q = _calls(evaluations)
+    assert (f, q) == (2, 2) and p <= 4
+
+
+KANTOROVICH_CAPS = (*np.linspace(0.05, 5.0, 100), math.inf)
+
+
+@pytest.mark.parametrize("tag,n", [("returns", 256), ("max", 1024),
+                                   ("signchanges", 1025)])
+def test_kantorovich_lower_bound_on_wasserstein(tag, n):
+    # min(x, c) is 1-Lipschitz, so |E min(W, c) - E min(Y, c)| <= d_W for
+    # every cap c; the supremum over 101 caps comes within 0.999 of d_W
+    # (measured 0.99986 and above), so a d_W that comes out too small
+    # fails here although its theorem margin would grow
+    law = walks.float_law(tag, n)
+    mass = np.diff(law.cdf(), prepend=0.0)
+    atoms = law.atoms()
+    lower = max(abs(float(np.dot(mass, np.minimum(atoms, c)))
+                    - stein.mu_h(stein.CappedIdentity(c)))
+                for c in KANTOROVICH_CAPS)
+    d_w = metrics.bound_check(tag, n).wasserstein
+    assert lower <= d_w + 1e-12
+    assert lower >= 0.999 * d_w

@@ -228,6 +228,29 @@ def test_pmf_equality_by_cross_multiplication():
     assert pmf != pmf.masses()
 
 
+@pytest.mark.parametrize("tag,m", [("returns", 40), ("max", 40),
+                                   ("signchanges", 41), ("halfmax", 300)])
+def test_pmf_equality_with_shared_odd_factor(tag, m):
+    # denominators 15 * 2^k and 21 * 2^j share 3 and a power of two, so
+    # __eq__ divides out a gcd that is neither 1 nor either denominator
+    pmf = walks.scaled_law(tag, 2 * m + (tag == "signchanges")).base
+
+    def rescaled(factor, shift, nums=pmf.numerators):
+        return walks.ExactPMF(pmf.lower, pmf.upper,
+                              tuple((factor * v) << shift for v in nums),
+                              (factor * pmf.denominator) << shift, tag)
+
+    a, b = rescaled(15, 3), rescaled(21, 0)
+    assert math.gcd(a.denominator, b.denominator) == 3 * pmf.denominator
+    assert a == b and b == a and a == pmf
+    moved = list(pmf.numerators)
+    moved[-2] += 1
+    moved[-1] -= 1
+    c = rescaled(21, 0, moved)
+    assert a != c and c != a
+    assert (a == c) == (a.masses() == c.masses())
+
+
 @pytest.mark.parametrize("tag,n,m", [("returns", 2, 1), ("max", 64, 32),
                                      ("halfmax", 10, 5),
                                      ("signchanges", 3, 1),

@@ -10,12 +10,11 @@ from .characterization import (CharacterizationSpec, indicator_residuals,
                                indicator_sequence, make_spec, recover_pmf,
                                stein_residual)
 from .metrics import (AuxiliaryReport, DistanceReport, RateRow,
-                      auxiliary_bounds, bound_check, bound_sweep,
-                      distances, kolmogorov_exact, rate_table, theorem_bound,
+                      auxiliary_bounds, bound_check, distances,
+                      kolmogorov_exact, rate_table, theorem_bound,
                       wasserstein_exact, wasserstein_quantile)
-from .normal import (HALF_NORMAL, HalfNormal, cap_phi, inv_cap_phi,
-                     mill_bounds, phi)
-from .simulate import EmpiricalReport, WalkSummary, empirical_check, simulate_walk
+from .normal import cap_phi, mill_bounds, phi
+from .simulate import EmpiricalReport, empirical_check
 from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
                     LipschitzFunction, fz, fz_prime, mu_h,
                     solve_fh, sup_search, verify_lemma_bounds,
@@ -23,8 +22,7 @@ from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
 from .walks import (DomainError, ExactPMF, FloatLaw, ScaledLaw,
                     brute_force_pmf, float_law, half_length, mean_exact,
                     moment_bounds_check, pmf_halfmax, pmf_max, pmf_returns,
-                    pmf_signchanges, position_prob, scaled_law,
-                    walk_length)
+                    pmf_signchanges, scaled_law, walk_length)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -44,8 +44,11 @@ def _grid_points(spec: str) -> int:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, a full disk
+            raise walks.DomainError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -115,7 +118,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_check_bounds(args) -> int:
-    reports = metrics.bound_sweep(args.stat, args.n)
+    reports = [metrics.bound_check(args.stat, n) for n in args.n]
     _render(args, [_report_row(r) for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 

@@ -185,11 +185,6 @@ def bound_check(statistic_tag: str, n: int) -> DistanceReport:
     )
 
 
-def bound_sweep(statistic_tag: str, n_values) -> list[DistanceReport]:
-    """bound_check over many n."""
-    return [bound_check(statistic_tag, n) for n in n_values]
-
-
 # ---------------------------------------------------------------------------
 # Auxiliary-variable lemma (V = 2 N_n / sqrt(n) against W = M_n / sqrt(n)).
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ All functions accept scalars or numpy arrays and evaluate elementwise.
 Tail quantities go through the complementary error function so that
 relative accuracy survives out to x ~ 8 and beyond. There is one normal
 quantile, scipy's ``ndtri``; the half-normal quantiles read it from the
-survival side. The half-normal closed forms live here, for x >= 0: the
-density p = 2 phi, the CDF F = 2 Phi - 1, the Mills ratio R = (1 - F)/p
-(scipy's ``erfcx``), H = p + x F = int F and G = p - x (1 - F) =
-int_x^inf (1 - F).
+survival side. The half-normal law is these closed forms, for x >= 0:
+the density p = 2 phi, the CDF F = 2 Phi - 1, the Mills ratio R = (1 - F)/p
+(scipy's ``erfcx``), H = p + x F = int F, G = p - x (1 - F) =
+int_x^inf (1 - F), and the constants mean and median.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from scipy import special
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
+HALF_NORMAL_MEDIAN = float(special.ndtri(0.75))
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
 
@@ -70,15 +71,6 @@ def hn_tail_integral(x):
     return hn_pdf(x) * (1.0 - x * mills(x))
 
 
-def inv_cap_phi(p):
-    """Standard normal quantile: solves cap_phi(x) = p for 0 < p < 1."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("inv_cap_phi requires 0 < p < 1")
-    x = special.ndtri(arr)
-    return float(x) if np.ndim(p) == 0 else x
-
-
 def _hn_isf(s):
     """Half-normal quantile at 1 - s, -ndtri(s/2), for a float or an array;
     s = 0 gives inf.
@@ -114,46 +106,3 @@ def mill_bounds(x):
     if np.ndim(x) == 0:
         return float(lower), float(upper)
     return lower, upper
-
-
-class HalfNormal:
-    """The law of |Z| for Z standard normal: density 2*phi on (0, inf)."""
-
-    mean = HALF_NORMAL_MEAN
-
-    def __init__(self):
-        self.median = inv_cap_phi(0.75)
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 0.0, hn_pdf(arr), 0.0)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 0.0, hn_cdf(arr), 0.0)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def sf(self, x):
-        """1 - cdf, with full relative accuracy in the tail."""
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 0.0, 2.0 * normal_sf(arr), 1.0)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def ppf(self, q):
-        """Quantile: inverse of cdf on (0, 1)."""
-        arr = np.asarray(q, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("ppf requires 0 < q < 1")
-        out = _hn_quantile(arr)
-        return float(out) if np.ndim(q) == 0 else out
-
-    def log_derivative(self, x):
-        """psi(x) = p'(x)/p(x) = -x on [0, inf)."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("log_derivative is defined on x >= 0")
-        return -x
-
-
-HALF_NORMAL = HalfNormal()

@@ -1,8 +1,9 @@
 """Monte Carlo cross-check of the exact walk laws.
 
-Paths are driven by the counter-based Philox generator keyed by the seed,
-so identical (n, trials, seed) inputs reproduce byte-identical results.
-Each step is the top bit of one raw Philox byte (exactly symmetric, no
+``empirical_check`` is the one entry point. Paths are driven by the
+counter-based Philox generator keyed by the seed, an integer in
+[0, 2^128), so identical (n, trials, seed) inputs reproduce byte-identical
+results. Each step is the top bit of one raw Philox byte (exactly symmetric, no
 float comparisons): the bytes of ``random_raw`` in order, +1 where the byte
 is at least 128, the same bits that ``Generator.integers(0, 2)`` returns.
 The steps are packed eight to a byte and transposed, so that step k of all
@@ -22,14 +23,6 @@ import numpy as np
 from .walks import DomainError, path_statistic, scaled_law, support_size
 
 _CHUNK = 65536
-
-
-@dataclass(frozen=True)
-class WalkSummary:
-    n: int
-    max_value: int
-    returns: int
-    sign_changes: int
 
 
 def _pack(up: np.ndarray) -> np.ndarray:
@@ -89,18 +82,6 @@ def _path_statistic(kind: str, packed: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def simulate_walk(n: int, seed: int) -> WalkSummary:
-    """Statistics of one walk of length n, deterministic in the seed."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    packed = _steps(np.random.Philox(key=seed), 1, n)
-    max_value, returns, sign_changes = (
-        int(_path_statistic(kind, packed, n)[0])
-        for kind in ("max", "returns", "signchanges"))
-    return WalkSummary(n=n, max_value=max_value, returns=returns,
-                       sign_changes=sign_changes)
-
-
 def empirical_pmf_counts(statistic_tag: str, n: int, trials: int,
                          seed: int) -> np.ndarray:
     """Counts of the statistic over seeded trials, chunked and deterministic,
@@ -135,10 +116,12 @@ class EmpiricalReport:
 def empirical_check(statistic_tag: str, n: int, trials: int,
                     seed: int = 0) -> EmpiricalReport:
     """Empirical-CDF deviation from the exact law, against the
-    Dvoretzky-Kiefer-Wolfowitz threshold at alpha = 1e-3 with 2x slack."""
+    Dvoretzky-Kiefer-Wolfowitz threshold at alpha = 1e-3 with 2x slack.
+    Bad trials, seed or n raise DomainError before any walk is drawn."""
     if trials < 10_000:
         raise DomainError(f"trials >= 10^4 required, got {trials}")
-    # The exact law validates n before any walk is drawn.
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed in [0, 2^128) required, got {seed}")
     exact = scaled_law(statistic_tag, n).base
     counts = empirical_pmf_counts(statistic_tag, n, trials, seed)
     ecdf = np.cumsum(counts) / trials

@@ -20,9 +20,9 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy import integrate
 
-from .normal import (HALF_NORMAL, HALF_NORMAL_MEAN, INV_SQRT_2PI, cap_phi,
-                     hn_cdf, hn_cdf_integral, hn_tail_integral, mills,
-                     normal_sf, phi)
+from .normal import (HALF_NORMAL_MEAN, HALF_NORMAL_MEDIAN, INV_SQRT_2PI,
+                     cap_phi, hn_cdf, hn_cdf_integral, hn_pdf,
+                     hn_tail_integral, mills, normal_sf, phi)
 from .walks import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,17 +89,18 @@ CAPPED_AT_ONE = CappedIdentity(1.0)
 def mu_h(h: TestFunction) -> float:
     """E[h(Y)] under the half-normal law.
 
+    For 1_{[0,z]} it is F(z), and 0 where z is not positive (or nan).
     For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
     which is sqrt(2/pi) from c = G_UNDERFLOW_CAP on; an opaque h is
     integrated by quadrature.
     """
     if isinstance(h, HalfLineIndicator):
-        return HALF_NORMAL.cdf(h.z)
+        return float(hn_cdf(h.z)) if h.z > 0.0 else 0.0
     if isinstance(h, CappedIdentity):
         if h.c >= G_UNDERFLOW_CAP:
             return HALF_NORMAL_MEAN
         return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
-    val, _ = integrate.quad(lambda t: h(t) * HALF_NORMAL.pdf(t), 0.0, np.inf,
+    val, _ = integrate.quad(lambda t: h(t) * hn_pdf(t), 0.0, np.inf,
                             epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
 
@@ -197,7 +198,7 @@ def _quadrature_solution(h: LipschitzFunction, mu: float, xs):
     below it the integral from 0 is short and well conditioned, above it
     the complementary integral avoids cancellation against exp(x^2/2).
     """
-    median = HALF_NORMAL.median
+    median = HALF_NORMAL_MEDIAN
     out = np.empty_like(xs)
     for i, x in enumerate(xs):
         lo, hi = (0.0, x) if x <= median else (x, x + 12.0)
@@ -302,7 +303,9 @@ aux_G = hn_tail_integral
 
 
 def aux_U(x):
-    return 2.0 * x * phi(x) - 2.0 * normal_sf(x) * (1.0 + np.square(x))
+    """2 x phi - 2 (1 - Phi)(1 + x^2) = 2 phi (x - (1 + x^2) R) <= 0; the
+    Mills ratio R keeps the sign where it cancels to about -2 phi/x^3."""
+    return 2.0 * phi(x) * (x - (1.0 + np.square(x)) * mills(x))
 
 
 def aux_V(x):
@@ -447,14 +450,28 @@ def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
     f_vals = _lipschitz_solution(h, mu, xs)
     fp_vals = _difference_quotient(h, mu, xs)
 
+    def f(u):
+        return _lipschitz_solution(h, mu, u)
+
     # Second derivative by a wide central difference at x >= step: f by
     # quadrature is only accurate to its tolerance, so a 1e-3 step keeps
     # the roundoff term below 1e-4.
     step = 1e-3
     inner = xs >= step
-    x2 = xs[inner]
-    f2 = (_lipschitz_solution(h, mu, x2 + step) - 2.0 * f_vals[inner]
-          + _lipschitz_solution(h, mu, x2 - step)) / (step * step)
+    x2, f_mid = xs[inner], f_vals[inner]
+    f2 = (f(x2 + step) - 2.0 * f_mid + f(x2 - step)) / (step * step)
+    if isinstance(h, CappedIdentity):
+        # f'' jumps by 1 at the kink x = c, and a central difference there
+        # reads a blend of both sides. Within a step of c, keep the larger
+        # |f''| of the one-sided second-order differences
+        # (2 f(x) - 5 f(x + t) + 4 f(x + 2t) - f(x + 3t)) / t^2, t = -+step.
+        near = (np.abs(x2 - h.c) < step) & (x2 >= 3.0 * step)
+        if np.any(near):
+            at = x2[near]
+            left, right = ((2.0 * f_mid[near] - 5.0 * f(at + t)
+                            + 4.0 * f(at + 2.0 * t) - f(at + 3.0 * t))
+                           / (step * step) for t in (-step, step))
+            f2[near] = np.where(np.abs(left) >= np.abs(right), left, right)
     (sup_f, at_f), (sup_fp, at_fp), (sup_f2, at_f2) = (
         _peak(f_vals, xs), _peak(fp_vals, xs), _peak(f2, x2))
     return BoundReport(kind="lipschitz", checks=(

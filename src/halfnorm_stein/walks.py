@@ -30,7 +30,8 @@ BRUTE_FORCE_MAX_N = 22
 
 class DomainError(ValueError):
     """An input outside the laws this package states: a statistic, a walk
-    length, a trial count, or a point off the half-normal's support."""
+    length, a trial count, a seed, or a point off the half-normal's
+    support; also an --out file that cannot be written."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +71,6 @@ class ExactPMF:
             out.append(acc)
         return out
 
-    def float_masses(self) -> np.ndarray:
-        return np.array([v / self.denominator for v in self.numerators])
-
     def float_cdf(self) -> np.ndarray:
         """CDF at support points, accumulated exactly and rounded once."""
         return np.array([v / self.denominator
@@ -109,9 +107,6 @@ class ScaledLaw:
     def cdf(self) -> np.ndarray:
         """CDF at the atoms, each value the exact CDF rounded once."""
         return self.base.float_cdf()
-
-    def mean(self) -> float:
-        return self.scale * float(mean_exact(self.base))
 
 
 class FloatLaw:
@@ -247,13 +242,6 @@ def _exact_pmf(statistic_tag: str, m: int) -> ExactPMF:
     nums = _masses(statistic_tag, _exact_row(statistic_tag, m)).tolist()
     return ExactPMF(0, len(nums) - 1, tuple(nums), 1 << (2 * m),
                     statistic_tag)
-
-
-def position_prob(n: int, k: int) -> Fraction:
-    """P(S_n = k) = binom(n, (n+k)/2) / 2^n, zero off the parity lattice."""
-    if (n + k) % 2 or k < -n or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, (n + k) // 2), 1 << n)
 
 
 def pmf_returns(m: int) -> ExactPMF:

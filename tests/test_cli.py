@@ -172,6 +172,19 @@ def test_simulate_invalid_n_fails_before_drawing(monkeypatch, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+def test_simulate_invalid_seed_fails_before_drawing(monkeypatch, capsys,
+                                                    seed):
+    # Philox takes a key in [0, 2^128) and raises ValueError for any other
+    def no_walks(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(simulate, "_steps", no_walks)
+    assert cli.main(["simulate", "--stat", "returns", "--n", "4",
+                     "--trials", "10000", "--seed", seed]) == 2
+    assert "seed in [0, 2^128) required" in capsys.readouterr().err
+
+
 # Each of these ended in a ValueError traceback with exit 1; a domain error
 # is a usage error: exit 2 and one line on stderr.
 @pytest.mark.parametrize("argv", [
@@ -183,6 +196,10 @@ def test_simulate_invalid_n_fails_before_drawing(monkeypatch, capsys, argv):
     "rate-table --stat max --n 1",
     "simulate --stat returns --n 0 --trials 10",
     "simulate --stat returns --n 4 --trials 0",
+    "simulate --stat returns --n 4 --trials 10000 --seed -1",
+    f"simulate --stat returns --n 4 --trials 10000 --seed {1 << 128}",
+    "pmf --stat returns --m 3 --out /nonexistent/x.json",
+    "pmf --stat returns --m 3 --out .",
     "distance --stat halfmax --n 2",
     "check-bounds --stat halfmax --n 2:8:2",
     "stein-solution --z -1 --x 1",
@@ -253,10 +270,16 @@ _N_RANGE = _N | st.tuples(st.integers(-3, 64), st.integers(-3, 64),
     lambda t: ":".join(map(str, t)))
 _FORMAT = st.sampled_from(("pretty", "csv", "json"))
 _REAL = st.floats(-2.0, 12.0).map(repr)
+# --out is drawn only from paths that cannot be written, so no run leaves a
+# file behind
+_OUT = st.sampled_from(((), ("--out", "/nonexistent/x.json"), ("--out", ".")))
+# Philox keys lie in [0, 2^128)
+_SEED = (st.integers(0, 3) | st.sampled_from((-1, 1 << 128))).map(str)
 _ARGV = st.one_of(
     st.tuples(st.just("pmf"), _STAT, st.sampled_from(("--m", "--n")),
-              st.integers(-2, 32).map(str), _FORMAT).map(
-        lambda a: ["pmf", "--stat", a[1], a[2], a[3], "--format", a[4]]),
+              st.integers(-2, 32).map(str), _FORMAT, _OUT).map(
+        lambda a: ["pmf", "--stat", a[1], a[2], a[3], "--format", a[4],
+                   *a[5]]),
     st.tuples(st.sampled_from(("distance", "check-bounds")), _STAT,
               _N_RANGE, _FORMAT).map(
         lambda a: [a[0], "--stat", a[1], "--n", a[2], "--format", a[3]]),
@@ -266,7 +289,7 @@ _ARGV = st.one_of(
               st.lists(_REAL, min_size=1, max_size=2)).map(
         lambda a: ["stein-solution", *a[0], "--x", *a[1]]),
     st.tuples(_STAT, _N, st.sampled_from(("0", "9999", "10000")),
-              st.integers(0, 3).map(str)).map(
+              _SEED).map(
         lambda a: ["simulate", "--stat", a[0], "--n", a[1],
                    "--trials", a[2], "--seed", a[3]]),
     st.tuples(_STAT, _N_RANGE, _FORMAT).map(

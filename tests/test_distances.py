@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from halfnorm_stein import metrics, normal, stein, walks
-from halfnorm_stein.normal import HALF_NORMAL, HALF_NORMAL_MEAN
+from halfnorm_stein import cli, metrics, normal, stein, walks
+from halfnorm_stein.normal import HALF_NORMAL_MEAN, hn_pdf
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -49,7 +49,7 @@ def test_wasserstein_point_mass_at_mean():
     pmf = walks.ExactPMF(1, 1, (1,), 1, "degenerate")
     law = walks.ScaledLaw(pmf, HALF_NORMAL_MEAN)
     expected, _ = integrate.quad(
-        lambda x: abs(x - HALF_NORMAL_MEAN) * HALF_NORMAL.pdf(x), 0.0, np.inf)
+        lambda x: abs(x - HALF_NORMAL_MEAN) * hn_pdf(x), 0.0, np.inf)
     assert metrics.wasserstein_exact(law) == pytest.approx(expected, abs=1e-10)
 
 
@@ -57,7 +57,8 @@ def test_wasserstein_mean_difference_lower_bound():
     # d_W dominates |E[W] - E[Y]|
     for tag, n in (("returns", 16), ("max", 32), ("signchanges", 15)):
         law = walks.scaled_law(tag, n)
-        gap = abs(law.mean() - HALF_NORMAL_MEAN)
+        gap = abs(law.scale * float(walks.mean_exact(law.base))
+                  - HALF_NORMAL_MEAN)
         assert metrics.wasserstein_exact(law) >= gap - 1e-12
 
 
@@ -133,12 +134,13 @@ def test_bound_check_returns_two():
     assert metrics.bound_check("returns", 2).kolmogorov == 0.5
 
 
-def test_bound_sweep_matches_single():
-    ns = [8, 16, 32, 64, 128]
-    sweep = metrics.bound_sweep("returns", ns)
-    single = [metrics.bound_check("returns", n) for n in ns]
-    assert [dataclasses.astuple(r) for r in sweep] == \
-        [dataclasses.astuple(r) for r in single]
+def test_bound_sweep_matches_single(capsys):
+    # the check-bounds sweep prints bound_check of each n, bit for bit
+    assert cli.main(["check-bounds", "--stat", "returns", "--n", "8:128:40",
+                     "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows == [cli._report_row(metrics.bound_check("returns", n))
+                    for n in (8, 48, 88, 128)]
 
 
 @given(st.integers(1, 256))
@@ -188,7 +190,8 @@ def test_rate_table_matches_exact_route(tag):
         rn = math.sqrt(n)
         assert abs(row.sqrtn_p0 - rn * float(law.base.mass(0))) <= 1e-13
         assert abs(row.sqrtn_mean_gap
-                   - rn * abs(law.mean() - HALF_NORMAL_MEAN)) <= 1e-10
+                   - rn * abs(law.scale * float(walks.mean_exact(law.base))
+                              - HALF_NORMAL_MEAN)) <= 1e-10
         report = metrics.bound_check(tag, n)
         assert row.sqrtn_dK == rn * report.kolmogorov
         assert row.sqrtn_dW == rn * report.wasserstein

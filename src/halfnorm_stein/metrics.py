@@ -162,11 +162,6 @@ class DistanceReport:
         return self.bound_W - self.wasserstein
 
     @property
-    def sqrtn_scaled(self) -> tuple[float, float]:
-        rn = math.sqrt(self.n)
-        return rn * self.kolmogorov, rn * self.wasserstein
-
-    @property
     def passed(self) -> bool:
         return self.margin_K >= 0.0 and self.margin_W >= 0.0
 

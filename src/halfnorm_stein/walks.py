@@ -299,6 +299,8 @@ def moment_bounds_check(m: int) -> MomentBoundReport:
     E[K_2m] <= sqrt(2/pi) sqrt(2m), E[V] = 2 E[N_n]/sqrt(n) <= sqrt(2/pi),
     E[C_{2m+1}] <= sqrt(m/pi) + 1/(2 sqrt(pi m)).
     The float bounds are nudged outward before the rational comparison.
+    The closed-form means must also equal mean_exact of the exact pmfs;
+    a mismatch fails the check like a violated bound.
     """
     n = 2 * m
     b = central_binomial_prob(m)
@@ -306,14 +308,13 @@ def moment_bounds_check(m: int) -> MomentBoundReport:
     en = m * b
     ec = ((m + 1) * Fraction(math.comb(2 * m + 1, m + 1), 1 << (2 * m)) - 1) / 2
 
-    assert ek == mean_exact(pmf_returns(m))
-    assert en == mean_exact(pmf_halfmax(m))
-    assert ec == mean_exact(pmf_signchanges(m))
-
     def outward(x: float) -> Fraction:
         return Fraction(math.nextafter(x, math.inf))
 
-    ok = (ek <= outward(math.sqrt(2.0 / math.pi) * math.sqrt(n))
+    ok = (ek == mean_exact(pmf_returns(m))
+          and en == mean_exact(pmf_halfmax(m))
+          and ec == mean_exact(pmf_signchanges(m))
+          and ek <= outward(math.sqrt(2.0 / math.pi) * math.sqrt(n))
           and 2 * en / Fraction(math.sqrt(n)) <= outward(math.sqrt(2.0 / math.pi))
           and ec <= outward(math.sqrt(m / math.pi)
                             + 0.5 / math.sqrt(math.pi * m)))

@@ -41,6 +41,13 @@ def test_halfmax_spec_shape():
         assert spec.gamma(s) == -2 * s
 
 
+@pytest.mark.parametrize("tag,m", [("bogus", 3), ("returns", 0)])
+def test_make_spec_domain_errors(tag, m):
+    # the same DomainError (a ValueError) as every other entry point
+    with pytest.raises(walks.DomainError):
+        ch.make_spec(tag, m)
+
+
 def test_c_nonzero_enforced():
     pmf = walks.pmf_returns(2)
     with pytest.raises(ValueError, match="nonzero"):

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import halfnorm_stein
 
 # Every public name of the package, so that adding or removing one is a
@@ -23,3 +26,15 @@ PUBLIC_NAMES = [
 def test_public_surface():
     assert len(PUBLIC_NAMES) == 55
     assert sorted(halfnorm_stein.__all__) == PUBLIC_NAMES
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so no check of the package may
+    # rest on one
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    modules = sorted(src.rglob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

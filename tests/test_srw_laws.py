@@ -165,6 +165,16 @@ def test_moment_bounds(m):
     assert walks.moment_bounds_check(m).passed
 
 
+@pytest.mark.parametrize("tag", ["returns", "halfmax", "signchanges"])
+def test_moment_bounds_fail_on_a_broken_mean(monkeypatch, tag):
+    # the closed-form means are cross-checked against mean_exact as part
+    # of the verdict, not by assert statements that python -O strips
+    real = walks.mean_exact
+    monkeypatch.setattr(walks, "mean_exact", lambda pmf: real(pmf) + (
+        Fraction(1, 1 << 60) if pmf.statistic_tag == tag else 0))
+    assert walks.moment_bounds_check(8).passed is False
+
+
 @given(st.integers(1, 512))
 @settings(max_examples=40, deadline=None)
 def test_returns_unimodality_bound(m):

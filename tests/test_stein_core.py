@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -209,6 +210,26 @@ class TestAuxFunctions:
         assert stein.aux_M(0.0) == 0.0
         assert stein.aux_N(0.0) == pytest.approx(math.sqrt(math.pi / 2.0),
                                                  rel=1e-13)
+
+    def test_m_is_inf_past_overflow_without_warning(self):
+        # M = F/p exceeds the double range from x = 37.68; there it is inf,
+        # not an overflow or divide-by-zero warning. Budget on [0, 37.5]:
+        # relative 8 eps (1 + x^2) against 50-digit mpmath, as the eps x^2/2
+        # rounding of p's exponent grows with x (measured 2.4 eps (1 + x^2)).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = stein.aux_M(np.linspace(0.0, 60.0, 6001))
+            assert stein.aux_M(37.7) == stein.aux_M(40.0) == math.inf
+        assert np.all(np.isfinite(vals[:3751]))
+        assert np.all(vals[3770:] == math.inf)
+        xs = np.linspace(0.0, 37.5, 376)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.erf(x / mpmath.sqrt(2))
+                                  / (2 * mpmath.npdf(x)))
+                            for x in map(mpmath.mpf, xs)])
+        assert np.all(np.abs(stein.aux_M(xs) - ref)
+                      <= 8.0 * eps * (1.0 + xs ** 2) * ref)
 
     def test_n_is_the_mills_ratio_out_to_60(self):
         # Error budget: relative error <= 1e-13 against 50-digit mpmath
@@ -463,6 +484,39 @@ class TestReportParity:
                 row = stein.fz_prime(z, xs, side=side)
                 assert list(row) == [stein.fz_prime(z, x, side=side)
                                      for x in xs]
+
+    def test_fz_broadcast_matches_scalar_calls(self):
+        # z[:, None] against an x row gives a (z, x) grid whose entries are
+        # the scalar calls, exactly; the row passes x = z at z = 0 and 40
+        zs = np.array([-1.0, 0.0, 0.75, 2.5, 40.0])
+        xs = np.linspace(-1.0, 60.0, 62)
+        grid = stein.fz(zs[:, None], xs)
+        assert grid.shape == (5, 62)
+        assert grid.tolist() == [[stein.fz(z, x) for x in xs] for z in zs]
+        for side in ("left", "right"):
+            grid = stein.fz_prime(zs[:, None], xs, side=side)
+            assert grid.tolist() == [[stein.fz_prime(z, x, side=side)
+                                      for x in xs] for z in zs]
+
+    def test_fz_broadcast_against_mpmath(self):
+        # f_z on a (z, x) grid against 50-digit mpmath, 1 - F(z) as erfc.
+        # Budget: relative 8 eps (1 + e), e = max(0, (z - x)(z + x)/2), the
+        # exponent of p(z)/p(x) whose rounding the left branch carries
+        # (measured 1.8 eps (1 + e)); f_z = 0 at x = 0 must be exact.
+        zs = np.linspace(0.0, 45.0, 10)
+        xs = np.linspace(0.0, 60.0, 61)
+
+        def exact(z, x):
+            lo, hi = sorted((mpmath.mpf(z), mpmath.mpf(x)))
+            return float(mpmath.erf(lo / mpmath.sqrt(2))
+                         * mpmath.erfc(hi / mpmath.sqrt(2))
+                         / (2 * mpmath.npdf(x)))
+
+        with mpmath.workdps(50):
+            ref = np.array([[exact(z, x) for x in xs] for z in zs])
+        e = np.maximum(0.0, (zs[:, None] - xs) * (zs[:, None] + xs) / 2.0)
+        budget = 8.0 * np.finfo(float).eps * (1.0 + e) * np.abs(ref)
+        assert np.all(np.abs(stein.fz(zs[:, None], xs) - ref) <= budget)
 
     def test_fz_prime_row_needs_side_at_jump(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ of its row of m + 1 entries and ``_masses`` the map of that row onto the
 support. The exact pmfs run the recurrence in big integers (O(m)
 operations, denominator 2^(2m)); ``float_law`` runs it in floats and
 normalises, with the exact pmfs rounded once as its oracle. The oracle of
-the exact pmfs is an enumeration of all 2^n paths (n <= 22) by prefix
-doubling: int8 state per prefix, O(2^n) work in all, no formula.
+the exact pmfs is an enumeration of all 2^n paths (n <= 22) by in-place
+prefix doubling, one statistic per call: at most 3 int8 arrays of 2^n,
+O(2^n) work, one bounded counting pass, no formula.
 """
 
 from __future__ import annotations
@@ -293,68 +294,94 @@ class MomentBoundReport:
     passed: bool
 
 
+def _moment_bounds(m: int) -> tuple[Fraction, Fraction, Fraction, bool]:
+    """The closed-form E[K_2m], E[N_2m], E[C_2m+1] and whether they meet
+    the three expectation inequalities of ``moment_bounds_check``.
+
+    Each inequality is compared as its square in rationals, with pi
+    replaced by pi_hi, the double just above it, so the comparisons are
+    exact and can err only toward failing: E[K]^2 pi_hi <= 4m,
+    (2 E[N])^2 pi_hi <= 4m and E[C]^2 pi_hi m <= (m + 1/2)^2.
+    """
+    b = central_binomial_prob(m)
+    ek = (2 * m + 1) * b - 1
+    en = m * b
+    # E[C_2m+1] = ((m + 1) binom(2m + 1, m + 1) / 2^(2m) - 1) / 2 = E[K_2m] / 2
+    ec = ek / 2
+    pi_hi = Fraction(math.nextafter(math.pi, math.inf))
+    holds = (ek * ek * pi_hi <= 4 * m
+             and (2 * en) ** 2 * pi_hi <= 4 * m
+             and ec * ec * pi_hi * m <= (m + Fraction(1, 2)) ** 2)
+    return ek, en, ec, holds
+
+
 def moment_bounds_check(m: int) -> MomentBoundReport:
     """Exact verification of the three expectation inequalities.
 
     E[K_2m] <= sqrt(2/pi) sqrt(2m), E[V] = 2 E[N_n]/sqrt(n) <= sqrt(2/pi),
-    E[C_{2m+1}] <= sqrt(m/pi) + 1/(2 sqrt(pi m)).
-    The float bounds are nudged outward before the rational comparison.
-    The closed-form means must also equal mean_exact of the exact pmfs;
-    a mismatch fails the check like a violated bound.
+    E[C_{2m+1}] <= sqrt(m/pi) + 1/(2 sqrt(pi m)), each compared exactly
+    (``_moment_bounds``). The closed-form means must also equal mean_exact
+    of the exact pmfs; a mismatch fails the check like a violated bound.
     """
-    n = 2 * m
-    b = central_binomial_prob(m)
-    ek = (2 * m + 1) * b - 1
-    en = m * b
-    ec = ((m + 1) * Fraction(math.comb(2 * m + 1, m + 1), 1 << (2 * m)) - 1) / 2
-
-    def outward(x: float) -> Fraction:
-        return Fraction(math.nextafter(x, math.inf))
-
+    ek, en, ec, holds = _moment_bounds(m)
     ok = (ek == mean_exact(pmf_returns(m))
           and en == mean_exact(pmf_halfmax(m))
           and ec == mean_exact(pmf_signchanges(m))
-          and ek <= outward(math.sqrt(2.0 / math.pi) * math.sqrt(n))
-          and 2 * en / Fraction(math.sqrt(n)) <= outward(math.sqrt(2.0 / math.pi))
-          and ec <= outward(math.sqrt(m / math.pi)
-                            + 0.5 / math.sqrt(math.pi * m)))
+          and holds)
     return MomentBoundReport(m, ek, en, ec, ok)
 
 
-def _enumerate_statistics(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(max, returns, sign changes) of all 2^n paths, by prefix doubling.
+def _enumerate(kind: str, n: int) -> np.ndarray:
+    """The per-path "max", "returns" or "signchanges" of all 2^n paths, as
+    int8; path i takes step k = +1 exactly when bit k of i is set.
 
-    Every length-k prefix holds int8 state (S_k, S_{k-1}, running max,
-    returns, sign changes); extending all prefixes by a step of -1 and of
-    +1 doubles the arrays, so the 2^n paths cost about 2 * 2^n updates.
+    The paths are built in place by prefix doubling in two int8 arrays of
+    2^n, the position S and the statistic. Before step k, entries [0, 2^k)
+    hold the 2^k prefixes of length k; their +1 extensions are written into
+    [2^k, 2^(k+1)) and entries [0, 2^k) become their -1 extensions, so the
+    2^n paths cost about 2^(n+1) updates and no temporary exceeds 2^(n-1)
+    bytes.
     """
-    steps = np.array([-1, 1], dtype=np.int8)
-    s = prev = max_val = returns = changes = np.zeros(1, dtype=np.int8)
+    s = np.zeros(1 << n, dtype=np.int8)
+    stat = np.zeros(1 << n, dtype=np.int8)
     for k in range(n):
-        both = np.concatenate((s, s))
-        s_next = both + np.repeat(steps, s.size)
-        max_val = np.maximum(np.concatenate((max_val, max_val)), s_next)
-        returns = np.concatenate((returns, returns)) + (s_next == 0)
-        changes = np.concatenate((changes, changes))
-        if k:
-            # sign change at time k: S_k = 0 and S_{k-1} != S_{k+1}; the
-            # product S_{k-1} S_{k+1} would overflow int8
-            prev = np.concatenate((prev, prev))
-            changes += (both == 0) & (prev != s_next)
-        prev, s = both, s_next
-    return max_val, returns, changes
+        h = 1 << k
+        lo, hi = s[:h], s[h:2 * h]
+        lo_stat, hi_stat = stat[:h], stat[h:2 * h]
+        hi_stat[:] = lo_stat
+        if kind == "signchanges" and k:
+            # S_k = 0 is crossed iff step k repeats step k - 1, and step
+            # k - 1 is +1 exactly on the prefixes [h/2, h)
+            hi_stat[h // 2:] += lo[h // 2:] == 0
+            lo_stat[:h // 2] += lo[:h // 2] == 0
+        np.add(lo, 1, out=hi)
+        lo -= 1
+        if kind == "max":
+            # a -1 step never raises the running max
+            np.maximum(hi_stat, hi, out=hi_stat)
+        elif kind == "returns":
+            hi_stat += hi == 0
+            lo_stat += lo == 0
+    return stat
 
 
 def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
     """Exact pmf by enumerating all 2^n paths; the oracle for the formulas.
-    The support is read off the enumeration, not assumed."""
+
+    Each call enumerates one statistic (halfmax from the per-path max by
+    ``path_statistic``), so at most 3 int8 arrays of 2^n are alive, and
+    counts its values in one pass of np.bincount over slices of 2^16, so
+    only a slice at a time is widened to intp. The support is read off the
+    enumeration, not assumed.
+    """
     half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-    values = path_statistic(statistic_tag, dict(zip(
-        ("max", "returns", "signchanges"), _enumerate_statistics(n))))
-    # one pass per atom over the int8 values; np.bincount would first widen
-    # all 2^n of them to intp
-    counts = tuple(int(np.count_nonzero(values == k))
-                   for k in range(int(values.max()) + 1))
-    return ExactPMF(0, len(counts) - 1, counts, 1 << n, statistic_tag)
+    kind = "max" if statistic_tag == "halfmax" else statistic_tag
+    values = path_statistic(statistic_tag, {kind: _enumerate(kind, n)})
+    block = 1 << 16
+    counts = np.zeros(n + 1, dtype=np.int64)  # every statistic is <= n
+    for start in range(0, values.size, block):
+        counts += np.bincount(values[start:start + block], minlength=n + 1)
+    counts = np.trim_zeros(counts, "b").tolist()
+    return ExactPMF(0, len(counts) - 1, tuple(counts), 1 << n, statistic_tag)

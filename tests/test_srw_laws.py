@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -104,19 +105,23 @@ def test_normalization_and_positivity(m):
 
 
 def test_brute_force_oracle_equality():
-    for n in range(2, 15, 2):
+    # every admissible n up to the cap; at n = 22 the count runs over 64
+    # slices of 2^16 values
+    for n in range(2, walks.BRUTE_FORCE_MAX_N + 1, 2):
         assert walks.pmf_returns(n // 2) == walks.brute_force_pmf("returns", n)
         assert walks.pmf_max(n) == walks.brute_force_pmf("max", n)
         assert walks.pmf_halfmax(n // 2) == walks.brute_force_pmf("halfmax", n)
-    for n in range(3, 16, 2):
+    for n in range(3, walks.BRUTE_FORCE_MAX_N, 2):
         assert walks.pmf_signchanges((n - 1) // 2) == \
             walks.brute_force_pmf("signchanges", n)
 
 
 def _naive_statistics(n):
     """(max, returns, sign changes) of each of the 2^n paths, one path at a
-    time; a sign change at time k is S_{k-1} S_{k+1} < 0."""
-    for steps in itertools.product((-1, 1), repeat=n):
+    time and in the enumeration's order: path i takes step k = +1 exactly
+    when bit k of i is set; a sign change at time k is S_{k-1} S_{k+1} < 0."""
+    for i in range(1 << n):
+        steps = [1 if i >> k & 1 else -1 for k in range(n)]
         walk = list(itertools.accumulate(steps, initial=0))
         yield {"max": max(walk),
                "returns": walk[1:].count(0),
@@ -130,10 +135,12 @@ def test_brute_force_matches_per_path_loop(n):
     paths = list(_naive_statistics(n))
     # the joint law: the marginal law of the sign changes equals that of the
     # zeros where the walk touches without crossing
-    joint = collections.Counter(
-        zip(*(a.tolist() for a in walks._enumerate_statistics(n))))
-    assert joint == collections.Counter(
+    kinds = ("max", "returns", "signchanges")
+    joint = list(zip(*(walks._enumerate(kind, n).tolist() for kind in kinds)))
+    assert collections.Counter(joint) == collections.Counter(
         (p["max"], p["returns"], p["signchanges"]) for p in paths)
+    # path by path, in the documented order
+    assert joint == [tuple(p[kind] for kind in kinds) for p in paths]
     for tag in walks.STATISTICS:
         if n % 2 != (tag == "signchanges"):
             continue
@@ -150,6 +157,20 @@ def test_brute_force_cap():
         walks.brute_force_pmf("returns", 24)
 
 
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_brute_force_memory_at_the_cap(tag):
+    # one statistic per call keeps at most three int8 arrays of 2^n alive,
+    # and the count widens a slice of 2^16 values at a time, never all 2^n
+    n = walks.BRUTE_FORCE_MAX_N - (tag == "signchanges")
+    tracemalloc.start()
+    try:
+        walks.brute_force_pmf(tag, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << n) + (1 << 20)
+
+
 def test_mean_identities():
     # E[K_2m] = (2m+1) P(K = 0) - 1 and E[N_2m] = m P(N = 0)... written
     # through the central binomial probability; exact on both sides.
@@ -163,6 +184,12 @@ def test_mean_identities():
 @settings(max_examples=40, deadline=None)
 def test_moment_bounds(m):
     assert walks.moment_bounds_check(m).passed
+
+
+def test_moment_bounds_hold_exactly_up_to_3000():
+    # the bounds alone: the full check, which also builds three exact pmfs
+    # per m, is sampled by test_moment_bounds
+    assert [m for m in range(1, 3001) if not walks._moment_bounds(m)[3]] == []
 
 
 @pytest.mark.parametrize("tag", ["returns", "halfmax", "signchanges"])
@@ -320,7 +347,7 @@ def test_every_entry_point_shares_one_domain(monkeypatch, tag):
     def reached(*args):
         raise _Reached
 
-    monkeypatch.setattr(walks, "_enumerate_statistics", reached)
+    monkeypatch.setattr(walks, "_enumerate", reached)
     monkeypatch.setattr(walks, "BRUTE_FORCE_MAX_N", 30)
     monkeypatch.setattr(simulate, "_steps", reached)
     for n in range(-3, 31):

@@ -12,9 +12,10 @@ inside a segment F_Y equals the law's CDF, so only p is evaluated there.
 Quadrature noise never touches the theorem margins. A quantile-side
 quadrature provides an independent second route.
 
-A law is anything with ``atoms()`` and ``cdf()``: the sweep reads the float
-CDF of ``walks.float_law``, the exact oracles a ``ScaledLaw`` whose CDF is
-the exact one rounded once.
+A law is anything with ``atoms()`` and ``cdf()`` whose CDF is 1 beyond its
+last atom: the sweep reads the float CDF of ``walks.float_law``, kept only
+up to its first entry equal to 1.0, the exact oracles a ``ScaledLaw`` with
+every atom and the exact CDF rounded once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ def distances(law: ScaledLaw | FloatLaw) -> tuple[float, float]:
     - 2 H(t*). H(b) = p + xF at the atoms and H(a) is H(b) shifted by one
     atom, with H(0) = p(0). Clipped to a or b, H(t*) is H(a) or H(b);
     inside, F(t*) = c, so the segment is H(a) + H(b) - c (a + b) - 2 p(t*).
-    Beyond the last atom the contribution is G = p (1 - xR).
+    Beyond the last atom the contribution is G = p (1 - xR); for a
+    ``float_law`` the last atom is its cut, where the float CDF first reads
+    1.0, so d_K is the uncut route's bit for bit and d_W moves by at most
+    1e-14 (``walks.float_law``).
     """
     x = law.atoms()
     cdf = law.cdf()
@@ -169,8 +173,9 @@ class DistanceReport:
 def bound_check(statistic_tag: str, n: int) -> DistanceReport:
     """Distances for one n, next to the matching theorem bounds.
 
-    Both distances read one CDF from ``float_law``; it agrees with the
-    exactly rounded CDF of ``scaled_law`` to about 1e-14.
+    Both distances read one CDF from ``float_law``, O(sqrt(n)) atoms long;
+    it agrees with the exactly rounded CDF of ``scaled_law`` to about 1e-14
+    on the atoms it keeps.
     """
     d_k, d_w = distances(float_law(statistic_tag, n))
     return DistanceReport(
@@ -264,7 +269,8 @@ def rate_table(statistic_tag: str, n_list) -> list[RateRow]:
 
     For returns, sqrt(n) P(K_n = 0) tends to sqrt(2/pi) and
     sqrt(n) |E[W] - E[Y]| tends to 1, pinning the n^{-1/2} rate. One
-    ``float_law`` per n gives all columns; E[X] = scale * sum_k P(X > k).
+    ``float_law`` per n gives all columns; E[X] = scale * sum_k P(X > k),
+    summed over the kept atoms, as P(X > k) reads 0.0 from the last one on.
     """
     n_list = list(n_list)
     if not n_list:

@@ -5,8 +5,11 @@ lengths n = 2m + parity (``half_length`` is the one admissibility rule,
 ``walk_length`` its inverse) and its scale, ``_ratios`` the ratio recurrence
 of its row of m + 1 entries and ``_masses`` the map of that row onto the
 support. The exact pmfs run the recurrence in big integers (O(m)
-operations, denominator 2^(2m)); ``float_law`` runs it in floats and
-normalises, with the exact pmfs rounded once as its oracle. The oracle of
+operations, denominator 2^(2m)) and keep every atom. ``float_law`` runs it
+in floats only over the law's numerical support, O(sqrt(n)) entries: the
+row is cut where a geometric bound puts the dropped mass below 2^-64 of the
+kept mass, and the normalised CDF is trimmed after its first entry equal
+to 1.0. The exact pmfs rounded once are its oracle. The oracle of
 the exact pmfs is an enumeration of all 2^n paths (n <= 22) by in-place
 prefix doubling, one statistic per call: at most 3 int8 arrays of 2^n,
 O(2^n) work, one bounded counting pass, no formula.
@@ -27,6 +30,13 @@ _LAWS = {"returns": (0, 1.0), "max": (0, 1.0), "halfmax": (0, 2.0),
 STATISTICS = tuple(_LAWS)
 
 BRUTE_FORCE_MAX_N = 22
+
+# float_law first tries a cut at the atom x = 10, where Hoeffding's bound
+# exp(-x^2/2) on the tail is exp(-50) = 2e-22 (twice that for the maximum,
+# by the reflection principle); a cut is kept only once its dropped mass is
+# proved to be at most _TAIL_RTOL of the kept mass
+_X_CUT = 10.0
+_TAIL_RTOL = 2.0 ** -64
 
 
 class DomainError(ValueError):
@@ -111,7 +121,8 @@ class ScaledLaw:
 
 
 class FloatLaw:
-    """A law on the lattice scale * {0, ..., len(cdf) - 1}, held as floats."""
+    """A law on the lattice scale * {0, ..., len(cdf) - 1}, held as floats;
+    its CDF is 1.0 beyond the last atom."""
 
     __slots__ = ("scale", "_cdf")
 
@@ -181,17 +192,27 @@ def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
 
 
 def float_law(statistic_tag: str, n: int) -> FloatLaw:
-    """The law of ``scaled_law(statistic_tag, n)`` with float atoms and CDF.
+    """The law of ``scaled_law(statistic_tag, n)`` on its numerical support,
+    with float atoms and CDF.
 
     The pmf is built up to a constant factor by a float cumprod over the
-    ratio recurrences of the exact pmfs, then its cumulative sum is divided
-    by its last element, so the CDF ends at exactly 1.0 and never
-    decreases. The atoms are those of ``scaled_law``; the CDF agrees with
-    ``ScaledLaw.cdf()`` to about 1e-14 up to n = 4096.
+    ratio recurrences of the exact pmfs, cut where ``_float_row`` proves
+    the dropped mass at most 2^-64 of the kept mass. Each dropped term is
+    then below half an ulp of the running sum, so the normaliser, the last
+    kept partial sum, is the one the whole row gives. The cumulative sum
+    is divided by it, so the CDF never decreases, and it is trimmed just
+    after its first entry equal to 1.0, near x = 8.3: at most about
+    10 sqrt(n) atoms are kept, a prefix of the atoms of ``scaled_law``.
+    On that prefix the CDF agrees with ``ScaledLaw.cdf()`` to about 1e-14
+    up to n = 4096 and is bit for bit the CDF of the uncut row, so d_K is
+    unchanged by the cut and d_W, which adds the tail beyond the last atom
+    in closed form, moves by at most 1e-14.
     """
     m = half_length(statistic_tag, n)
     cdf = np.cumsum(_masses(statistic_tag, _float_row(statistic_tag, m)))
     cdf /= cdf[-1]
+    # cdf never exceeds 1.0, so this is the first index where it reads 1.0
+    cdf = cdf[:np.searchsorted(cdf, 1.0) + 1]
     return FloatLaw(_LAWS[statistic_tag][1] / math.sqrt(n), cdf)
 
 
@@ -228,12 +249,35 @@ def _exact_row(statistic_tag: str, m: int) -> np.ndarray:
 
 
 def _float_row(statistic_tag: str, m: int) -> np.ndarray:
-    """The row divided by its first entry, by a float cumprod."""
-    num, den = (np.arange(r.start, r.stop, r.step, dtype=float)
-                for r in _ratios(statistic_tag, m))
-    row = np.ones(len(num) + 1)
-    np.cumprod(num / den, out=row[1:])
-    return row
+    """Entries 0..k of the row divided by its first entry, by a float
+    cumprod, for a cut index k proved to drop at most 2^-64 of the mass.
+
+    Every row's quotients q_j decrease in j, so entry k + j is at most
+    row[k] q_k^j and the entries past k sum to at most
+    row[k] q_k / (1 - q_k); ``_masses`` doubles them for max and halfmax.
+    The cut is kept when that bound is at most _TAIL_RTOL times the kept
+    mass. The first k is the row entry at the atom x = _X_CUT: entries sit
+    1/sqrt(n) apart in x for returns and 2/sqrt(n) for the others (max has
+    two atoms per entry), so k is 10 sqrt(n) or 5 sqrt(n). A cut that
+    fails the bound doubles k, up to the whole row.
+    """
+    nums, dens = _ratios(statistic_tag, m)
+    spacing = 1 if statistic_tag == "returns" else 2  # in x, times sqrt(n)
+    doubled = 2.0 if statistic_tag in ("max", "halfmax") else 1.0
+    k = min(m, math.ceil(_X_CUT * math.sqrt(walk_length(statistic_tag, m))
+                         / spacing))
+    while True:
+        num, den = (np.arange(r.start, r.stop, r.step, dtype=float)
+                    for r in (nums[:k + 1], dens[:k + 1]))
+        q = num / den
+        row = np.ones(k + 1)
+        np.cumprod(q[:k], out=row[1:])
+        if k == m:
+            return row
+        tail = doubled * row[k] * q[k] / (1.0 - q[k])
+        if tail <= _TAIL_RTOL * _masses(statistic_tag, row).sum():
+            return row
+        k = min(2 * k, m)
 
 
 def _exact_pmf(statistic_tag: str, m: int) -> ExactPMF:

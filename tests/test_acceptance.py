@@ -4,28 +4,24 @@ Each test is self-contained and prints as a single pass/fail line under
 `pytest -v`. Runtime budgets are asserted where the contract names one.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 
+from enumeration_check import check_formulas_match_enumeration
 from halfnorm_stein import characterization as ch
-from halfnorm_stein import metrics, simulate, stein, walks
+from halfnorm_stein import cli, metrics, simulate, stein, walks
 from halfnorm_stein.normal import hn_cdf
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 
 def test_exact_pmfs_match_path_enumeration():
-    # formula pmfs == 2^n enumeration, exact rational equality; < 30 s
-    start = time.monotonic()
-    for n in range(2, 15, 2):
-        assert walks.pmf_returns(n // 2) == walks.brute_force_pmf("returns", n)
-        assert walks.pmf_max(n) == walks.brute_force_pmf("max", n)
-    for n in range(3, 16, 2):
-        assert walks.pmf_signchanges((n - 1) // 2) == \
-            walks.brute_force_pmf("signchanges", n)
-    assert time.monotonic() - start < 30.0
+    # formula pmfs == 2^n enumeration, exact rational equality, every
+    # admissible n up to the cap for all four statistics; < 10 s
+    check_formulas_match_enumeration()
 
 
 def test_distance_bounds_hold_across_full_sweep():
@@ -41,6 +37,19 @@ def test_distance_bounds_hold_across_full_sweep():
             worst = min(worst, report.margin_K, report.margin_W)
     assert worst >= 1e-10
     assert time.monotonic() - start < 300.0
+
+
+def test_distance_bounds_hold_at_large_n(capsys):
+    # the check-bounds gate at n = 2^k (2^k + 1 for signchanges),
+    # k = 12..20: exit 0 with at least 1e-10 of headroom on both margins
+    for tag, first in (("returns", 2), ("max", 2), ("signchanges", 3)):
+        for k in range(12, 21):
+            n = (1 << k) + first - 2
+            assert cli.main(["check-bounds", "--stat", tag, "--n", str(n),
+                             "--format", "json"]) == 0
+            (row,) = json.loads(capsys.readouterr().out)
+            assert row["n"] == n
+            assert min(row["margin_K"], row["margin_W"]) >= 1e-10, (tag, n)
 
 
 def test_rate_is_exactly_order_inverse_sqrt_n():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enumeration_check import check_formulas_match_enumeration
 from halfnorm_stein import metrics, simulate, walks
 
 
@@ -105,15 +106,7 @@ def test_normalization_and_positivity(m):
 
 
 def test_brute_force_oracle_equality():
-    # every admissible n up to the cap; at n = 22 the count runs over 64
-    # slices of 2^16 values
-    for n in range(2, walks.BRUTE_FORCE_MAX_N + 1, 2):
-        assert walks.pmf_returns(n // 2) == walks.brute_force_pmf("returns", n)
-        assert walks.pmf_max(n) == walks.brute_force_pmf("max", n)
-        assert walks.pmf_halfmax(n // 2) == walks.brute_force_pmf("halfmax", n)
-    for n in range(3, walks.BRUTE_FORCE_MAX_N, 2):
-        assert walks.pmf_signchanges((n - 1) // 2) == \
-            walks.brute_force_pmf("signchanges", n)
+    check_formulas_match_enumeration()
 
 
 def _naive_statistics(n):

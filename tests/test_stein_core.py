@@ -311,6 +311,39 @@ class TestAuxFunctions:
         assert all(stein.aux_D1(x) >= 0.0 for x in xs)
         assert all(stein.aux_D2(x) <= 0.0 for x in xs)
 
+    def test_d1_sign_holds_without_underflow(self):
+        # D1 = phi/2 - (1 - Phi) F reads exactly 0.0 from x = 38.56, so its
+        # sign holds there only through underflow; D1/phi = 1/2 - R F, with
+        # R the Mills ratio, never underflows and stays above 0.0437
+        # (R F peaks at 0.45629 near x = 1.23)
+        xs = np.linspace(0.0, 60.0, 6001)
+        assert np.all(0.5 - mills(xs) * hn_cdf(xs) >= 0.0)
+
+    def test_d1_against_mpmath(self):
+        # D1 and D1/phi on [0, 60] against 50-digit mpmath. Budgets, with
+        # eps = 2^-52: D1/phi relative 64 eps, as 1/2 - R F cancels by up
+        # to 0.5/0.0437 = 11.4 near x = 1.23 (measured 27.9 eps). D1
+        # relative 32 eps (1 + x^2) where the reference is a normal float,
+        # for the cancellation and the eps x^2/2 rounding of phi's exponent
+        # (measured 15.9 eps (1 + x^2)); absolute 2^-1022 below the normal
+        # range, which D1 leaves at x = 37.6.
+        xs = np.linspace(0.0, 60.0, 601)
+        eps = np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        ref_d1, ref_ratio = [], []
+        with mpmath.workdps(50):
+            for x in map(mpmath.mpf, xs):
+                d1 = (mpmath.npdf(x) / 2 - mpmath.erfc(x / mpmath.sqrt(2)) / 2
+                      * mpmath.erf(x / mpmath.sqrt(2)))
+                ref_d1.append(float(d1))
+                ref_ratio.append(float(d1 / mpmath.npdf(x)))
+        ref_d1, ref_ratio = np.array(ref_d1), np.array(ref_ratio)
+        ratio = 0.5 - mills(xs) * hn_cdf(xs)
+        assert np.all(np.abs(ratio - ref_ratio) <= 64.0 * eps * ref_ratio)
+        budget = np.where(ref_d1 >= tiny,
+                          32.0 * eps * (1.0 + xs ** 2) * ref_d1, tiny)
+        assert np.all(np.abs(stein.aux_D1(xs) - ref_d1) <= budget)
+
     def test_d2_peak(self):
         x0 = math.sqrt(math.log(32.0 / math.pi))
         assert stein.aux_D2(x0) == pytest.approx(-0.01701, abs=5e-5)

@@ -112,13 +112,13 @@ def _report_row(r: metrics.DistanceReport) -> dict:
 
 
 def _cmd_distance(args) -> int:
-    rows = [_report_row(metrics.bound_check(args.stat, n)) for n in args.n]
+    rows = [_report_row(r) for r in metrics.bound_checks(args.stat, args.n)]
     _render(args, rows)
     return 0
 
 
 def _cmd_check_bounds(args) -> int:
-    reports = [metrics.bound_check(args.stat, n) for n in args.n]
+    reports = metrics.bound_checks(args.stat, args.n)
     _render(args, [_report_row(r) for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 

@@ -32,8 +32,7 @@ def test_distance_bounds_hold_across_full_sweep():
     for tag, ns in (("returns", range(2, 4097, 2)),
                     ("max", range(2, 4097, 2)),
                     ("signchanges", range(3, 4098, 2))):
-        for n in ns:
-            report = metrics.bound_check(tag, n)
+        for report in metrics.bound_checks(tag, ns):
             worst = min(worst, report.margin_K, report.margin_W)
     assert worst >= 1e-10
     assert time.monotonic() - start < 300.0

@@ -247,7 +247,7 @@ def test_other_value_errors_are_not_domain_errors(monkeypatch):
     def broken(*args):
         raise ValueError("bug inside a check")
 
-    monkeypatch.setattr(metrics, "bound_check", broken)
+    monkeypatch.setattr(metrics, "bound_checks", broken)
     with pytest.raises(ValueError, match="bug inside a check"):
         cli.main(["distance", "--stat", "returns", "--n", "4"])
 

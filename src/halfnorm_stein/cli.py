@@ -204,21 +204,26 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    report = simulate.empirical_check(args.stat, args.n[0], args.trials,
-                                      args.seed)
-    payload = {
-        "statistic": report.statistic_tag, "n": report.n,
-        "trials": report.trials, "seed": report.seed,
-        "max_cdf_deviation": report.max_cdf_deviation,
-        "worst_atom": report.worst_atom,
-        "dkw_threshold": report.dkw_threshold,
-        "passed": report.passed,
-    }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+    # every n is checked before any walk is drawn
+    for n in args.n:
+        walks.half_length(args.stat, n)
+    rows = []
+    for n in args.n:
+        report = simulate.empirical_check(args.stat, n, args.trials,
+                                          args.seed)
+        rows.append({
+            "statistic": report.statistic_tag, "n": report.n,
+            "trials": report.trials, "seed": report.seed,
+            "max_cdf_deviation": report.max_cdf_deviation,
+            "worst_atom": report.worst_atom,
+            "dkw_threshold": report.dkw_threshold,
+            "passed": report.passed,
+        })
+    if args.format == "json" and len(rows) == 1:  # one n: a single object
+        _emit(args, json.dumps(rows[0], indent=2) + "\n")
     else:
-        _render(args, [payload])
-    return 0 if report.passed else 1
+        _render(args, rows)
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

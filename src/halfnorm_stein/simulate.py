@@ -6,10 +6,17 @@ counter-based Philox generator keyed by the seed, an integer in
 results. Each step is the top bit of one raw Philox byte (exactly symmetric, no
 float comparisons): the bytes of ``random_raw`` in order, +1 where the byte
 is at least 128, the same bits that ``Generator.integers(0, 2)`` returns.
-The steps are packed eight to a byte and transposed, so that step k of all
-walks in a chunk is one contiguous column; one loop over the n steps then
-walks every row at once, in int8 below n = 128, and keeps only the
-statistic that was asked for.
+
+Walks are simulated in chunks of ``_CHUNK``, and a chunk is drawn in
+slices of ``_DRAW_ROWS`` rows, so that the raw bytes and up-steps of only
+one slice are alive at a time and stay in cache. Each slice's steps are
+packed eight to a byte and written, transposed, into the chunk, where the
+steps k of all its walks lie in one contiguous row of bytes. The slice is
+a multiple of 8 rows, so every slice but the last of a chunk covers a
+multiple of 8 bytes and ends on a 64-bit output: the bytes drawn, in order,
+are the same whatever the slice, and the slice cannot be seen in the
+counts. One loop over the n steps then walks every row of a chunk at once,
+in int8 below n = 128, and keeps only the statistic that was asked for.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 from .walks import DomainError, path_statistic, scaled_law, support_size
 
 _CHUNK = 65536
+_DRAW_ROWS = 2048  # rows drawn at a time; a multiple of 8, see `_steps`
 
 
 def _pack(up: np.ndarray) -> np.ndarray:
@@ -34,47 +42,69 @@ def _pack(up: np.ndarray) -> np.ndarray:
 
 def _steps(bitgen: np.random.Philox, rows: int, n: int) -> np.ndarray:
     """Packed up-steps of `rows` walks of length n, one raw Philox byte
-    each. A chunk draws ceil(rows n / 8) 64-bit outputs; a full chunk uses
-    all of their bytes, so the stream does not depend on the chunking."""
-    raw = bitgen.random_raw(-(-rows * n // 8)).view(np.uint8)
-    return _pack(raw[:rows * n].reshape(rows, n) >= 128)
+    each, in the layout of `_pack`. The walks are drawn `_DRAW_ROWS` rows at
+    a time and compared into a bool buffer whose rows are padded with zeros
+    to whole bytes, so that one flat packbits packs a slice. A slice of m
+    rows draws ceil(m n / 8) 64-bit outputs, exactly m n / 8 for all but
+    the last, so a chunk draws ceil(rows n / 8) outputs, the same bytes as
+    in one piece, and a full chunk uses all of them: the stream depends on
+    neither the chunking nor the slicing."""
+    width = -(-n // 8)
+    packed = np.empty((width, rows), np.uint8)
+    buf = np.zeros((min(rows, _DRAW_ROWS), 8 * width), bool)
+    for start in range(0, rows, _DRAW_ROWS):
+        m = min(_DRAW_ROWS, rows - start)
+        raw = bitgen.random_raw(-(-m * n // 8)).view(np.uint8)
+        up = buf[:m]
+        np.greater_equal(raw[:m * n].reshape(m, n), 128, out=up[:, :n])
+        packed[:, start:start + m] = np.packbits(
+            up, bitorder="little").reshape(m, width).T
+    return packed
 
 
-def _walk(packed: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """S_1, ..., S_n of every walk, one column per step, in one array that
-    is updated in place; |S_k| <= n, so int8 holds it below n = 128."""
-    s = np.zeros(packed.shape[1], np.int8 if n < 128 else np.int16)
+def _up_steps(packed: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Step k = 1, ..., n of every walk, 1 up and 0 down, one column per
+    step, in one array that is overwritten in place; int8, so that it adds
+    to an int8 walk without a cast."""
     up = np.empty(packed.shape[1], np.uint8)
-    step = up.view(np.int8)  # 0 or 1; s += 2 up - 1
+    step = up.view(np.int8)
     for k in range(n):
         np.right_shift(packed[k >> 3], k & 7, out=up)
         up &= 1
-        s += step
-        s += step
-        s -= 1
-        yield s
+        yield step
 
 
 def _path_statistic(kind: str, packed: np.ndarray, n: int) -> np.ndarray:
     """Per-walk max, returns or sign changes of packed walks of length n.
 
-    A sign change at time k is S_{k-1} S_{k+1} < 0, and the walk is never
-    zero at odd times, so the sign changes are the flips of the sign of the
-    walk from one odd time to the next.
+    The max follows the walk S_k itself. The returns and the sign changes
+    follow only the up-count u_k of the first k steps, since S_k = 2 u_k - k:
+    at even k the walk is at 0 when u_k = k / 2, and at odd k it is above 0
+    when u_k > k // 2. A sign change at time k is S_{k-1} S_{k+1} < 0, and
+    the walk is never zero at odd times, so the sign changes are the flips
+    of the sign of the walk from one odd time to the next. |S_k| and u_k are
+    at most n, so int8 holds them below n = 128.
     """
-    out = np.zeros(packed.shape[1], np.int8 if n < 128 else np.int16)
+    dtype = np.int8 if n < 128 else np.int16
+    out = np.zeros(packed.shape[1], dtype)
+    walk = np.zeros(packed.shape[1], dtype)  # S_k for the max, else u_k
     if kind == "max":
-        for s in _walk(packed, n):  # S_0 = 0 keeps the max >= 0
-            np.maximum(out, s, out=out)
+        for step in _up_steps(packed, n):  # S_0 = 0 keeps the max >= 0
+            walk += step
+            walk += step
+            walk -= 1
+            np.maximum(out, walk, out=out)
     elif kind == "returns":
-        for k, s in enumerate(_walk(packed, n), 1):
+        for k, step in enumerate(_up_steps(packed, n), 1):
+            walk += step
             if k % 2 == 0:
-                out += s == 0
+                out += walk == k // 2
     elif kind == "signchanges":
         above = None
-        for k, s in enumerate(_walk(packed, n), 1):
+        for k, step in enumerate(_up_steps(packed, n), 1):
+            walk += step
             if k % 2:
-                was_above, above = above, s > 0
+                was_above, above = above, walk > k // 2
                 if was_above is not None:
                     out += was_above != above
     else:

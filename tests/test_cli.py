@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -94,6 +96,32 @@ def test_simulate(capsys):
     assert out == out2
 
 
+def test_simulate_runs_every_n(capsys):
+    code, out = run(capsys, "simulate", "--stat", "returns", "--n", "64:68:2",
+                    "--trials", "10000", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(row["n"]) for row in rows] == [64, 66, 68]
+    _, out = run(capsys, "simulate", "--stat", "returns", "--n", "64:68:2",
+                 "--trials", "10000", "--format", "json")
+    assert [row["n"] for row in json.loads(out)] == [64, 66, 68]
+
+
+def test_simulate_fails_if_any_n_fails(monkeypatch, capsys):
+    check = simulate.empirical_check
+
+    def fails_at_66(stat, n, trials, seed):
+        report = check(stat, n, trials, seed)
+        return dataclasses.replace(report, passed=report.passed and n != 66)
+
+    monkeypatch.setattr(simulate, "empirical_check", fails_at_66)
+    code, out = run(capsys, "simulate", "--stat", "returns", "--n", "64:68:2",
+                    "--trials", "10000", "--format", "csv")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["passed"] for row in rows] == ["True", "False", "True"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 def test_simulate_names_its_worst_atom(capsys, fmt):
     code, out = run(capsys, "simulate", "--stat", "max", "--n", "32",
@@ -162,7 +190,8 @@ def test_simulate_rejects_halfmax(capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--stat", "max", "--n", "63"],
     ["simulate", "--stat", "returns", "--n", "0"],
-], ids=["max-odd-n", "returns-n0"])
+    ["simulate", "--stat", "max", "--n", "64:66:1"],
+], ids=["max-odd-n", "returns-n0", "max-range-with-odd-n"])
 def test_simulate_invalid_n_fails_before_drawing(monkeypatch, capsys, argv):
     def no_walks(*args):
         raise AssertionError("a walk was drawn")

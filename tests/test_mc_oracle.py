@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,10 @@ def _unpack(packed, n):
     ((simulate._CHUNK,), 64),           # one full chunk
     ((simulate._CHUNK, 1001), 7),       # partial last chunk, 7007 bytes
     ((1,), 50),                         # a single row
-], ids=["full-chunk", "partial-chunk", "single-row"])
+    ((3 * simulate._DRAW_ROWS + 5,), 7),    # a partial last slice
+    ((3 * simulate._DRAW_ROWS + 5,), 65),   # rows padded from 65 to 72
+], ids=["full-chunk", "partial-chunk", "single-row", "sliced-7",
+        "sliced-65"])
 def test_steps_are_the_bounded_integer_stream(chunks, n):
     # the top bit of each raw Philox byte is what Generator.integers(0, 2)
     # returns, chunk after chunk from one generator
@@ -117,6 +121,32 @@ def test_steps_are_the_bounded_integer_stream(chunks, n):
         expected = rng.integers(0, 2, size=(rows, n), dtype=np.int8)
         assert np.array_equal(_unpack(simulate._steps(bitgen, rows, n), n),
                               expected)
+
+
+@pytest.mark.parametrize("tag,n", [("signchanges", 65), ("returns", 64)])
+def test_draw_slice_cannot_be_seen(monkeypatch, tag, n):
+    # two chunks, the first of whole slices and the second of one whole
+    # slice and 3 rows; a slice of 24 rows does not divide the chunk
+    trials = simulate._CHUNK + simulate._DRAW_ROWS + 3
+    counts = simulate.empirical_pmf_counts(tag, n, trials, seed=4)
+    for rows in (8, 24):
+        monkeypatch.setattr(simulate, "_DRAW_ROWS", rows)
+        assert np.array_equal(
+            simulate.empirical_pmf_counts(tag, n, trials, seed=4), counts)
+
+
+def test_counts_memory_is_one_packed_chunk_and_a_slice():
+    # drawing a whole chunk of raw bytes and comparing it into a bool chunk
+    # peaked at 9.3 MiB on this call; one packed chunk (0.56 MiB), one slice of raw
+    # bytes and of bools (0.27 MiB) and the walk's arrays peak at 1.02 MiB
+    simulate.empirical_pmf_counts("signchanges", 65, 10_000, seed=0)
+    tracemalloc.start()
+    try:
+        simulate.empirical_pmf_counts("signchanges", 65, 200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 65, 127, 128, 300])

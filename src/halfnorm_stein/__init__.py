@@ -10,9 +10,8 @@ from .characterization import (CharacterizationSpec, indicator_residuals,
                                indicator_sequence, make_spec, recover_pmf,
                                stein_residual)
 from .metrics import (AuxiliaryReport, DistanceReport, RateRow,
-                      auxiliary_bounds, bound_check, distances,
-                      kolmogorov_exact, rate_table, theorem_bound,
-                      wasserstein_exact, wasserstein_quantile)
+                      auxiliary_bounds, bound_check, distances, rate_table,
+                      theorem_bound, wasserstein_exact, wasserstein_quantile)
 from .normal import cap_phi, mill_bounds, phi
 from .simulate import EmpiricalReport, empirical_check
 from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
@@ -20,9 +19,8 @@ from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
                     solve_fh, sup_search, verify_lemma_bounds,
                     verify_monotone_xfz)
 from .walks import (DomainError, ExactPMF, FloatLaw, ScaledLaw,
-                    brute_force_pmf, float_law, half_length, mean_exact,
-                    moment_bounds_check, pmf_halfmax, pmf_max, pmf_returns,
-                    pmf_signchanges, scaled_law, walk_length)
+                    brute_force_pmf, exact_pmf, float_law, half_length,
+                    mean_exact, moment_bounds_check, scaled_law, walk_length)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .walks import (ExactPMF, pmf_halfmax, pmf_returns, pmf_signchanges,
-                    walk_length)
+from .walks import ExactPMF, exact_pmf, walk_length
 
 
 def forward_diff(g: Callable[[int], Fraction], k: int) -> Fraction:
@@ -65,21 +64,19 @@ def make_spec(statistic_tag: str, m: int) -> CharacterizationSpec:
     signchanges:  c(s) = m + s + 2,  gamma(s) = -(2s + 1).
 
     An unknown statistic or m < 1 raises DomainError, from walk_length.
+    For max: psi vanishes on the odd atoms of M_n, so the proofs route
+    through the halfmax variable N_n; so does the spec.
     """
-    walk_length(statistic_tag, m)
+    tag = "halfmax" if statistic_tag == "max" else statistic_tag
+    pmf = exact_pmf(tag, walk_length(tag, m))
     support = range(m + 1)
-    if statistic_tag == "returns":
-        pmf = pmf_returns(m)
+    if tag == "returns":
         c = [2 * m - r for r in range(-1, m + 1)]
         gamma = [-(r + 1) for r in support]
-    elif statistic_tag in ("halfmax", "max"):
-        # For max: psi vanishes on the odd atoms of M_n, so the proofs route
-        # through the halfmax variable N_n; do the same here.
-        pmf = pmf_halfmax(m)
+    elif tag == "halfmax":
         c = [m + s + 1 for s in range(-1, m + 1)]
         gamma = [m] + [-2 * s for s in support[1:]]
     else:
-        pmf = pmf_signchanges(m)
         c = [m + s + 2 for s in range(-1, m + 1)]
         gamma = [-(2 * s + 1) for s in support]
     return CharacterizationSpec(pmf, tuple(c), tuple(gamma))

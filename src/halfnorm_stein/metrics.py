@@ -37,8 +37,8 @@ from scipy import integrate
 
 from .normal import (HALF_NORMAL_MEAN, _hn_isf, _hn_quantile, hn_cdf,
                      hn_pdf, mills)
-from .walks import (DomainError, FloatLaw, ScaledLaw, float_law, half_length,
-                    pmf_halfmax, pmf_max)
+from .walks import (DomainError, FloatLaw, ScaledLaw, exact_pmf, float_law,
+                    half_length, walk_length)
 
 
 _P0 = float(hn_pdf(0.0))  # p(0) = H(0)
@@ -127,11 +127,6 @@ def _block_distances(block):
     return zip(laws, d_k.tolist(), d_w.tolist())
 
 
-def kolmogorov_exact(law: ScaledLaw | FloatLaw) -> float:
-    """sup_z |F_law(z) - F_Y(z)| for atoms on [0, inf)."""
-    return distances(law)[0]
-
-
 def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
     """Integral of |F_law(t) - F_Y(t)| over [0, inf), piecewise analytic."""
     return distances(law)[1]
@@ -176,6 +171,19 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
 
 _SQRT_2_PI = HALF_NORMAL_MEAN  # sqrt(2/pi)
 
+# (statistic, metric) -> (a, b, c) of the bound a / sqrt(n) + b / n + c / n^1.5
+_BOUNDS = {
+    ("max", "K"): (4.0 * _SQRT_2_PI + 0.5, 2.0, 0.0),
+    ("max", "W"): (3.0 + 2.0 / math.pi, 0.0, 0.0),
+    ("returns", "K"): ((3.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
+                       + 0.75, 1.5, 0.0),
+    ("returns", "W"): (2.0 / math.pi + 2.0, _SQRT_2_PI, 0.0),
+    ("signchanges", "K"): ((2.0 * math.sqrt(2.0) + 4.0) / math.sqrt(math.pi)
+                           + 1.5, 3.0, 4.0 / math.sqrt(math.pi)),
+    ("signchanges", "W"): (4.0 + 2.0 / math.pi, _SQRT_2_PI,
+                           2.0 * math.sqrt(2.0) / math.pi),
+}
+
 
 def theorem_bound(statistic_tag: str, n: int, metric: str) -> float:
     """Closed-form error bound for the given statistic, walk length and
@@ -183,23 +191,10 @@ def theorem_bound(statistic_tag: str, n: int, metric: str) -> float:
     if metric not in ("K", "W"):
         raise ValueError("metric must be 'K' or 'W'")
     half_length(statistic_tag, n)
-    rn = math.sqrt(n)
-    if statistic_tag == "max":
-        if metric == "W":
-            return (3.0 + 2.0 / math.pi) / rn
-        return (4.0 * _SQRT_2_PI + 0.5) / rn + 2.0 / n
-    if statistic_tag == "returns":
-        if metric == "W":
-            return (2.0 / math.pi + 2.0) / rn + _SQRT_2_PI / n
-        return ((3.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
-                + 0.75) / rn + 1.5 / n
-    if statistic_tag == "signchanges":
-        if metric == "W":
-            return ((4.0 + 2.0 / math.pi) / rn + _SQRT_2_PI / n
-                    + 2.0 * math.sqrt(2.0) / math.pi / n ** 1.5)
-        return (((2.0 * math.sqrt(2.0) + 4.0) / math.sqrt(math.pi) + 1.5) / rn
-                + 3.0 / n + 4.0 / math.sqrt(math.pi) / n ** 1.5)
-    raise DomainError(f"no theorem bound for statistic {statistic_tag!r}")
+    if (statistic_tag, metric) not in _BOUNDS:
+        raise DomainError(f"no theorem bound for statistic {statistic_tag!r}")
+    a, b, c = _BOUNDS[statistic_tag, metric]
+    return a / math.sqrt(n) + b / n + c / n ** 1.5
 
 
 @dataclass(frozen=True)
@@ -270,9 +265,9 @@ def auxiliary_bounds(m: int) -> AuxiliaryReport:
     V = 2 N_n / sqrt(n) to the half-normal law, checked against the
     auxiliary lemmas and the triangle inequality.
     """
-    n = 2 * m
-    max_pmf = pmf_max(n)
-    half_pmf = pmf_halfmax(m)
+    n = walk_length("max", m)
+    max_pmf = exact_pmf("max", n)
+    half_pmf = exact_pmf("halfmax", n)
     denom = max_pmf.denominator
 
     cum_max = max_pmf.cumulative_numerators()

@@ -27,22 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walks import DomainError, path_statistic, scaled_law, support_size
+from .walks import (DomainError, exact_pmf, path_kind, path_statistic,
+                    support_size)
 
 _CHUNK = 65536
 _DRAW_ROWS = 2048  # rows drawn at a time; a multiple of 8, see `_steps`
 
 
-def _pack(up: np.ndarray) -> np.ndarray:
-    """Bool rows of up-steps, shape (rows, n), packed little-endian along
-    each row and transposed to shape (ceil(n / 8), rows): bit k % 8 of
-    column r in packed row k // 8 is step k of walk r."""
-    return np.packbits(up, axis=1, bitorder="little").T.copy()
-
-
 def _steps(bitgen: np.random.Philox, rows: int, n: int) -> np.ndarray:
     """Packed up-steps of `rows` walks of length n, one raw Philox byte
-    each, in the layout of `_pack`. The walks are drawn `_DRAW_ROWS` rows at
+    each, shape (ceil(n / 8), rows): bit k % 8 of column r in packed row
+    k // 8 is step k of walk r. The walks are drawn `_DRAW_ROWS` rows at
     a time and compared into a bool buffer whose rows are padded with zeros
     to whole bytes, so that one flat packbits packs a slice. A slice of m
     rows draws ceil(m n / 8) 64-bit outputs, exactly m n / 8 for all but
@@ -118,14 +113,14 @@ def empirical_pmf_counts(statistic_tag: str, n: int, trials: int,
     one per atom of the exact law; an inadmissible statistic or n raises
     DomainError before any walk is drawn. halfmax is read off the max."""
     size = support_size(statistic_tag, n)
-    kind = "max" if statistic_tag == "halfmax" else statistic_tag
+    kind = path_kind(statistic_tag)
     bitgen = np.random.Philox(key=seed)
     counts = np.zeros(size, dtype=np.int64)
     done = 0
     while done < trials:
         rows = min(_CHUNK, trials - done)
-        paths = {kind: _path_statistic(kind, _steps(bitgen, rows, n), n)}
-        counts += np.bincount(path_statistic(statistic_tag, paths),
+        values = _path_statistic(kind, _steps(bitgen, rows, n), n)
+        counts += np.bincount(path_statistic(statistic_tag, values),
                               minlength=size)
         done += rows
     return counts
@@ -152,7 +147,7 @@ def empirical_check(statistic_tag: str, n: int, trials: int,
         raise DomainError(f"trials >= 10^4 required, got {trials}")
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"seed in [0, 2^128) required, got {seed}")
-    exact = scaled_law(statistic_tag, n).base
+    exact = exact_pmf(statistic_tag, n)
     counts = empirical_pmf_counts(statistic_tag, n, trials, seed)
     ecdf = np.cumsum(counts) / trials
     gaps = np.abs(ecdf - exact.float_cdf())

@@ -4,8 +4,8 @@ Each statistic is described once: ``_LAWS`` gives the parity of its walk
 lengths n = 2m + parity (``half_length`` is the one admissibility rule,
 ``walk_length`` its inverse) and its scale, ``_ratios`` the ratio recurrence
 of its row of m + 1 entries and ``_masses`` the map of that row onto the
-support. The exact pmfs run the recurrence in big integers (O(m)
-operations, denominator 2^(2m)) and keep every atom. ``float_law`` runs it
+support. ``exact_pmf`` runs the recurrence in big integers (O(m)
+operations, denominator 2^(2m)) and keeps every atom. ``float_law`` runs it
 in floats only over the law's numerical support, O(sqrt(n)) entries: the
 row is cut where a geometric bound puts the dropped mass below 2^-64 of the
 kept mass, and the normalised CDF is trimmed after its first entry equal
@@ -169,25 +169,41 @@ def support_size(statistic_tag: str, n: int) -> int:
     return len(_masses(statistic_tag, np.zeros(m + 1)))
 
 
-def path_statistic(statistic_tag: str,
-                   paths: dict[str, np.ndarray]) -> np.ndarray:
-    """The statistic on each path from its per-path "max", "returns" or
-    "signchanges"; halfmax N = ceil(M / 2) is M - M // 2 of the max M,
-    which cannot wrap."""
+def path_kind(statistic_tag: str) -> str:
+    """The per-path "max", "returns" or "signchanges" that the statistic
+    is read off: halfmax from the max."""
+    return "max" if statistic_tag == "halfmax" else statistic_tag
+
+
+def path_statistic(statistic_tag: str, values: np.ndarray) -> np.ndarray:
+    """The statistic on each path from its per-path values of
+    ``path_kind(statistic_tag)``; halfmax N = ceil(M / 2) is M - M // 2 of
+    the max M, which cannot wrap."""
     if statistic_tag == "halfmax":
-        return paths["max"] - paths["max"] // 2
-    return paths[statistic_tag]
+        return values - values // 2
+    return values
+
+
+def exact_pmf(statistic_tag: str, n: int) -> ExactPMF:
+    """The exact law of the statistic at walk length n = 2m + parity, on
+    0..upper with denominator 2^(2m); an inadmissible n raises DomainError.
+
+    returns: K_n, the returns to the origin by time n = 2m;
+    max: M_n, the maximum of the walk by time n = 2m;
+    halfmax: N_n = ceil(M_n / 2), the auxiliary variable, n = 2m;
+    signchanges: C_n, the sign changes by odd time n = 2m + 1.
+    """
+    m = half_length(statistic_tag, n)
+    nums = _masses(statistic_tag, _exact_row(statistic_tag, m)).tolist()
+    return ExactPMF(0, len(nums) - 1, tuple(nums), 1 << (2 * m),
+                    statistic_tag)
 
 
 def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
-    """The normalised law converging to the half-normal distribution.
-
-    returns: K_n / sqrt(n), max: M_n / sqrt(n) (n = 2m even);
-    signchanges: 2 C_n / sqrt(n) (n = 2m + 1 odd);
-    halfmax: 2 N_n / sqrt(n) (the auxiliary variable V, n = 2m even).
-    """
-    m = half_length(statistic_tag, n)
-    return ScaledLaw(_exact_pmf(statistic_tag, m),
+    """The normalised law converging to the half-normal distribution:
+    K_n / sqrt(n), M_n / sqrt(n), 2 N_n / sqrt(n) (the auxiliary variable
+    V) and 2 C_n / sqrt(n), over ``exact_pmf(statistic_tag, n)``."""
+    return ScaledLaw(exact_pmf(statistic_tag, n),
                      _LAWS[statistic_tag][1] / math.sqrt(n))
 
 
@@ -218,7 +234,8 @@ def float_law(statistic_tag: str, n: int) -> FloatLaw:
 
 def _ratios(statistic_tag: str, m: int) -> tuple[range, range]:
     """(numerators, denominators): row entry k + 1 is entry k times their
-    k-th quotient. returns: binom(2m - r, m) 2^r, quotients 2(m - r)/(2m - r);
+    k-th quotient. returns: binom(2m - r, m) 2^r, quotients 2(m - r)/(2m - r),
+    so that P(K_n = r) = binom(2m - r, m) / 2^(2m - r) on r = 0..m;
     the others: binom(n, c + j), c = n - m, quotients (m - j)/(c + j + 1).
     """
     if statistic_tag == "returns":
@@ -229,13 +246,18 @@ def _ratios(statistic_tag: str, m: int) -> tuple[range, range]:
 
 def _masses(statistic_tag: str, row: np.ndarray) -> np.ndarray:
     """The row mapped onto the support 0..upper; a float row or an object
-    row of exact ints alike."""
+    row of exact ints alike. Over 2^(2m), with p_{n,r} = P(S_n = r):
+    max: P(M_n = r) = p_{n,r} + p_{n,r+1};
+    halfmax: q(s) = 2 binom(2m, m + s) / 2^(2m) for s >= 1 and
+    q(0) = P(M_n = 0) = binom(2m, m) / 2^(2m);
+    signchanges: P(C_n = s) = 2 binom(2m + 1, m + s + 1) / 2^(2m + 1)
+    on s = 0..m, the row itself."""
     if statistic_tag == "max":
-        # P(M_n = r) = p_{n,r} + p_{n,r+1}: exactly one of r, r + 1 is even,
-        # so binom(n, m + j) is the mass at r = 2j - 1 and at r = 2j
+        # exactly one of r, r + 1 is even, so binom(n, m + j) is the mass
+        # at r = 2j - 1 and at r = 2j
         return np.repeat(row, 2)[1:]
     if statistic_tag == "halfmax":
-        # the boundary atom q(0) = P(M_n = 0) is not doubled
+        # the boundary atom q(0) is not doubled
         return np.concatenate((row[:1], 2 * row[1:]))
     return row
 
@@ -278,45 +300,6 @@ def _float_row(statistic_tag: str, m: int) -> np.ndarray:
         if tail <= _TAIL_RTOL * _masses(statistic_tag, row).sum():
             return row
         k = min(2 * k, m)
-
-
-def _exact_pmf(statistic_tag: str, m: int) -> ExactPMF:
-    """The exact law at half-length m; every denominator is 2^(2m)."""
-    if m < 1:
-        raise DomainError(f"m >= 1 required, got m = {m}")
-    nums = _masses(statistic_tag, _exact_row(statistic_tag, m)).tolist()
-    return ExactPMF(0, len(nums) - 1, tuple(nums), 1 << (2 * m),
-                    statistic_tag)
-
-
-def pmf_returns(m: int) -> ExactPMF:
-    """Law of K_{2m}, the number of returns to the origin by time n = 2m.
-
-    P(K_n = r) = binom(2m - r, m) / 2^(2m - r) on r = 0..m.
-    """
-    return _exact_pmf("returns", m)
-
-
-def pmf_max(n: int) -> ExactPMF:
-    """Law of M_n = max of the walk by even time n: P(M_n=r) = p_{n,r} + p_{n,r+1}."""
-    return _exact_pmf("max", half_length("max", n))
-
-
-def pmf_halfmax(m: int) -> ExactPMF:
-    """Law of N_n = floor((M_n + 1)/2) for n = 2m.
-
-    q(s) = 2 binom(2m, m+s) / 2^(2m) for s >= 1; the boundary atom is
-    q(0) = P(M_n = 0) = binom(2m, m) / 2^(2m), without the factor 2.
-    """
-    return _exact_pmf("halfmax", m)
-
-
-def pmf_signchanges(m: int) -> ExactPMF:
-    """Law of C_{2m+1}, the sign changes by odd time n = 2m + 1.
-
-    P(C_n = s) = 2 binom(2m+1, m+s+1) / 2^(2m+1) on s = 0..m.
-    """
-    return _exact_pmf("signchanges", m)
 
 
 def mean_exact(pmf: ExactPMF) -> Fraction:
@@ -368,9 +351,9 @@ def moment_bounds_check(m: int) -> MomentBoundReport:
     of the exact pmfs; a mismatch fails the check like a violated bound.
     """
     ek, en, ec, holds = _moment_bounds(m)
-    ok = (ek == mean_exact(pmf_returns(m))
-          and en == mean_exact(pmf_halfmax(m))
-          and ec == mean_exact(pmf_signchanges(m))
+    ok = (all(mean == mean_exact(exact_pmf(tag, walk_length(tag, m)))
+              for tag, mean in (("returns", ek), ("halfmax", en),
+                                ("signchanges", ec)))
           and holds)
     return MomentBoundReport(m, ek, en, ec, ok)
 
@@ -421,8 +404,8 @@ def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
     half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-    kind = "max" if statistic_tag == "halfmax" else statistic_tag
-    values = path_statistic(statistic_tag, {kind: _enumerate(kind, n)})
+    values = path_statistic(statistic_tag,
+                            _enumerate(path_kind(statistic_tag), n))
     block = 1 << 16
     counts = np.zeros(n + 1, dtype=np.int64)  # every statistic is <= n
     for start in range(0, values.size, block):

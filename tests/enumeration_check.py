@@ -9,20 +9,16 @@ from halfnorm_stein import walks
 # 2 cores; the budget leaves room for a slower machine
 ENUMERATION_BUDGET_S = 10.0
 
-FORMULAS = {"returns": lambda n: walks.pmf_returns(n // 2),
-            "max": walks.pmf_max,
-            "halfmax": lambda n: walks.pmf_halfmax(n // 2),
-            "signchanges": lambda n: walks.pmf_signchanges(n // 2)}
-
 
 def check_formulas_match_enumeration():
-    """Formula pmf == brute_force_pmf, exact rational equality, for every
+    """exact_pmf == brute_force_pmf, exact rational equality, for every
     statistic at every admissible n up to BRUTE_FORCE_MAX_N, within
     ENUMERATION_BUDGET_S; at n = 22 the count runs over 64 slices of 2^16
     values."""
     start = time.monotonic()
-    for tag, formula in FORMULAS.items():
+    for tag in walks.STATISTICS:
         first = 3 if tag == "signchanges" else 2
         for n in range(first, walks.BRUTE_FORCE_MAX_N + 1, 2):
-            assert formula(n) == walks.brute_force_pmf(tag, n), (tag, n)
+            assert (walks.exact_pmf(tag, n)
+                    == walks.brute_force_pmf(tag, n)), (tag, n)
     assert time.monotonic() - start < ENUMERATION_BUDGET_S

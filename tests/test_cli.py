@@ -53,6 +53,17 @@ def test_check_bounds_exit_zero(capsys):
     assert code == 0
 
 
+def test_only_check_bounds_exits_one_on_a_negative_margin(monkeypatch,
+                                                          capsys):
+    # one handler serves both commands: the same rows, and only the gate
+    # turns a negative margin into exit 1
+    monkeypatch.setattr(metrics, "theorem_bound", lambda *args: 0.0)
+    argv = ("--stat", "returns", "--n", "2:8:2", "--format", "csv")
+    code, out = run(capsys, "check-bounds", *argv)
+    assert code == 1
+    assert run(capsys, "distance", *argv) == (0, out)
+
+
 def test_rate_table(capsys):
     code, out = run(capsys, "rate-table", "--stat", "returns", "--n",
                     "64:256:64", "--format", "csv")

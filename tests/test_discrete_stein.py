@@ -49,7 +49,7 @@ def test_make_spec_domain_errors(tag, m):
 
 
 def test_c_nonzero_enforced():
-    pmf = walks.pmf_returns(2)
+    pmf = walks.exact_pmf("returns", 4)
     with pytest.raises(ValueError, match="nonzero"):
         ch.CharacterizationSpec(pmf, (1, 0, 1, 1), (-1, -2, -3))
     with pytest.raises(ValueError, match="gamma"):
@@ -91,7 +91,7 @@ def test_moved_mass_fails_every_check(monkeypatch, capsys):
     assert recovered != bad
     assert recovered == spec.pmf
 
-    monkeypatch.setattr(ch, "pmf_returns", lambda m: bad)
+    monkeypatch.setattr(ch, "exact_pmf", lambda tag, n: bad)
     argv = ["stein-verify", "--stat", "returns", "--m", "40"]
     assert cli.main(argv + ["--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

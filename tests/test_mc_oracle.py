@@ -20,7 +20,7 @@ def test_single_walk_ranges():
 
 def test_length_one_walk():
     # both walks of length one: no return, no sign change, max 0 or 1
-    packed = simulate._pack(np.array([[False], [True]]))
+    packed = _pack(np.array([[False], [True]]))
     assert list(simulate._path_statistic("returns", packed, 1)) == [0, 0]
     assert list(simulate._path_statistic("signchanges", packed, 1)) == [0, 0]
     assert list(simulate._path_statistic("max", packed, 1)) == [0, 1]
@@ -56,7 +56,7 @@ def test_empirical_pmf_within_binomial_noise():
     # per-atom check at small n: each count within 4 sigma of its mean
     trials = 200_000
     n = 12
-    exact = walks.pmf_returns(n // 2)
+    exact = walks.exact_pmf("returns", n)
     counts = simulate.empirical_pmf_counts("returns", n, trials, seed=42)
     for k, mass in zip(exact.support(), map(float, exact.masses())):
         sigma = math.sqrt(trials * mass * (1.0 - mass))
@@ -97,6 +97,13 @@ def _naive_walk_statistics(steps):
     walk = list(itertools.accumulate(steps, initial=0))
     changes = sum(walk[k - 1] * walk[k + 1] < 0 for k in range(1, len(steps)))
     return max(walk), walk[1:].count(0), changes
+
+
+def _pack(up):
+    """Bool rows of up-steps, shape (rows, n), in the layout of
+    `simulate._steps`: packed little-endian along each row and transposed
+    to shape (ceil(n / 8), rows)."""
+    return np.packbits(up, axis=1, bitorder="little").T.copy()
 
 
 def _unpack(packed, n):
@@ -159,7 +166,7 @@ def test_path_statistics_match_per_walk_loop(n):
         np.zeros((1, n), dtype=np.uint8),
         np.resize(np.array([1, 0], dtype=np.uint8), (1, n)),
         np.resize(np.array([0, 1], dtype=np.uint8), (1, n))))
-    packed = simulate._pack(up.astype(bool))
+    packed = _pack(up.astype(bool))
     columns = [simulate._path_statistic(kind, packed, n)
                for kind in ("max", "returns", "signchanges")]
     for row, *stats in zip((2 * up.astype(int) - 1).tolist(), *columns):

@@ -11,12 +11,11 @@ PUBLIC_NAMES = [
     "EmpiricalReport", "ExactPMF", "FloatLaw", "HalfLineIndicator",
     "LipschitzFunction", "RateRow", "ScaledLaw", "auxiliary_bounds",
     "bound_check", "brute_force_pmf", "cap_phi", "characterization",
-    "distances", "empirical_check", "float_law", "fz", "fz_prime",
-    "half_length", "indicator_residuals", "indicator_sequence",
-    "kolmogorov_exact", "make_spec", "mean_exact", "metrics", "mill_bounds",
-    "moment_bounds_check", "mu_h", "normal", "phi", "pmf_halfmax", "pmf_max",
-    "pmf_returns", "pmf_signchanges", "rate_table", "recover_pmf",
-    "scaled_law", "simulate", "solve_fh", "stein", "stein_residual",
+    "distances", "empirical_check", "exact_pmf", "float_law", "fz",
+    "fz_prime", "half_length", "indicator_residuals", "indicator_sequence",
+    "make_spec", "mean_exact", "metrics", "mill_bounds",
+    "moment_bounds_check", "mu_h", "normal", "phi", "rate_table",
+    "recover_pmf", "scaled_law", "simulate", "solve_fh", "stein", "stein_residual",
     "sup_search", "theorem_bound", "verify_lemma_bounds",
     "verify_monotone_xfz", "walk_length", "walks", "wasserstein_exact",
     "wasserstein_quantile",
@@ -24,7 +23,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface():
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 51
     assert sorted(halfnorm_stein.__all__) == PUBLIC_NAMES
 
 

@@ -30,77 +30,75 @@ def test_position_prob():
 
 
 def test_returns_small_cases():
-    assert masses_dict(walks.pmf_returns(1)) == {0: Fraction(1, 2),
-                                                 1: Fraction(1, 2)}
-    assert masses_dict(walks.pmf_returns(2)) == {0: Fraction(3, 8),
-                                                 1: Fraction(3, 8),
-                                                 2: Fraction(1, 4)}
+    assert masses_dict(walks.exact_pmf("returns", 2)) == {0: Fraction(1, 2),
+                                                          1: Fraction(1, 2)}
+    assert masses_dict(walks.exact_pmf("returns", 4)) == {0: Fraction(3, 8),
+                                                          1: Fraction(3, 8),
+                                                          2: Fraction(1, 4)}
 
 
 def test_returns_matches_binomial_formula():
     # P(K_{2m} = r) = binom(2m - r, m) / 2^(2m - r)
     for m in (3, 7, 20):
-        pmf = walks.pmf_returns(m)
+        pmf = walks.exact_pmf("returns", 2 * m)
         for r in pmf.support():
             expected = Fraction(math.comb(2 * m - r, m), 1 << (2 * m - r))
             assert pmf.mass(r) == expected
 
 
 def test_max_small_cases():
-    assert masses_dict(walks.pmf_max(2)) == {0: Fraction(1, 2),
-                                             1: Fraction(1, 4),
-                                             2: Fraction(1, 4)}
+    assert masses_dict(walks.exact_pmf("max", 2)) == {0: Fraction(1, 2),
+                                                      1: Fraction(1, 4),
+                                                      2: Fraction(1, 4)}
 
 
 def test_max_pairs_position_probs():
     for n in (4, 10):
-        pmf = walks.pmf_max(n)
+        pmf = walks.exact_pmf("max", n)
         for r in pmf.support():
             expected = position_prob(n, r) + position_prob(n, r + 1)
             assert pmf.mass(r) == expected
 
 
 def test_halfmax_small_cases():
-    assert masses_dict(walks.pmf_halfmax(1)) == {0: Fraction(1, 2),
-                                                 1: Fraction(1, 2)}
+    assert masses_dict(walks.exact_pmf("halfmax", 2)) == {0: Fraction(1, 2),
+                                                          1: Fraction(1, 2)}
 
 
 def test_halfmax_aggregates_max():
     # N = floor((M+1)/2), so q(s) = P(M = 2s-1) + P(M = 2s) for s >= 1
     # and q(0) = P(M = 0).
     for m in (1, 4, 9):
-        max_pmf = walks.pmf_max(2 * m)
-        half = walks.pmf_halfmax(m)
+        max_pmf = walks.exact_pmf("max", 2 * m)
+        half = walks.exact_pmf("halfmax", 2 * m)
         assert half.mass(0) == max_pmf.mass(0)
         for s in range(1, m + 1):
             assert half.mass(s) == max_pmf.mass(2 * s - 1) + max_pmf.mass(2 * s)
 
 
 def test_signchanges_small_cases():
-    assert masses_dict(walks.pmf_signchanges(1)) == {0: Fraction(3, 4),
-                                                     1: Fraction(1, 4)}
-    assert masses_dict(walks.pmf_signchanges(2)) == {0: Fraction(5, 8),
-                                                     1: Fraction(5, 16),
-                                                     2: Fraction(1, 16)}
+    assert masses_dict(walks.exact_pmf("signchanges", 3)) == {
+        0: Fraction(3, 4), 1: Fraction(1, 4)}
+    assert masses_dict(walks.exact_pmf("signchanges", 5)) == {
+        0: Fraction(5, 8), 1: Fraction(5, 16), 2: Fraction(1, 16)}
 
 
-@pytest.mark.parametrize("builder", [walks.pmf_returns, walks.pmf_max,
-                                     walks.pmf_halfmax, walks.pmf_signchanges])
-def test_domain_errors(builder):
-    with pytest.raises(ValueError):
-        builder(0)
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_domain_errors(tag):
+    with pytest.raises(walks.DomainError):
+        walks.exact_pmf(tag, 0)
 
 
 def test_max_rejects_odd():
-    with pytest.raises(ValueError):
-        walks.pmf_max(5)
+    with pytest.raises(walks.DomainError):
+        walks.exact_pmf("max", 5)
 
 
 @given(st.integers(1, 200))
 @settings(max_examples=30, deadline=None)
 def test_normalization_and_positivity(m):
-    for pmf in (walks.pmf_returns(m), walks.pmf_halfmax(m),
-                walks.pmf_signchanges(m)):
+    for tag in walks.STATISTICS:
+        pmf = walks.exact_pmf(tag, walks.walk_length(tag, m))
         assert sum(pmf.numerators) == pmf.denominator
         assert all(v > 0 for v in pmf.numerators)
 
@@ -169,8 +167,9 @@ def test_mean_identities():
     # through the central binomial probability; exact on both sides.
     for m in (1, 5, 33):
         b = walks.central_binomial_prob(m)
-        assert walks.mean_exact(walks.pmf_returns(m)) == (2 * m + 1) * b - 1
-        assert walks.mean_exact(walks.pmf_halfmax(m)) == m * b
+        assert (walks.mean_exact(walks.exact_pmf("returns", 2 * m))
+                == (2 * m + 1) * b - 1)
+        assert walks.mean_exact(walks.exact_pmf("halfmax", 2 * m)) == m * b
 
 
 @given(st.integers(1, 512))
@@ -200,12 +199,12 @@ def test_moment_bounds_fail_on_a_broken_mean(monkeypatch, tag):
 def test_returns_unimodality_bound(m):
     # max mass of K_{2m} is at most sqrt(2 / (pi m))
     cap = Fraction(math.nextafter(math.sqrt(2.0 / (math.pi * m)), math.inf))
-    assert max(walks.pmf_returns(m).masses()) <= cap
+    assert max(walks.exact_pmf("returns", 2 * m).masses()) <= cap
 
 
 def test_signchanges_mode_at_zero():
     for m in (1, 8, 100):
-        sign = walks.pmf_signchanges(m)
+        sign = walks.exact_pmf("signchanges", 2 * m + 1)
         assert sign.mass(0) == max(sign.masses())
 
 
@@ -213,7 +212,7 @@ def test_halfmax_mode_at_one():
     # the boundary atom q(0) = P(M = 0) is not doubled, so for m >= 2 the
     # mode sits at s = 1 with q(1) = 2m/(m+1) * q(0)
     for m in (2, 8, 100):
-        half = walks.pmf_halfmax(m)
+        half = walks.exact_pmf("halfmax", 2 * m)
         assert half.mass(1) == max(half.masses())
         assert half.mass(1) == Fraction(2 * m, m + 1) * half.mass(0)
 
@@ -242,14 +241,14 @@ def test_exact_pmf_equality_ignores_representation():
 
 
 def test_float_cdf_rounding():
-    pmf = walks.pmf_returns(64)
+    pmf = walks.exact_pmf("returns", 128)
     cdf = pmf.float_cdf()
     assert cdf[-1] == 1.0
     assert all(b >= a for a, b in zip(cdf, cdf[1:]))
 
 
 def test_pmf_equality_by_cross_multiplication():
-    pmf = walks.pmf_max(12)
+    pmf = walks.exact_pmf("max", 12)
     scaled = walks.ExactPMF(pmf.lower, pmf.upper,
                             tuple(3 * v for v in pmf.numerators),
                             3 * pmf.denominator, pmf.statistic_tag)
@@ -334,9 +333,9 @@ def _accepts(fn, *args) -> bool:
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_every_entry_point_shares_one_domain(monkeypatch, tag):
-    # the exact law, the float law, the 2^n oracle, the Monte Carlo counts,
-    # the theorem bounds and the Monte Carlo check accept the same walk
-    # lengths; the last two state nothing for halfmax
+    # the exact pmf, the scaled and the float law, the 2^n oracle, the
+    # Monte Carlo counts, the theorem bounds and the Monte Carlo check
+    # accept the same walk lengths; the last two state nothing for halfmax
     def reached(*args):
         raise _Reached
 
@@ -344,7 +343,8 @@ def test_every_entry_point_shares_one_domain(monkeypatch, tag):
     monkeypatch.setattr(walks, "BRUTE_FORCE_MAX_N", 30)
     monkeypatch.setattr(simulate, "_steps", reached)
     for n in range(-3, 31):
-        verdicts = {_accepts(walks.scaled_law, tag, n),
+        verdicts = {_accepts(walks.exact_pmf, tag, n),
+                    _accepts(walks.scaled_law, tag, n),
                     _accepts(walks.float_law, tag, n),
                     _accepts(walks.brute_force_pmf, tag, n),
                     _accepts(simulate.empirical_pmf_counts, tag, n, 1, 0)}

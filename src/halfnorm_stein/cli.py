@@ -9,6 +9,7 @@ their float projections.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -121,10 +122,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_rate_table(args) -> int:
-    rows = [{"n": r.n, "sqrtn_dK": r.sqrtn_dK, "sqrtn_dW": r.sqrtn_dW,
-             "sqrtn_p0": r.sqrtn_p0, "sqrtn_mean_gap": r.sqrtn_mean_gap}
-            for r in metrics.rate_table(args.stat, args.n)]
-    _render(args, rows)
+    _render(args, [dataclasses.asdict(r)
+                   for r in metrics.rate_table(args.stat, args.n)])
     return 0
 
 

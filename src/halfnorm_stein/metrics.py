@@ -31,6 +31,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from scipy import integrate
@@ -38,7 +39,7 @@ from scipy import integrate
 from .normal import (HALF_NORMAL_MEAN, _hn_isf, _hn_quantile, hn_cdf,
                      hn_pdf, mills)
 from .walks import (DomainError, FloatLaw, ScaledLaw, exact_pmf, float_law,
-                    half_length, walk_length)
+                    half_length, scaled_law, walk_length)
 
 
 _P0 = float(hn_pdf(0.0))  # p(0) = H(0)
@@ -169,18 +170,16 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
 # Theorem right-hand sides.
 # ---------------------------------------------------------------------------
 
-_SQRT_2_PI = HALF_NORMAL_MEAN  # sqrt(2/pi)
-
 # (statistic, metric) -> (a, b, c) of the bound a / sqrt(n) + b / n + c / n^1.5
 _BOUNDS = {
-    ("max", "K"): (4.0 * _SQRT_2_PI + 0.5, 2.0, 0.0),
+    ("max", "K"): (4.0 * HALF_NORMAL_MEAN + 0.5, 2.0, 0.0),
     ("max", "W"): (3.0 + 2.0 / math.pi, 0.0, 0.0),
     ("returns", "K"): ((3.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
                        + 0.75, 1.5, 0.0),
-    ("returns", "W"): (2.0 / math.pi + 2.0, _SQRT_2_PI, 0.0),
+    ("returns", "W"): (2.0 / math.pi + 2.0, HALF_NORMAL_MEAN, 0.0),
     ("signchanges", "K"): ((2.0 * math.sqrt(2.0) + 4.0) / math.sqrt(math.pi)
                            + 1.5, 3.0, 4.0 / math.sqrt(math.pi)),
-    ("signchanges", "W"): (4.0 + 2.0 / math.pi, _SQRT_2_PI,
+    ("signchanges", "W"): (4.0 + 2.0 / math.pi, HALF_NORMAL_MEAN,
                            2.0 * math.sqrt(2.0) / math.pi),
 }
 
@@ -264,38 +263,37 @@ def auxiliary_bounds(m: int) -> AuxiliaryReport:
     gap just picks up the factor 1/sqrt(n)), plus distances from
     V = 2 N_n / sqrt(n) to the half-normal law, checked against the
     auxiliary lemmas and the triangle inequality.
+
+    As N = ceil(M / 2), P(2N <= j) equals P(M <= j) at even j and falls
+    short of it by P(M = j) at odd j, so the V-W values are read off the
+    odd atoms of M_n: d_K is the largest, binom(2m, m + 1) / 2^(2m), and
+    the summed lattice CDF gap is P(M_n odd) = (1 - binom(2m, m) / 2^(2m))
+    / 2. They are the measured lattice distances exactly when
+    ``even_agreement`` holds; otherwise ``passed`` is False.
     """
     n = walk_length("max", m)
     max_pmf = exact_pmf("max", n)
-    half_pmf = exact_pmf("halfmax", n)
-    denom = max_pmf.denominator
+    v_law = scaled_law("halfmax", n)
+    denom = max_pmf.denominator  # both laws share the denominator 2^n
 
-    cum_max = max_pmf.cumulative_numerators()
-    cum_half = half_pmf.cumulative_numerators()
-    # P(2N <= j) = P(N <= j // 2); both laws share the denominator 2^n.
-    sup_num = 0
-    gap_num = 0  # sum over unit gaps of |F_{2N} - F_M|, for d_W on the lattice
-    even_ok = True
-    for j in range(0, n + 1):
-        d = abs(cum_half[min(j // 2, m)] - cum_max[j])
-        sup_num = max(sup_num, d)
-        if j < n:
-            gap_num += d
-        if j % 2 == 0 and d != 0:
-            even_ok = False
+    even_ok = (list(accumulate(max_pmf.numerators))[::2]
+               == list(accumulate(v_law.base.numerators)))
+    odd = max_pmf.numerators[1::2]
+    gap_num = sum(odd)
     rn = math.sqrt(n)
-    dk_vw = Fraction(sup_num, denom)
+    dk_vw = Fraction(max(odd), denom)
     dw_vw = Fraction(gap_num, denom) / Fraction(rn)
 
-    v_law = ScaledLaw(half_pmf, 2.0 / rn)
     dk_vy, dw_vy = distances(v_law)
 
     # d_K(V, W) <= sqrt(2/pi)/sqrt(n) and d_W(V, W) <= 1/sqrt(n); on the
     # integer lattice the second reads sum of CDF gaps <= 1, an exact check.
-    lemma_ok = (dk_vw <= Fraction(math.nextafter(_SQRT_2_PI / rn, math.inf))
+    lemma_ok = (dk_vw <= Fraction(math.nextafter(HALF_NORMAL_MEAN / rn,
+                                                 math.inf))
                 and gap_num <= denom
-                and dk_vy <= (3.0 * _SQRT_2_PI + 0.5) / rn + 2.0 / n
-                and dw_vy <= (2.0 + 4.0 / math.pi) / rn + 2.0 * _SQRT_2_PI / n)
+                and dk_vy <= (3.0 * HALF_NORMAL_MEAN + 0.5) / rn + 2.0 / n
+                and dw_vy <= ((2.0 + 4.0 / math.pi) / rn
+                              + 2.0 * HALF_NORMAL_MEAN / n))
 
     w_report = bound_check("max", n)
     slack = 1e-12

@@ -5,9 +5,9 @@ Tail quantities go through the complementary error function so that
 relative accuracy survives out to x ~ 8 and beyond. There is one normal
 quantile, scipy's ``ndtri``; the half-normal quantiles read it from the
 survival side. The half-normal law is these closed forms, for x >= 0:
-the density p = 2 phi, the CDF F = 2 Phi - 1, the Mills ratio R = (1 - F)/p
-(scipy's ``erfcx``), H = p + x F = int F, G = p - x (1 - F) =
-int_x^inf (1 - F), and the constants mean and median.
+the density p = 2 phi, the CDF F = 2 Phi - 1 = erf(x / sqrt 2), the Mills
+ratio R = (1 - F)/p (scipy's ``erfcx``), H = p + x F = int F,
+G = p - x (1 - F) = int_x^inf (1 - F), and the constants mean and median.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
 
 def phi(x):
-    """Standard normal density."""
+    """Standard normal density; |x| is clamped at 40, so x^2 cannot
+    overflow, as phi is 0.0 from |x| ~ 38.6 on; nan propagates."""
+    x = np.minimum(np.abs(x), 40.0)
     return INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
@@ -45,8 +47,9 @@ def hn_pdf(x):
 
 
 def hn_cdf(x):
-    """Half-normal CDF F(x) = 2 cap_phi(x) - 1 at x >= 0."""
-    return 2.0 * cap_phi(x) - 1.0
+    """Half-normal CDF F(x) = 2 cap_phi(x) - 1 = erf(x / sqrt 2) at x >= 0;
+    erf keeps the relative accuracy near 0 that 2 cap_phi - 1 cancels."""
+    return special.erf(np.asarray(x, dtype=float) / SQRT_2)
 
 
 def mills(x):

@@ -484,13 +484,13 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
     the defaults it is f_z'(8-) = 0.985056, about 1 - 1/z_hi^2.
     kind='lipschitz': sup |f_h| <= L, sup |f_h'| <= sqrt(2/pi) L and
     sup |f_h''| <= 2L for the given h (default: identity).
-    A grid of fewer than 2 points or a range z_hi <= 0 would certify
-    nothing, so both raise ValueError.
+    A grid of fewer than 2 points or a range with z_hi <= 0 or z_hi = inf
+    would certify nothing, so all raise ValueError.
     """
     if grid < 2:
         raise ValueError(f"grid needs at least 2 points, got {grid}")
-    if not z_hi > 0.0:
-        raise ValueError(f"z_hi must be positive, got {z_hi}")
+    if not 0.0 < z_hi < math.inf:
+        raise ValueError(f"z_hi must be positive and finite, got {z_hi}")
     if kind == "indicator":
         return _indicator_bound_report(z_hi, grid)
     if kind == "lipschitz":

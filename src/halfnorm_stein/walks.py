@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,18 +75,10 @@ class ExactPMF:
     def masses(self) -> list[Fraction]:
         return [Fraction(v, self.denominator) for v in self.numerators]
 
-    def cumulative_numerators(self) -> list[int]:
-        out = []
-        acc = 0
-        for v in self.numerators:
-            acc += v
-            out.append(acc)
-        return out
-
     def float_cdf(self) -> np.ndarray:
         """CDF at support points, accumulated exactly and rounded once."""
         return np.array([v / self.denominator
-                         for v in self.cumulative_numerators()])
+                         for v in accumulate(self.numerators)])
 
     def __eq__(self, other):
         if not isinstance(other, ExactPMF):

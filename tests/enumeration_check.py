@@ -1,6 +1,8 @@
 """The formula pmfs against the 2^n path enumeration, one check shared by
-the acceptance gate and the law tests."""
+the acceptance gate and the law tests, and the naive per-path reference
+that the enumeration and the Monte Carlo statistics are checked against."""
 
+import itertools
 import time
 
 from halfnorm_stein import walks
@@ -22,3 +24,11 @@ def check_formulas_match_enumeration():
             assert (walks.exact_pmf(tag, n)
                     == walks.brute_force_pmf(tag, n)), (tag, n)
     assert time.monotonic() - start < ENUMERATION_BUDGET_S
+
+
+def naive_walk_statistics(steps):
+    """(max, returns, sign changes) of one walk of +-1 steps, in Python
+    integers; a sign change at time k is S_{k-1} S_{k+1} < 0."""
+    walk = list(itertools.accumulate(steps, initial=0))
+    changes = sum(walk[k - 1] * walk[k + 1] < 0 for k in range(1, len(steps)))
+    return max(walk), walk[1:].count(0), changes

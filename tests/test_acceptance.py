@@ -7,6 +7,7 @@ Each test is self-contained and prints as a single pass/fail line under
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,8 +141,13 @@ def test_monte_carlo_agrees_with_exact_laws():
 
 def test_auxiliary_law_stays_close_to_maximum():
     # d_K(V, W) <= sqrt(2/pi)/sqrt(n), lattice d_W(V, W) <= 1/sqrt(n), and
-    # the two CDFs agree at every even level, all exact, even n <= 1024
+    # the two CDFs agree at every even level, all exact, even n <= 1024;
+    # the V-W distances are the closed forms of M_n's odd atoms: its
+    # largest, binom(2m, m + 1) / 4^m, and P(M_n odd)
     for m in range(1, 513):
         report = metrics.auxiliary_bounds(m)
         assert report.even_agreement
         assert report.passed
+        assert report.dK_VW == Fraction(math.comb(2 * m, m + 1), 4 ** m)
+        assert (Fraction(math.sqrt(report.n)) * report.dW_VW
+                == (1 - Fraction(math.comb(2 * m, m), 4 ** m)) / 2)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,14 @@ def test_stein_solution_far_level_does_not_overflow(capsys):
     assert err == ""
 
 
+def test_stein_solution_far_point_does_not_overflow(capsys):
+    # phi squared x = 1e200 in the branch of fz_prime's np.where that is
+    # not taken; the suite turns a RuntimeWarning into a failure
+    code = cli.main(["stein-solution", "--z", "1", "--x", "1e200"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_lemmas_lipschitz_json(capsys):
     # the second-derivative supremum was a numpy float, and its check's
     # numpy bool ended the JSON output in a traceback
@@ -309,7 +318,9 @@ _N_RANGE = _N | st.tuples(st.integers(-3, 64), st.integers(-3, 64),
                           st.integers(-1, 8)).map(
     lambda t: ":".join(map(str, t)))
 _FORMAT = st.sampled_from(("pretty", "csv", "json"))
-_REAL = st.floats(-2.0, 12.0).map(repr)
+# far values too, where a square or an exponent can overflow
+_REAL = (st.floats(-2.0, 12.0)
+         | st.sampled_from((1e200, 1e308, math.inf, math.nan))).map(repr)
 # --out is drawn only from paths that cannot be written, so no run leaves a
 # file behind
 _OUT = st.sampled_from(((), ("--out", "/nonexistent/x.json"), ("--out", ".")))

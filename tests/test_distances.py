@@ -374,18 +374,18 @@ class _Counted:
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counters of calls and of evaluated elements on the normal CDF (erfc)
-    and density (exp), through which F, p, H and G all evaluate, and on the
-    quantile ``metrics`` reads."""
+    """Counters of calls and of evaluated elements on F (erf) and the
+    quantile where ``metrics`` reads them, and on the normal density (exp),
+    through which p, H and G all evaluate."""
     counted = {}
-    for module, name in ((normal, "cap_phi"), (normal, "phi"),
+    for module, name in ((metrics, "hn_cdf"), (normal, "phi"),
                          (metrics, "_hn_quantile")):
         counted[name] = _Counted(getattr(module, name))
         monkeypatch.setattr(module, name, counted[name])
     return counted
 
 
-_EVALUATED = ("cap_phi", "phi", "_hn_quantile")
+_EVALUATED = ("hn_cdf", "phi", "_hn_quantile")
 
 
 def _calls(counted):
@@ -414,7 +414,7 @@ def test_rate_table_evaluates_f_and_p_once_per_row(evaluations):
     metrics.rate_table("max", ns)
     f, p, q = _elements(evaluations)
     assert f == atoms and p == atoms + q and q <= atoms
-    assert evaluations["cap_phi"].calls > 1
+    assert evaluations["hn_cdf"].calls > 1
 
 
 def test_auxiliary_bounds_evaluates_f_and_p_once_per_law(evaluations):
@@ -461,10 +461,10 @@ def test_block_filled_exactly(evaluations):
     # more opens a second block
     full = [_steps(1000), _steps(metrics._BLOCK_ATOMS - 1000)]
     list(metrics.batch_distances(full))
-    assert evaluations["cap_phi"].calls == 1
-    assert evaluations["cap_phi"].elements == metrics._BLOCK_ATOMS
+    assert evaluations["hn_cdf"].calls == 1
+    assert evaluations["hn_cdf"].elements == metrics._BLOCK_ATOMS
     list(metrics.batch_distances([*full, _steps(1)]))
-    assert evaluations["cap_phi"].calls == 3
+    assert evaluations["hn_cdf"].calls == 3
     _assert_batch_matches_alone([*full, _steps(1), *full])
 
 
@@ -475,7 +475,7 @@ def test_law_longer_than_a_block(evaluations):
     assert len(long.atoms()) > metrics._BLOCK_ATOMS
     laws = [walks.float_law("max", 64), long, walks.float_law("max", 128)]
     list(metrics.batch_distances(laws))
-    assert evaluations["cap_phi"].calls == 3
+    assert evaluations["hn_cdf"].calls == 3
     _assert_batch_matches_alone(laws)
 
 

@@ -29,6 +29,14 @@ def test_phi_even(x):
     assert phi(x) > 0.0
 
 
+def test_phi_far_out_is_zero_without_overflow():
+    # phi underflows to 0.0 from |x| ~ 38.6; squaring 1e200 would overflow,
+    # and the suite turns that warning into an error
+    xs = np.array([38.7, 40.0, 1e154, 1e200, 1e308, np.inf])
+    assert np.all(phi(xs) == 0.0) and np.all(phi(-xs) == 0.0)
+    assert np.isnan(phi(np.nan))
+
+
 def test_cap_phi_values():
     assert cap_phi(0.0) == 0.5
     assert cap_phi(5.0) == pytest.approx(0.9999997133484281, rel=1e-14)
@@ -164,3 +172,16 @@ def test_half_normal_closed_forms_against_mpmath():
         rel = 8.0 * eps * ((1.0 + xs ** 2) if fn is hn_tail_integral else 1.0)
         budget = np.where(np.abs(ref) >= tiny, rel * np.abs(ref), tiny)
         assert np.all(np.abs(fn(xs) - ref) <= budget), fn.__name__
+
+
+def test_half_normal_cdf_relative_accuracy_near_zero():
+    # F = erf(x / sqrt 2) keeps its relative accuracy as x -> 0, where
+    # 2 cap_phi(x) - 1 cancels (9.8e-5 relative at x = 1e-12). Reference
+    # 40-digit mpmath on a geometric grid from 1e-300 to 40; budget 4 eps
+    # relative (measured 2.0 eps)
+    xs = np.geomspace(1e-300, 40.0, 601)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.erf(mpmath.mpf(x) / mpmath.sqrt(2)))
+                        for x in xs])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(hn_cdf(xs) - ref) <= 4.0 * eps * ref)

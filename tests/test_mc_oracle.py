@@ -1,11 +1,11 @@
 import hashlib
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from enumeration_check import naive_walk_statistics
 from halfnorm_stein import simulate, walks
 
 
@@ -91,14 +91,6 @@ def test_unknown_statistic():
         simulate.empirical_pmf_counts("drift", 10, 20_000, seed=0)
 
 
-def _naive_walk_statistics(steps):
-    """(max, returns, sign changes) of one walk, in Python integers; a sign
-    change at time k is S_{k-1} S_{k+1} < 0."""
-    walk = list(itertools.accumulate(steps, initial=0))
-    changes = sum(walk[k - 1] * walk[k + 1] < 0 for k in range(1, len(steps)))
-    return max(walk), walk[1:].count(0), changes
-
-
 def _pack(up):
     """Bool rows of up-steps, shape (rows, n), in the layout of
     `simulate._steps`: packed little-endian along each row and transposed
@@ -170,7 +162,7 @@ def test_path_statistics_match_per_walk_loop(n):
     columns = [simulate._path_statistic(kind, packed, n)
                for kind in ("max", "returns", "signchanges")]
     for row, *stats in zip((2 * up.astype(int) - 1).tolist(), *columns):
-        assert tuple(int(v) for v in stats) == _naive_walk_statistics(row)
+        assert tuple(int(v) for v in stats) == naive_walk_statistics(row)
 
 
 def test_empirical_check_names_its_worst_atom():

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enumeration_check import check_formulas_match_enumeration
+from enumeration_check import (check_formulas_match_enumeration,
+                               naive_walk_statistics)
 from halfnorm_stein import metrics, simulate, walks
 
 
@@ -108,17 +108,14 @@ def test_brute_force_oracle_equality():
 
 
 def _naive_statistics(n):
-    """(max, returns, sign changes) of each of the 2^n paths, one path at a
-    time and in the enumeration's order: path i takes step k = +1 exactly
-    when bit k of i is set; a sign change at time k is S_{k-1} S_{k+1} < 0."""
+    """(max, returns, sign changes) of each of the 2^n paths, and halfmax,
+    one path at a time and in the enumeration's order: path i takes step
+    k = +1 exactly when bit k of i is set."""
     for i in range(1 << n):
-        steps = [1 if i >> k & 1 else -1 for k in range(n)]
-        walk = list(itertools.accumulate(steps, initial=0))
-        yield {"max": max(walk),
-               "returns": walk[1:].count(0),
-               "halfmax": (max(walk) + 1) // 2,
-               "signchanges": sum(walk[k - 1] * walk[k + 1] < 0
-                                  for k in range(1, n))}
+        top, returns, changes = naive_walk_statistics(
+            [1 if i >> k & 1 else -1 for k in range(n)])
+        yield {"max": top, "returns": returns, "halfmax": (top + 1) // 2,
+               "signchanges": changes}
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -426,7 +426,7 @@ class TestLemmaReports:
             stein.verify_lemma_bounds(kind, grid=grid)
 
     @pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
-    @pytest.mark.parametrize("z_hi", [0.0, -1.0])
+    @pytest.mark.parametrize("z_hi", [0.0, -1.0, math.inf])
     def test_empty_range_rejected(self, kind, z_hi):
         with pytest.raises(ValueError, match="z_hi must be positive"):
             stein.verify_lemma_bounds(kind, z_hi=z_hi, grid=10)

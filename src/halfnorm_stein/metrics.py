@@ -38,8 +38,8 @@ from scipy import integrate
 
 from .normal import (HALF_NORMAL_MEAN, _hn_isf, _hn_quantile, hn_cdf,
                      hn_pdf, mills)
-from .walks import (DomainError, FloatLaw, ScaledLaw, exact_pmf, float_law,
-                    half_length, scaled_law, walk_length)
+from .walks import (FloatLaw, ScaledLaw, exact_pmf, float_law, half_length,
+                    walk_length)
 
 
 _P0 = float(hn_pdf(0.0))  # p(0) = H(0)
@@ -174,6 +174,8 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
 _BOUNDS = {
     ("max", "K"): (4.0 * HALF_NORMAL_MEAN + 0.5, 2.0, 0.0),
     ("max", "W"): (3.0 + 2.0 / math.pi, 0.0, 0.0),
+    ("halfmax", "K"): (3.0 * HALF_NORMAL_MEAN + 0.5, 2.0, 0.0),
+    ("halfmax", "W"): (2.0 + 4.0 / math.pi, 2.0 * HALF_NORMAL_MEAN, 0.0),
     ("returns", "K"): ((3.0 + 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
                        + 0.75, 1.5, 0.0),
     ("returns", "W"): (2.0 / math.pi + 2.0, HALF_NORMAL_MEAN, 0.0),
@@ -186,12 +188,11 @@ _BOUNDS = {
 
 def theorem_bound(statistic_tag: str, n: int, metric: str) -> float:
     """Closed-form error bound for the given statistic, walk length and
-    metric ('K' for Kolmogorov, 'W' for Wasserstein)."""
+    metric ('K' for Kolmogorov, 'W' for Wasserstein): a theorem's, or for
+    halfmax the auxiliary lemma's bound on d(V, Y), V = 2 N_n / sqrt(n)."""
     if metric not in ("K", "W"):
         raise ValueError("metric must be 'K' or 'W'")
     half_length(statistic_tag, n)
-    if (statistic_tag, metric) not in _BOUNDS:
-        raise DomainError(f"no theorem bound for statistic {statistic_tag!r}")
     a, b, c = _BOUNDS[statistic_tag, metric]
     return a / math.sqrt(n) + b / n + c / n ** 1.5
 
@@ -269,31 +270,30 @@ def auxiliary_bounds(m: int) -> AuxiliaryReport:
     odd atoms of M_n: d_K is the largest, binom(2m, m + 1) / 2^(2m), and
     the summed lattice CDF gap is P(M_n odd) = (1 - binom(2m, m) / 2^(2m))
     / 2. They are the measured lattice distances exactly when
-    ``even_agreement`` holds; otherwise ``passed`` is False.
+    ``even_agreement`` holds; otherwise ``passed`` is False. d(V, Y) is
+    ``bound_check("halfmax", n)``, against the lemma's bound.
     """
     n = walk_length("max", m)
     max_pmf = exact_pmf("max", n)
-    v_law = scaled_law("halfmax", n)
     denom = max_pmf.denominator  # both laws share the denominator 2^n
 
     even_ok = (list(accumulate(max_pmf.numerators))[::2]
-               == list(accumulate(v_law.base.numerators)))
+               == list(accumulate(exact_pmf("halfmax", n).numerators)))
     odd = max_pmf.numerators[1::2]
     gap_num = sum(odd)
     rn = math.sqrt(n)
     dk_vw = Fraction(max(odd), denom)
     dw_vw = Fraction(gap_num, denom) / Fraction(rn)
 
-    dk_vy, dw_vy = distances(v_law)
+    v_report = bound_check("halfmax", n)
+    dk_vy, dw_vy = v_report.kolmogorov, v_report.wasserstein
 
     # d_K(V, W) <= sqrt(2/pi)/sqrt(n) and d_W(V, W) <= 1/sqrt(n); on the
     # integer lattice the second reads sum of CDF gaps <= 1, an exact check.
     lemma_ok = (dk_vw <= Fraction(math.nextafter(HALF_NORMAL_MEAN / rn,
                                                  math.inf))
                 and gap_num <= denom
-                and dk_vy <= (3.0 * HALF_NORMAL_MEAN + 0.5) / rn + 2.0 / n
-                and dw_vy <= ((2.0 + 4.0 / math.pi) / rn
-                              + 2.0 * HALF_NORMAL_MEAN / n))
+                and v_report.passed)
 
     w_report = bound_check("max", n)
     slack = 1e-12

@@ -39,10 +39,6 @@ SUP_RESOLUTION = 1e-6
 # amortise numpy's per-call cost, small enough that a block's temporaries
 # stay a few pages of memory.
 Z_BLOCK = 16
-# A cap c past which G(c) = p(c) (1 - c R(c)) is 0.0 in double precision
-# (from c = 38.41), so mu_h of min(x, c) is exactly sqrt(2/pi). mu_h returns
-# that without forming p(c), whose np.square overflows from c ~ 1.3e154.
-G_UNDERFLOW_CAP = 40.0
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,12 @@ def mu_h(h: TestFunction) -> float:
 
     For 1_{[0,z]} it is F(z), and 0 where z is not positive (or nan).
     For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
-    which is sqrt(2/pi) from c = G_UNDERFLOW_CAP on; an opaque h is
-    integrated by quadrature.
+    for every cap c, c = inf included; an opaque h is integrated by
+    quadrature.
     """
     if isinstance(h, HalfLineIndicator):
         return float(hn_cdf(h.z)) if h.z > 0.0 else 0.0
     if isinstance(h, CappedIdentity):
-        if h.c >= G_UNDERFLOW_CAP:
-            return HALF_NORMAL_MEAN
         return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
     val, _ = integrate.quad(lambda t: h(t) * hn_pdf(t), 0.0, np.inf,
                             epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -376,7 +370,7 @@ class BoundCheck:
     name: str
     observed: float
     limit: float
-    at: tuple[float, float] | float | None = None
+    at: tuple[float, float] | float
 
     @property
     def margin(self) -> float:
@@ -399,10 +393,7 @@ class BoundReport:
 
 def _peak(vals: np.ndarray, *axes: np.ndarray):
     """(max |vals|, where it sits): vals is a grid over the axes, and the
-    location is a coordinate for one axis, a tuple for two. An empty grid
-    gives (0.0, None)."""
-    if not vals.size:
-        return 0.0, None
+    location is a coordinate for one axis, a tuple for two."""
     vals = np.abs(vals)
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     at = tuple(float(axis[i]) for axis, i in zip(axes, idx))
@@ -435,6 +426,12 @@ def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
 
 def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
                             grid: int) -> BoundReport:
+    # Second derivative by a wide central difference at x >= step: f by
+    # quadrature is only accurate to its tolerance, so a 1e-3 step keeps
+    # the roundoff term below 1e-4. The last node is x_hi.
+    step = 1e-3
+    if x_hi < step:
+        raise ValueError(f"z_hi must be at least the f'' step, got {x_hi}")
     lip = h.lipschitz_constant
     mu = mu_h(h)
     xs = np.linspace(0.0, x_hi, grid)
@@ -444,10 +441,6 @@ def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
     def f(u):
         return _lipschitz_solution(h, mu, u)
 
-    # Second derivative by a wide central difference at x >= step: f by
-    # quadrature is only accurate to its tolerance, so a 1e-3 step keeps
-    # the roundoff term below 1e-4.
-    step = 1e-3
     inner = xs >= step
     x2, f_mid = xs[inner], f_vals[inner]
     f2 = (f(x2 + step) - 2.0 * f_mid + f(x2 - step)) / (step * step)
@@ -483,9 +476,10 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
     about 1 - sqrt(2/pi) z, so the observed sup |f_z'| falls short of 1; at
     the defaults it is f_z'(8-) = 0.985056, about 1 - 1/z_hi^2.
     kind='lipschitz': sup |f_h| <= L, sup |f_h'| <= sqrt(2/pi) L and
-    sup |f_h''| <= 2L for the given h (default: identity).
-    A grid of fewer than 2 points or a range with z_hi <= 0 or z_hi = inf
-    would certify nothing, so all raise ValueError.
+    sup |f_h''| <= 2L for the given h (default: identity), f'' at x >= 1e-3.
+    A grid of fewer than 2 points, or a range with z_hi <= 0, z_hi = inf or,
+    for kind='lipschitz', z_hi < 1e-3, would certify nothing, so all raise
+    ValueError.
     """
     if grid < 2:
         raise ValueError(f"grid needs at least 2 points, got {grid}")

@@ -26,12 +26,14 @@ def test_exact_pmfs_match_path_enumeration():
 
 
 def test_distance_bounds_hold_across_full_sweep():
-    # d_K and d_W below the closed-form bounds for every admissible n up
-    # to 4096/4097, with at least 1e-10 of numeric headroom; < 5 min
+    # d_K and d_W below the closed-form bounds (for halfmax the auxiliary
+    # lemma's d(V, Y)) for every admissible n up to 4096/4097, with at
+    # least 1e-10 of numeric headroom; < 5 min
     start = time.monotonic()
     worst = math.inf
     for tag, ns in (("returns", range(2, 4097, 2)),
                     ("max", range(2, 4097, 2)),
+                    ("halfmax", range(2, 4097, 2)),
                     ("signchanges", range(3, 4098, 2))):
         for report in metrics.bound_checks(tag, ns):
             worst = min(worst, report.margin_K, report.margin_W)
@@ -42,7 +44,8 @@ def test_distance_bounds_hold_across_full_sweep():
 def test_distance_bounds_hold_at_large_n(capsys):
     # the check-bounds gate at n = 2^k (2^k + 1 for signchanges),
     # k = 12..20: exit 0 with at least 1e-10 of headroom on both margins
-    for tag, first in (("returns", 2), ("max", 2), ("signchanges", 3)):
+    for tag, first in (("returns", 2), ("max", 2), ("halfmax", 2),
+                       ("signchanges", 3)):
         for k in range(12, 21):
             n = (1 << k) + first - 2
             assert cli.main(["check-bounds", "--stat", tag, "--n", str(n),

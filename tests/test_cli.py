@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -196,15 +197,18 @@ def test_stein_solution_far_tail_has_no_nan(capsys):
     assert "nan" not in out.lower()
 
 
-def test_simulate_rejects_halfmax(capsys):
-    # the command offers the statistics with a theorem bound; argparse
-    # refuses halfmax
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", "--stat", "halfmax", "--n", "64"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice: 'halfmax'" in err
-    assert "Traceback" not in err
+def test_every_stat_option_offers_every_statistic():
+    # each subcommand with --stat takes exactly walks.STATISTICS
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    offered = {}
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if "--stat" in action.option_strings:
+                offered[name] = tuple(action.choices)
+    assert set(offered) == {"pmf", "distance", "check-bounds", "rate-table",
+                            "stein-verify", "simulate"}
+    assert all(choices == walks.STATISTICS for choices in offered.values())
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,8 +253,8 @@ def test_simulate_invalid_seed_fails_before_drawing(monkeypatch, capsys,
     f"simulate --stat returns --n 4 --trials 10000 --seed {1 << 128}",
     "pmf --stat returns --m 3 --out /nonexistent/x.json",
     "pmf --stat returns --m 3 --out .",
-    "distance --stat halfmax --n 2",
-    "check-bounds --stat halfmax --n 2:8:2",
+    "distance --stat halfmax --n 3",
+    "check-bounds --stat halfmax --n 3:9:2",
     "stein-solution --z -1 --x 1",
     "stein-solution --z 1 --x -1",
     "stein-solution --lipschitz identity --x 1e4",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -99,11 +100,14 @@ def test_wasserstein_routes_agree_on_a_stride(tag):
 
 
 def _theorem_bound_written_out(tag, n, metric):
-    """The six theorem bounds, each as the paper states it."""
+    """The six theorem bounds and the auxiliary lemma's two bounds on
+    d(V, Y), each as the paper states it."""
     rn = math.sqrt(n)
     return {
         ("max", "K"): (4.0 * SQRT_2_PI + 0.5) / rn + 2.0 / n,
         ("max", "W"): (3.0 + 2.0 / math.pi) / rn,
+        ("halfmax", "K"): (3.0 * SQRT_2_PI + 0.5) / rn + 2.0 / n,
+        ("halfmax", "W"): (2.0 + 4.0 / math.pi) / rn + 2.0 * SQRT_2_PI / n,
         ("returns", "K"): ((3.0 + 2.0 * math.sqrt(2.0))
                            / math.sqrt(2.0 * math.pi) + 0.75) / rn + 1.5 / n,
         ("returns", "W"): (2.0 / math.pi + 2.0) / rn + SQRT_2_PI / n,
@@ -116,9 +120,12 @@ def _theorem_bound_written_out(tag, n, metric):
 
 
 def test_theorem_bound_values():
-    # all six bounds bit for bit, at every admissible n of the sweep and at
-    # 2^20
-    for tag in ("max", "returns", "signchanges"):
+    # all eight bounds bit for bit, at every admissible n of the sweep and
+    # at 2^20; one table holds a bound for every statistic and metric
+    assert set(metrics._BOUNDS) == {(tag, metric)
+                                    for tag in walks.STATISTICS
+                                    for metric in ("K", "W")}
+    for tag in walks.STATISTICS:
         odd = tag == "signchanges"
         for n in [*range(2 + odd, 4097 + odd, 2), 2 ** 20 + odd]:
             for metric in ("K", "W"):
@@ -134,8 +141,8 @@ def test_theorem_bound_parity():
         metrics.theorem_bound("signchanges", 100, "K")
     with pytest.raises(ValueError):
         metrics.theorem_bound("returns", 100, "L1")
-    with pytest.raises(ValueError):
-        metrics.theorem_bound("halfmax", 100, "K")
+    with pytest.raises(walks.DomainError, match="unknown statistic"):
+        metrics.theorem_bound("minimum", 100, "K")
 
 
 @pytest.mark.parametrize("tag,n", [("returns", 2), ("max", 2),
@@ -171,6 +178,25 @@ def test_auxiliary_bounds(m):
         math.nextafter(SQRT_2_PI / math.sqrt(n), math.inf))
 
 
+def test_auxiliary_triangle_slack_is_tight(monkeypatch):
+    # d_K(W, Y) set 1e-9 above d_K(V, W) + d_K(V, Y): the triangle check
+    # forgives 1e-12 of float rounding, not this
+    m = 32
+    report = metrics.auxiliary_bounds(m)
+    assert report.passed
+    bound_check = metrics.bound_check
+
+    def shifted(tag, n):
+        out = bound_check(tag, n)
+        if tag != "max":
+            return out
+        return dataclasses.replace(
+            out, kolmogorov=float(report.dK_VW) + report.dK_VY + 1e-9)
+
+    monkeypatch.setattr(metrics, "bound_check", shifted)
+    assert not metrics.auxiliary_bounds(m).passed
+
+
 def test_auxiliary_smallest_case():
     report = metrics.auxiliary_bounds(1)
     # d_K(2N, M) on the lattice is P(M_2 = 1) = 1/4
@@ -193,7 +219,7 @@ def test_rate_table_limits_at_large_n():
     assert 0.9 <= row.sqrtn_mean_gap <= 1.1
 
 
-@pytest.mark.parametrize("tag", ["returns", "max", "signchanges"])
+@pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_rate_table_matches_exact_route(tag):
     # One float law per n gives all four columns. Against the exact route
     # (the big-integer P(X = 0) and mean), budgets 1e-13 for sqrt(n) p0 and

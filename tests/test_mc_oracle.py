@@ -81,6 +81,27 @@ def test_counts_cover_the_exact_support(tag, n):
     assert counts.sum() == 20_000
 
 
+def test_empirical_check_fails_at_three_thresholds(monkeypatch):
+    # counts of the exact law of K_4, then 3 DKW thresholds of mass moved
+    # from atom 1 to atom 0: the check allows twice the threshold, so it
+    # passes the first and fails the second
+    trials = 160_000
+    exact = walks.exact_pmf("returns", 4)
+    counts = np.array(exact.numerators) * (trials // exact.denominator)
+    monkeypatch.setattr(simulate, "empirical_pmf_counts",
+                        lambda *args: counts)
+    report = simulate.empirical_check("returns", 4, trials)
+    assert report.max_cdf_deviation == 0.0 and report.passed
+    shift = round(3.0 * report.dkw_threshold * trials)
+    counts[0] += shift
+    counts[1] -= shift
+    report = simulate.empirical_check("returns", 4, trials)
+    assert report.worst_atom == 0
+    assert report.max_cdf_deviation == pytest.approx(
+        3.0 * report.dkw_threshold, rel=1e-3)
+    assert not report.passed
+
+
 def test_empirical_check_halfmax():
     # N = ceil(M / 2), from the same walks as the maximum
     assert simulate.empirical_check("halfmax", 64, 100_000, seed=0).passed

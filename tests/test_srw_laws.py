@@ -332,7 +332,7 @@ def _accepts(fn, *args) -> bool:
 def test_every_entry_point_shares_one_domain(monkeypatch, tag):
     # the exact pmf, the scaled and the float law, the 2^n oracle, the
     # Monte Carlo counts, the theorem bounds and the Monte Carlo check
-    # accept the same walk lengths; the last two state nothing for halfmax
+    # accept the same walk lengths
     def reached(*args):
         raise _Reached
 
@@ -344,9 +344,8 @@ def test_every_entry_point_shares_one_domain(monkeypatch, tag):
                     _accepts(walks.scaled_law, tag, n),
                     _accepts(walks.float_law, tag, n),
                     _accepts(walks.brute_force_pmf, tag, n),
-                    _accepts(simulate.empirical_pmf_counts, tag, n, 1, 0)}
-        if tag != "halfmax":
-            verdicts |= {_accepts(metrics.theorem_bound, tag, n, "K"),
-                         _accepts(simulate.empirical_check, tag, n, 10_000)}
+                    _accepts(simulate.empirical_pmf_counts, tag, n, 1, 0),
+                    _accepts(metrics.theorem_bound, tag, n, "K"),
+                    _accepts(simulate.empirical_check, tag, n, 10_000)}
         assert len(verdicts) == 1, (tag, n)
         assert verdicts.pop() == (n >= 2 and n % 2 == (tag == "signchanges"))

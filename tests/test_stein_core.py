@@ -30,14 +30,15 @@ class TestMuH:
 
     @pytest.mark.parametrize("c", [1e160, 1e200, math.inf])
     def test_far_cap_gives_mean(self, c):
-        # p(c) overflowed np.square from c ~ 1.3e154 (a RuntimeWarning,
-        # which fails the suite); beyond the cap the mean is exact
+        # G clamps c at 40, so forming G(c) neither overflows nor reads
+        # nan (a RuntimeWarning, which fails the suite); p(0) - G(c) is
+        # the mean exactly
         assert stein.mu_h(stein.CappedIdentity(c)) == SQRT_2_PI
 
     def test_far_cap_changes_no_value(self):
-        # G(c) is already 0.0 below the cap, so p(0) - G(c) there is the
-        # mean the shortcut returns
-        below = math.nextafter(stein.G_UNDERFLOW_CAP, 0.0)
+        # G(c) is already 0.0 just below the clamp at 40, so p(0) - G(c)
+        # there is the mean that the clamped G gives beyond it
+        below = math.nextafter(40.0, 0.0)
         assert float(hn_tail_integral(below)) == 0.0
         assert stein.mu_h(stein.CappedIdentity(below)) == SQRT_2_PI
 
@@ -275,6 +276,12 @@ class TestAuxFunctions:
         g_vals = np.array([stein.aux_G(x) for x in xs])
         assert np.all(g_vals >= 0.0)
         assert stein.aux_G(10.0) < 1e-20
+        # 0.0 from x = 38.41 on; x is clamped at 40, so neither squaring
+        # 1e200 nor inf R(inf) = inf * 0 reaches G, and nan propagates
+        far = np.array([38.41, 40.0, 1e10, 1e154, 1e200, 1e308, np.inf])
+        assert np.all(stein.aux_G(far) == 0.0)
+        assert stein.aux_G(math.inf) == 0.0
+        assert np.isnan(stein.aux_G(np.nan))
 
     def test_u_v_nonpositive(self):
         # dense out to 60, past x = 37.68, where a difference of the two
@@ -425,11 +432,26 @@ class TestLemmaReports:
         with pytest.raises(ValueError, match="at least 2 points"):
             stein.verify_lemma_bounds(kind, grid=grid)
 
-    @pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
-    @pytest.mark.parametrize("z_hi", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("kind,z_hi", [
+        *(pytest.param(kind, z_hi, id=f"{z_hi}-{kind}")
+          for kind in ("indicator", "lipschitz")
+          for z_hi in (0.0, -1.0, math.inf)),
+        pytest.param("lipschitz", 5e-4, id="0.0005-lipschitz")])
     def test_empty_range_rejected(self, kind, z_hi):
-        with pytest.raises(ValueError, match="z_hi must be positive"):
+        # z_hi = 5e-4 leaves the Lipschitz suite no node at x >= 1e-3, the
+        # step of its f'' stencil, so sup |f_h''| would read an empty set
+        with pytest.raises(ValueError, match="z_hi must be"):
             stein.verify_lemma_bounds(kind, z_hi=z_hi, grid=10)
+
+    def test_second_derivative_limit_is_tight(self):
+        # h(x) = x declared 0.3-Lipschitz: at grid 30, sup |f_h''| reads
+        # 0.6548, above 2L = 0.6 by far more than the 1e-4 that the
+        # difference quotient is allowed
+        h = stein.LipschitzFunction(lambda x: x, 0.3)
+        f_second = stein.verify_lemma_bounds("lipschitz", grid=30,
+                                             h=h).checks[2]
+        assert f_second.observed > 0.65
+        assert not f_second.passed
 
     def test_two_point_grid_accepted(self):
         for kind in ("indicator", "lipschitz"):
@@ -617,3 +639,9 @@ class TestMuHCalls:
 def test_x_fz_monotone(z, hi):
     grid = np.arange(0.0, hi + 1e-9, 0.01)
     assert stein.verify_monotone_xfz(z, grid)
+
+
+def test_x_fz_drop_is_caught():
+    # x f_z(x) is increasing, so a grid that steps back from 1 to 1 - 1e-7
+    # drops it by 1.7e-8, far beyond the 1e-13 allowed for rounding
+    assert not stein.verify_monotone_xfz(2.0, [1.0, 1.0 - 1e-7])

@@ -7,8 +7,7 @@ Wasserstein distances checked against closed-form n^{-1/2} error bounds.
 """
 
 from .characterization import (CharacterizationSpec, indicator_residuals,
-                               indicator_sequence, make_spec, recover_pmf,
-                               stein_residual)
+                               make_spec, recover_pmf)
 from .metrics import (AuxiliaryReport, DistanceReport, RateRow,
                       auxiliary_bounds, bound_check, distances, rate_table,
                       theorem_bound, wasserstein_exact, wasserstein_quantile)

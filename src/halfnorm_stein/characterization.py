@@ -22,16 +22,6 @@ from typing import Callable
 from .walks import ExactPMF, exact_pmf, walk_length
 
 
-def forward_diff(g: Callable[[int], Fraction], k: int) -> Fraction:
-    """Dg(k) = g(k+1) - g(k)."""
-    return Fraction(g(k + 1)) - Fraction(g(k))
-
-
-def indicator_sequence(j: int) -> Callable[[int], int]:
-    """g(k) = 1 for k >= j, 0 below; the basis used for sufficiency."""
-    return lambda k: 1 if k >= j else 0
-
-
 @dataclass(frozen=True)
 class CharacterizationSpec:
     """A pmf with the integer operator claimed to characterize it."""
@@ -82,27 +72,13 @@ def make_spec(statistic_tag: str, m: int) -> CharacterizationSpec:
     return CharacterizationSpec(pmf, tuple(c), tuple(gamma))
 
 
-def stein_residual(spec: CharacterizationSpec,
-                   g: Callable[[int], Fraction]) -> Fraction:
-    """E[c(X-1) Dg(X-1) + gamma(X) g(X)] under spec.pmf, exact.
-
-    Zero for every g with g(a-1) = 0 when the pmf is the true law.
-    """
-    a = spec.pmf.lower
-    if Fraction(g(a - 1)) != 0:
-        raise ValueError("test sequence must vanish at a - 1")
-    total = Fraction(0)
-    for k in spec.pmf.support():
-        term = (spec.c(k - 1) * forward_diff(g, k - 1)
-                + spec.gamma(k) * Fraction(g(k)))
-        total += spec.pmf.mass(k) * term
-    return total
-
-
 def indicator_residuals(spec: CharacterizationSpec) -> list[Fraction]:
-    """stein_residual(spec, 1{k >= j}) for every j in [a, b].
+    """E[c(X-1) Dg(X-1) + gamma(X) g(X)] under spec.pmf for g = 1{k >= j},
+    for every j in [a, b], exact.
 
-    The residual for 1{k >= j} is c(j-1) N_j + sum_{k >= j} gamma(k) N_k
+    The residual is linear in g, and these indicators span every g on
+    [a-1, b] with g(a-1) = 0, so all of them zero is the identity for
+    every such g. For 1{k >= j} it is c(j-1) N_j + sum_{k >= j} gamma(k) N_k
     over the pmf's denominator, N the numerators: one suffix sum of
     integers serves every j.
     """

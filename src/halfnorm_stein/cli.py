@@ -89,20 +89,20 @@ def _cmd_pmf(args) -> int:
     n = args.n if args.m is None else walks.walk_length(args.stat, args.m)
     law = walks.scaled_law(args.stat, n)
     pmf = law.base
-    payload = {
-        "statistic": args.stat,
-        "n": n,
-        "support": list(pmf.support()),
-        "mass": [str(f) for f in pmf.masses()],
-        "mass_float": [float(f) for f in pmf.masses()],
-        "scale": law.scale,
-    }
+    masses = pmf.masses()
     if args.format == "json":
+        payload = {
+            "statistic": args.stat,
+            "n": n,
+            "support": list(pmf.support()),
+            "mass": [str(f) for f in masses],
+            "mass_float": [float(f) for f in masses],
+            "scale": law.scale,
+        }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        rows = [{"k": k, "mass": str(f), "mass_float": float(f)}
-                for k, f in zip(pmf.support(), pmf.masses())]
-        _render(args, rows)
+        _render(args, [{"k": k, "mass": str(f), "mass_float": float(f)}
+                       for k, f in zip(pmf.support(), masses)])
     return 0
 
 

@@ -288,10 +288,8 @@ def aux_M(x):
         return hn_cdf(x) / (2.0 * phi(x))
 
 
-# The paper's N = (1 - F)/p, H = p - F psi and G = H + psi, psi(x) = -x.
-aux_N = mills
-aux_H = hn_cdf_integral
-aux_G = hn_tail_integral
+# The paper's N = (1 - F)/p, H = p - F psi and G = H + psi, psi(x) = -x,
+# are normal.mills, hn_cdf_integral and hn_tail_integral.
 
 
 def aux_U(x):

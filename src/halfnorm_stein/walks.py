@@ -67,11 +67,6 @@ class ExactPMF:
     def support(self) -> range:
         return range(self.lower, self.upper + 1)
 
-    def mass(self, k: int) -> Fraction:
-        if k < self.lower or k > self.upper:
-            return Fraction(0)
-        return Fraction(self.numerators[k - self.lower], self.denominator)
-
     def masses(self) -> list[Fraction]:
         return [Fraction(v, self.denominator) for v in self.numerators]
 

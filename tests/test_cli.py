@@ -278,7 +278,7 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("n,d_K,")
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["distance", "--stat", "bogus", "--n", "4"])
     assert exc.value.code == 2
@@ -288,6 +288,14 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["distance", "--stat", "returns", "--n", "8:2:2"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["distance", "--stat", "returns", "--n", "2:4"])
+    assert exc.value.code == 2
+    assert "bad range '2:4'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemmas", "--grid", "abc"])
+    assert exc.value.code == 2
+    assert "bad grid size 'abc'" in capsys.readouterr().err
 
 
 def test_parity_error_propagates(capsys):

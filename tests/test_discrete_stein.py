@@ -11,16 +11,21 @@ from halfnorm_stein import cli, walks
 
 
 def _psi(spec, k):
-    """(p(k+1) - p(k)) / p(k), read off the pmf."""
-    return (spec.pmf.mass(k + 1) - spec.pmf.mass(k)) / spec.pmf.mass(k)
+    """(p(k+1) - p(k)) / p(k), read off the pmf (its support starts at 0)."""
+    p = spec.pmf.masses()
+    return (p[k + 1] - p[k]) / p[k]
 
 
-def test_forward_diff():
-    assert ch.forward_diff(lambda k: 3, 5) == 0
-    assert ch.forward_diff(lambda k: k, 5) == 1
-    g = ch.indicator_sequence(0)
-    assert ch.forward_diff(g, -1) == 1
-    assert ch.forward_diff(g, 0) == 0
+def _indicator(j):
+    return lambda k: 1 if k >= j else 0
+
+
+def _direct_residual(spec, g, pmf=None):
+    """E[c(X-1) Dg(X-1) + gamma(X) g(X)] under pmf (default spec.pmf),
+    summed atom by atom in Fractions: the oracle for indicator_residuals."""
+    pmf = spec.pmf if pmf is None else pmf
+    return sum(p * (spec.c(k - 1) * (g(k) - g(k - 1)) + spec.gamma(k) * g(k))
+               for k, p in zip(pmf.support(), pmf.masses()))
 
 
 def test_returns_spec_shape():
@@ -107,23 +112,18 @@ def test_moved_mass_fails_every_check(monkeypatch, capsys):
 @pytest.mark.parametrize("tag", ["returns", "halfmax", "signchanges", "max"])
 def test_residual_zero_for_basis(tag):
     spec = ch.make_spec(tag, 12)
+    assert all(r == 0 for r in ch.indicator_residuals(spec))
     for j in spec.pmf.support():
-        assert ch.stein_residual(spec, ch.indicator_sequence(j)) == 0
+        assert _direct_residual(spec, _indicator(j)) == 0
 
 
 @pytest.mark.parametrize("tag", ["returns", "halfmax", "signchanges"])
 def test_fast_residuals_match_direct(tag):
     spec = ch.make_spec(tag, 9)
     fast = ch.indicator_residuals(spec)
-    direct = [ch.stein_residual(spec, ch.indicator_sequence(j))
+    direct = [_direct_residual(spec, _indicator(j))
               for j in spec.pmf.support()]
     assert fast == direct
-
-
-def test_residual_requires_vanishing_start():
-    spec = ch.make_spec("returns", 2)
-    with pytest.raises(ValueError):
-        ch.stein_residual(spec, lambda k: 1)
 
 
 def test_mean_identity_from_constant_sequence():
@@ -131,7 +131,7 @@ def test_mean_identity_from_constant_sequence():
     # E[c(X-1)] Delta-term at -1 plus sum gamma(k) p(k) = 0.
     m = 7
     spec = ch.make_spec("returns", m)
-    assert ch.stein_residual(spec, ch.indicator_sequence(0)) == 0
+    assert ch.indicator_residuals(spec)[0] == 0
     # unpack: c(-1) - E[X + 1] = 0, i.e. E[K] = 2m + 1 ... * P(K=0) - 1
     assert spec.c(-1) == 2 * m + 1
     mean = walks.mean_exact(spec.pmf)
@@ -149,15 +149,18 @@ def test_perturbed_pmf_detected():
     nums[1] += shift
     bad = walks.ExactPMF(pmf.lower, pmf.upper, tuple(nums), pmf.denominator,
                          "perturbed")
-    found = False
-    for j in pmf.support():
-        g = ch.indicator_sequence(j)
-        residual = sum(
-            bad.mass(k) * (spec.c(k - 1) * ch.forward_diff(g, k - 1)
-                           + spec.gamma(k) * g(k))
-            for k in bad.support())
-        found = found or residual != 0
-    assert found
+    fast = ch.indicator_residuals(dataclasses.replace(spec, pmf=bad))
+    direct = [_direct_residual(spec, _indicator(j), bad)
+              for j in pmf.support()]
+    assert fast == direct
+    assert any(r != 0 for r in fast)
+    # the residual is linear in g, and g with g(-1) = 0 is
+    # sum_j Dg(j-1) 1{k >= j}: the basis decides every such g
+    def g(k):
+        return (k + 1) ** 3
+
+    assert _direct_residual(spec, g, bad) == sum(
+        (g(j) - g(j - 1)) * r for j, r in zip(pmf.support(), fast))
 
 
 @given(st.sampled_from(["returns", "halfmax", "signchanges"]),
@@ -196,3 +199,5 @@ def test_recover_rejects_inconsistent_data():
         ch.recover_pmf(3, 0, spec.c, spec.gamma)
     with pytest.raises(ValueError, match="integer-valued"):
         ch.recover_pmf(0, 3, lambda k: Fraction(spec.c(k), 2), spec.gamma)
+    with pytest.raises(ValueError, match="nonpositive mass ratio 0/1 at k=0"):
+        ch.recover_pmf(0, 1, lambda k: 1, lambda k: -1)

@@ -31,7 +31,8 @@ def test_kolmogorov_returns_two_steps():
                                    ("halfmax", 64), ("signchanges", 65)])
 def test_kolmogorov_lower_bound_mass_at_zero(tag, n):
     law = walks.scaled_law(tag, n)
-    assert metrics.distances(law)[0] >= float(law.base.mass(0)) - 1e-15
+    p0 = law.base.numerators[0] / law.base.denominator
+    assert metrics.distances(law)[0] >= p0 - 1e-15
 
 
 def test_kolmogorov_scale_invariance():
@@ -231,7 +232,8 @@ def test_rate_table_matches_exact_route(tag):
     for n, row in zip(ns, metrics.rate_table(tag, ns)):
         law = walks.scaled_law(tag, n)
         rn = math.sqrt(n)
-        assert abs(row.sqrtn_p0 - rn * float(law.base.mass(0))) <= 1e-13
+        p0 = law.base.numerators[0] / law.base.denominator
+        assert abs(row.sqrtn_p0 - rn * p0) <= 1e-13
         assert abs(row.sqrtn_mean_gap
                    - rn * abs(law.scale * float(walks.mean_exact(law.base))
                               - HALF_NORMAL_MEAN)) <= 1e-10

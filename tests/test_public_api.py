@@ -12,18 +12,17 @@ PUBLIC_NAMES = [
     "LipschitzFunction", "RateRow", "ScaledLaw", "auxiliary_bounds",
     "bound_check", "brute_force_pmf", "cap_phi", "characterization",
     "distances", "empirical_check", "exact_pmf", "float_law", "fz",
-    "fz_prime", "half_length", "indicator_residuals", "indicator_sequence",
-    "make_spec", "mean_exact", "metrics", "mill_bounds",
-    "moment_bounds_check", "mu_h", "normal", "phi", "rate_table",
-    "recover_pmf", "scaled_law", "simulate", "solve_fh", "stein", "stein_residual",
-    "sup_search", "theorem_bound", "verify_lemma_bounds",
+    "fz_prime", "half_length", "indicator_residuals", "make_spec",
+    "mean_exact", "metrics", "mill_bounds", "moment_bounds_check", "mu_h",
+    "normal", "phi", "rate_table", "recover_pmf", "scaled_law", "simulate",
+    "solve_fh", "stein", "sup_search", "theorem_bound", "verify_lemma_bounds",
     "verify_monotone_xfz", "walk_length", "walks", "wasserstein_exact",
     "wasserstein_quantile",
 ]
 
 
 def test_public_surface():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(halfnorm_stein.__all__) == PUBLIC_NAMES
 
 

@@ -41,9 +41,9 @@ def test_returns_matches_binomial_formula():
     # P(K_{2m} = r) = binom(2m - r, m) / 2^(2m - r)
     for m in (3, 7, 20):
         pmf = walks.exact_pmf("returns", 2 * m)
-        for r in pmf.support():
+        for r, mass in zip(pmf.support(), pmf.masses()):
             expected = Fraction(math.comb(2 * m - r, m), 1 << (2 * m - r))
-            assert pmf.mass(r) == expected
+            assert mass == expected
 
 
 def test_max_small_cases():
@@ -55,9 +55,9 @@ def test_max_small_cases():
 def test_max_pairs_position_probs():
     for n in (4, 10):
         pmf = walks.exact_pmf("max", n)
-        for r in pmf.support():
+        for r, mass in zip(pmf.support(), pmf.masses()):
             expected = position_prob(n, r) + position_prob(n, r + 1)
-            assert pmf.mass(r) == expected
+            assert mass == expected
 
 
 def test_halfmax_small_cases():
@@ -69,11 +69,11 @@ def test_halfmax_aggregates_max():
     # N = floor((M+1)/2), so q(s) = P(M = 2s-1) + P(M = 2s) for s >= 1
     # and q(0) = P(M = 0).
     for m in (1, 4, 9):
-        max_pmf = walks.exact_pmf("max", 2 * m)
-        half = walks.exact_pmf("halfmax", 2 * m)
-        assert half.mass(0) == max_pmf.mass(0)
+        p = walks.exact_pmf("max", 2 * m).masses()
+        q = walks.exact_pmf("halfmax", 2 * m).masses()
+        assert q[0] == p[0]
         for s in range(1, m + 1):
-            assert half.mass(s) == max_pmf.mass(2 * s - 1) + max_pmf.mass(2 * s)
+            assert q[s] == p[2 * s - 1] + p[2 * s]
 
 
 def test_signchanges_small_cases():
@@ -201,17 +201,17 @@ def test_returns_unimodality_bound(m):
 
 def test_signchanges_mode_at_zero():
     for m in (1, 8, 100):
-        sign = walks.exact_pmf("signchanges", 2 * m + 1)
-        assert sign.mass(0) == max(sign.masses())
+        sign = walks.exact_pmf("signchanges", 2 * m + 1).masses()
+        assert sign[0] == max(sign)
 
 
 def test_halfmax_mode_at_one():
     # the boundary atom q(0) = P(M = 0) is not doubled, so for m >= 2 the
     # mode sits at s = 1 with q(1) = 2m/(m+1) * q(0)
     for m in (2, 8, 100):
-        half = walks.exact_pmf("halfmax", 2 * m)
-        assert half.mass(1) == max(half.masses())
-        assert half.mass(1) == Fraction(2 * m, m + 1) * half.mass(0)
+        half = walks.exact_pmf("halfmax", 2 * m).masses()
+        assert half[1] == max(half)
+        assert half[1] == Fraction(2 * m, m + 1) * half[0]
 
 
 def test_scaled_law():
@@ -222,6 +222,9 @@ def test_scaled_law():
         walks.scaled_law("returns", 5)
     with pytest.raises(ValueError):
         walks.scaled_law("signchanges", 4)
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            walks.ScaledLaw(law.base, scale)
 
 
 def test_exact_pmf_validation():
@@ -229,6 +232,8 @@ def test_exact_pmf_validation():
         walks.ExactPMF(0, 1, (1, 2), 4, "broken")  # does not sum to denom
     with pytest.raises(ValueError):
         walks.ExactPMF(0, 2, (1, 3), 4, "broken")  # wrong support length
+    with pytest.raises(ValueError, match="negative mass"):
+        walks.ExactPMF(0, 1, (-1, 2), 1, "x")
 
 
 def test_exact_pmf_equality_ignores_representation():

@@ -8,7 +8,8 @@ import pytest
 
 from halfnorm_stein import cli, stein, walks
 from halfnorm_stein.normal import (HALF_NORMAL_MEDIAN, cap_phi, hn_cdf,
-                                   hn_tail_integral, mills, normal_sf, phi)
+                                   hn_cdf_integral, hn_tail_integral, mills,
+                                   normal_sf, phi)
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -82,7 +83,7 @@ class TestIndicatorSolution:
 
     def test_fz_finite_far_in_the_tail(self):
         # x = 40 lies past the underflow of both 1 - F(x) and p(x); there
-        # f_z(x) = F(z) N(x), so its budget is that of aux_N (1e-13).
+        # f_z(x) = F(z) N(x), so its budget is that of N = mills (1e-13).
         f = stein.fz(1.0, 40.0)
         with mpmath.workdps(50):
             x, z = mpmath.mpf(40), mpmath.mpf(1)
@@ -209,8 +210,8 @@ class TestSteinResidual:
 class TestAuxFunctions:
     def test_m_and_n_limits(self):
         assert stein.aux_M(0.0) == 0.0
-        assert stein.aux_N(0.0) == pytest.approx(math.sqrt(math.pi / 2.0),
-                                                 rel=1e-13)
+        assert mills(0.0) == pytest.approx(math.sqrt(math.pi / 2.0),
+                                           rel=1e-13)
 
     def test_m_is_inf_past_overflow_without_warning(self):
         # M = F/p exceeds the double range from x = 37.68; there it is inf,
@@ -237,7 +238,7 @@ class TestAuxFunctions:
         # (1 - F)/p on [0, 60] (measured 5.6e-16); 1 - F and p both
         # underflow past x ~ 38.6, so the ratio must not be formed from them.
         xs = np.linspace(0.0, 60.0, 601)
-        vals = stein.aux_N(xs)
+        vals = mills(xs)
         with mpmath.workdps(50):
             ref = np.array([float(mpmath.erfc(x / mpmath.sqrt(2))
                                   / (2 * mpmath.npdf(x)))
@@ -257,7 +258,7 @@ class TestAuxFunctions:
     def test_m_nondecreasing_n_nonincreasing(self):
         xs = np.linspace(0.0, 8.0, 400)
         m_vals = np.array([stein.aux_M(x) for x in xs])
-        n_vals = np.array([stein.aux_N(x) for x in xs])
+        n_vals = np.array([mills(x) for x in xs])
         assert np.all(np.diff(m_vals) >= 0.0)
         assert np.all(np.diff(n_vals) <= 0.0)
 
@@ -266,22 +267,24 @@ class TestAuxFunctions:
         step = 1e-6
         for x in np.linspace(0.1, 6.0, 80):
             cdf = hn_cdf(x)
-            h_num = (stein.aux_H(x + step) - stein.aux_H(x - step)) / (2 * step)
-            g_num = (stein.aux_G(x + step) - stein.aux_G(x - step)) / (2 * step)
+            h_num = (hn_cdf_integral(x + step)
+                     - hn_cdf_integral(x - step)) / (2 * step)
+            g_num = (hn_tail_integral(x + step)
+                     - hn_tail_integral(x - step)) / (2 * step)
             assert h_num == pytest.approx(cdf, abs=1e-6)
             assert g_num == pytest.approx(-(1.0 - cdf), abs=1e-6)
 
     def test_g_nonnegative_and_vanishing(self):
         xs = np.linspace(0.0, 10.0, 500)
-        g_vals = np.array([stein.aux_G(x) for x in xs])
+        g_vals = np.array([hn_tail_integral(x) for x in xs])
         assert np.all(g_vals >= 0.0)
-        assert stein.aux_G(10.0) < 1e-20
+        assert hn_tail_integral(10.0) < 1e-20
         # 0.0 from x = 38.41 on; x is clamped at 40, so neither squaring
         # 1e200 nor inf R(inf) = inf * 0 reaches G, and nan propagates
         far = np.array([38.41, 40.0, 1e10, 1e154, 1e200, 1e308, np.inf])
-        assert np.all(stein.aux_G(far) == 0.0)
-        assert stein.aux_G(math.inf) == 0.0
-        assert np.isnan(stein.aux_G(np.nan))
+        assert np.all(hn_tail_integral(far) == 0.0)
+        assert hn_tail_integral(math.inf) == 0.0
+        assert np.isnan(hn_tail_integral(np.nan))
 
     def test_u_v_nonpositive(self):
         # dense out to 60, past x = 37.68, where a difference of the two

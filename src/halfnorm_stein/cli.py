@@ -85,24 +85,49 @@ def _render(args, rows: list[dict]) -> None:
         _emit(args, "\n".join(lines) + "\n")
 
 
+def _mass_texts(pmf: walks.ExactPMF) -> list[str]:
+    """str(Fraction(v, d)) of every mass v/d of a walk law. Its d is 2^n,
+    so v and d share only the trailing zero bits of v, shifted out here in
+    place of a big-integer gcd; the few reduced denominators are written
+    in decimal once each."""
+    d = pmf.denominator
+    decimal: dict[int, str] = {}
+    out = []
+    for v in pmf.numerators:
+        if v == 0:
+            out.append("0")
+            continue
+        shift = min((v & -v).bit_length(), d.bit_length()) - 1
+        num, den = v >> shift, d >> shift
+        if den == 1:
+            out.append(str(num))
+            continue
+        if den not in decimal:
+            decimal[den] = str(den)
+        out.append(f"{num}/{decimal[den]}")
+    return out
+
+
 def _cmd_pmf(args) -> int:
     n = args.n if args.m is None else walks.walk_length(args.stat, args.m)
     law = walks.scaled_law(args.stat, n)
     pmf = law.base
-    masses = pmf.masses()
+    texts = _mass_texts(pmf)
+    # v / d rounds the same rational as float(Fraction(v, d)), once
+    floats = [v / pmf.denominator for v in pmf.numerators]
     if args.format == "json":
         payload = {
             "statistic": args.stat,
             "n": n,
             "support": list(pmf.support()),
-            "mass": [str(f) for f in masses],
-            "mass_float": [float(f) for f in masses],
+            "mass": texts,
+            "mass_float": floats,
             "scale": law.scale,
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
-        _render(args, [{"k": k, "mass": str(f), "mass_float": float(f)}
-                       for k, f in zip(pmf.support(), masses)])
+        _render(args, [{"k": k, "mass": t, "mass_float": f}
+                       for k, t, f in zip(pmf.support(), texts, floats)])
     return 0
 
 

@@ -29,10 +29,18 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the central difference that gives f_h' for Lipschitz h.
 FH_PRIME_STEP = 1e-5
 # Largest x where f_h of a Lipschitz h is evaluated. The quadrature of an
-# opaque h agrees with the closed forms to 1e-10 up to here; beyond about
-# x = 2000 the peak of width 1/x inside [x, x + 12] escapes the quadrature
+# opaque h agrees with the closed forms to 1e-10 up to here; by x = 1e5 the
+# peak of width 1/x at the left end of a mesh gap escapes the quadrature
 # rule and f_h comes out wrong.
 LIPSCHITZ_X_MAX = 1000.0
+# Knot spacing of the mesh that cuts the tail integral of an opaque h
+# (see _quadrature_solution): a power of 2, so x / _KNOT_GAP and every knot
+# are exact. The grid-50 certification of min(x, c) calls h 9 573 times
+# per suite at 1/2 and 12 782 at 1; 1/4 saves 3 % of those calls but
+# integrates twice the gaps for a point solved on its own.
+_KNOT_GAP = 0.5
+# K^2 - k0^2 where the tail sum stops: there w_k0(K) = 2^-64.
+_TAIL_EXPONENT = 128.0 * math.log(2.0)
 SUP_GRID = 400
 SUP_RESOLUTION = 1e-6
 # Levels z per block of the indicator suite's (z, x) grid: large enough to
@@ -66,7 +74,15 @@ class CappedIdentity:
 @dataclass(frozen=True)
 class LipschitzFunction:
     """An opaque scalar h with a known Lipschitz constant, solved by
-    quadrature."""
+    quadrature.
+
+    The adaptive rule can step over a kink of h that lies within about
+    1e-3 of an evaluation point and still report success. For
+    h = min(x, c) on a 400-point grid over [0, 8], 300 caps c in
+    [0.05, 7.9] give f_h within 1e-10 of the closed form for 263 caps.
+    The worst misses are 3.7e-7 in the solver (c = 6.036, x = 6.035) and
+    6.0e-7 in E[h(Y)], all without an IntegrationWarning.
+    """
 
     fn: Callable[[float], float]
     lipschitz_constant: float
@@ -180,47 +196,85 @@ def _capped_identity_solution(h: CappedIdentity, mu: float, xs):
     return out
 
 
-def _quadrature_solution(h: LipschitzFunction, mu: float, xs):
-    """f_h at x > 0 for an opaque h with E[h(Y)] = mu, one adaptive
-    quadrature per point.
+def _quadrature_solution(h: LipschitzFunction, mu: float, xs,
+                         gap_integrals: dict[int, float]):
+    """f_h at x > 0 for an opaque h with E[h(Y)] = mu, by adaptive
+    quadrature over a fixed knot mesh; gap_integrals holds the I_k below
+    already integrated for this h and mu, by knot index, and is filled in.
 
-    The integral representation is switched at the half-normal median:
-    below it the integral from 0 is short and well conditioned, above it
-    the complementary integral avoids cancellation against exp(x^2/2).
+    With g = h - mu and w_x(t) = exp((x^2 - t^2)/2), f_h(x) is the short,
+    well-conditioned int_0^x g w_x up to the half-normal median; above it
+    the complementary -int_x^inf g w_x avoids cancellation against
+    exp(x^2/2). That tail is cut at the knots j * _KNOT_GAP: the partial
+    piece from x to the first knot k0 >= x, then the gap integrals
+    I_k = int_k^{k + gap} g w_k, each integrated once and shared by every
+    x that reaches it, summed by the Horner recurrence
+    S_k = I_k + exp((k^2 - (k + gap)^2)/2) S_{k + gap} out to the first
+    knot K with w_k0(K) <= 2^-64, so f_h(x) = -(int_x^k0 g w_x
+    + w_x(k0) S_k0). An L-Lipschitz h has |g(t)| <= L (t + 0.8), so the
+    tail dropped past K is below 2^-63 L. A value depends only on x and h,
+    never on the other points of xs or on the calls that filled
+    gap_integrals.
     """
-    median = HALF_NORMAL_MEDIAN
-    out = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        lo, hi = (0.0, x) if x <= median else (x, x + 12.0)
+    median, gap = HALF_NORMAL_MEDIAN, _KNOT_GAP
+
+    def integral(x, lo, hi):
         val, _ = integrate.quad(
             lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
             lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
-        out[i] = val if x <= median else -val
+        return val
+
+    out = np.empty_like(xs)
+    for i, x in enumerate(xs):
+        if x <= median:
+            out[i] = integral(x, 0.0, x)
+            continue
+        first = math.ceil(x / gap)
+        k0 = first * gap
+        end = first + math.ceil((math.sqrt(k0 * k0 + _TAIL_EXPONENT)
+                                 - k0) / gap)
+        tail = 0.0
+        for j in range(end - 1, first - 1, -1):
+            k = j * gap
+            if j not in gap_integrals:
+                gap_integrals[j] = integral(k, k, k + gap)
+            tail = gap_integrals[j] + math.exp(-gap * (k + 0.5 * gap)) * tail
+        part = integral(x, x, k0) if x < k0 else 0.0
+        out[i] = -(part + math.exp(0.5 * (x * x - k0 * k0)) * tail)
     return out
 
 
-def _lipschitz_solution(h: Lipschitz, mu: float, x) -> np.ndarray:
-    """f_h(x) for Lipschitz h with E[h(Y)] = mu, elementwise: the closed
-    form for min(x, c), quadrature for an opaque h; f_h = 0 at x <= 0.
-    An x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError.
+def _lipschitz_solver(h: Lipschitz, mu: float) -> Callable:
+    """x -> f_h(x) for Lipschitz h with E[h(Y)] = mu, elementwise: the
+    closed form for min(x, c), quadrature for an opaque h; f_h = 0 at
+    x <= 0. An x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError.
+    The solver of an opaque h keeps its gap integrals while it lives, so
+    the calls it serves integrate each mesh gap once.
     """
-    xs = np.asarray(x, dtype=float)
-    positive = ~(xs <= 0.0)
-    beyond = positive & ~(xs <= LIPSCHITZ_X_MAX)
-    if np.any(beyond):
-        raise DomainError(f"f_h of a Lipschitz h is evaluated only for "
-                          f"x <= {LIPSCHITZ_X_MAX:g}, "
-                          f"got x = {xs[beyond].flat[0]}")
-    solve = (_capped_identity_solution if isinstance(h, CappedIdentity)
-             else _quadrature_solution)
-    out = np.zeros_like(xs)
-    out[positive] = solve(h, mu, xs[positive])
-    return out
+    gap_integrals: dict[int, float] = {}
+
+    def solve(x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        positive = ~(xs <= 0.0)
+        beyond = positive & ~(xs <= LIPSCHITZ_X_MAX)
+        if np.any(beyond):
+            raise DomainError(f"f_h of a Lipschitz h is evaluated only for "
+                              f"x <= {LIPSCHITZ_X_MAX:g}, "
+                              f"got x = {xs[beyond].flat[0]}")
+        out = np.zeros_like(xs)
+        if isinstance(h, CappedIdentity):
+            out[positive] = _capped_identity_solution(h, mu, xs[positive])
+        else:
+            out[positive] = _quadrature_solution(h, mu, xs[positive],
+                                                 gap_integrals)
+        return out
+
+    return solve
 
 
-def _difference_quotient(h: Lipschitz, mu: float, x) -> np.ndarray:
-    """f_h' at x by differences of f_h, elementwise: central with step s,
-    forward where x - s < 0.
+def _difference_quotient(h: Lipschitz, f: Callable, x) -> np.ndarray:
+    """f_h' at x by differences of f_h, given as the solver f of h,
+    elementwise: central with step s, forward where x - s < 0.
 
     f_h'' jumps where h' does, at x = c for min(x, c), and a central
     stencil across that kink is off by s/4 (2.5e-6). Within s of the kink
@@ -228,9 +282,6 @@ def _difference_quotient(h: Lipschitz, mu: float, x) -> np.ndarray:
     (4 f(x + t) - 3 f(x) - f(x + 2t)) / (2t), with t = s on x >= c and
     t = -s below it. The kinks of an opaque h are unknown.
     """
-    def f(u):
-        return _lipschitz_solution(h, mu, u)
-
     s = FH_PRIME_STEP
     xs = np.asarray(x, dtype=float)
     lo = np.maximum(xs - s, 0.0)
@@ -253,7 +304,7 @@ def solve_fh(h: TestFunction, x):
     """
     if isinstance(h, HalfLineIndicator):
         return fz(h.z, x)
-    out = _lipschitz_solution(h, mu_h(h), x)
+    out = _lipschitz_solver(h, mu_h(h))(x)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -262,7 +313,7 @@ def solve_fh_prime(h: TestFunction, x):
     difference of f_h for Lipschitz h."""
     if isinstance(h, HalfLineIndicator):
         return fz_prime(h.z, x, side="left")
-    out = _difference_quotient(h, mu_h(h), x)
+    out = _difference_quotient(h, _lipschitz_solver(h, mu_h(h)), x)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -272,8 +323,8 @@ def stein_residual_continuous(h: TestFunction, x: float) -> float:
     if isinstance(h, HalfLineIndicator):
         f_prime, f = fz_prime(h.z, x, side="left"), fz(h.z, x)
     else:
-        f_prime = _difference_quotient(h, mu, x)
-        f = _lipschitz_solution(h, mu, x)
+        solve = _lipschitz_solver(h, mu)
+        f_prime, f = _difference_quotient(h, solve, x), solve(x)
     return float(f_prime - x * f - (h(x) - mu))
 
 
@@ -433,12 +484,9 @@ def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
     lip = h.lipschitz_constant
     mu = mu_h(h)
     xs = np.linspace(0.0, x_hi, grid)
-    f_vals = _lipschitz_solution(h, mu, xs)
-    fp_vals = _difference_quotient(h, mu, xs)
-
-    def f(u):
-        return _lipschitz_solution(h, mu, u)
-
+    f = _lipschitz_solver(h, mu)
+    f_vals = f(xs)
+    fp_vals = _difference_quotient(h, f, xs)
     inner = xs >= step
     x2, f_mid = xs[inner], f_vals[inner]
     f2 = (f(x2 + step) - 2.0 * f_mid + f(x2 - step)) / (step * step)

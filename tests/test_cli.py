@@ -37,6 +37,28 @@ def test_pmf_by_walk_length(capsys):
     assert json.loads(out)["mass"] == ["3/8", "3/8", "1/4"]
 
 
+@pytest.mark.parametrize("stat", walks.STATISTICS)
+def test_pmf_output_matches_fraction_text(capsys, stat):
+    # every format prints the masses byte for byte as str(Fraction) and
+    # float(Fraction) of the reduced masses
+    n = walks.walk_length(stat, 64)
+    law = walks.scaled_law(stat, n)
+    support, masses = list(law.base.support()), law.base.masses()
+    rows = [{"k": k, "mass": str(f), "mass_float": float(f)}
+            for k, f in zip(support, masses)]
+    for fmt in ("pretty", "csv"):
+        code, out = run(capsys, "pmf", "--stat", stat, "--m", "64",
+                        "--format", fmt)
+        cli._render(argparse.Namespace(format=fmt, out=None), rows)
+        assert code == 0 and out == capsys.readouterr().out
+    code, out = run(capsys, "pmf", "--stat", stat, "--m", "64",
+                    "--format", "json")
+    payload = {"statistic": stat, "n": n, "support": support,
+               "mass": [str(f) for f in masses],
+               "mass_float": [float(f) for f in masses], "scale": law.scale}
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_distance_csv_header(capsys):
     code, out = run(capsys, "distance", "--stat", "returns", "--n", "2:8:2",
                     "--format", "csv")

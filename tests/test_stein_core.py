@@ -157,7 +157,7 @@ class TestLipschitzSolution:
     def test_quadrature_matches_closed_form_up_to_x_max(self, c):
         # The closed form of min(x, c) against quadrature of the same h
         # passed as an opaque function. Budgets: 1e-10 absolute for f
-        # (measured 4.1e-11, at c = inf) and 1e-13 for E[h(Y)] (measured
+        # (measured 3.8e-11, at c = inf) and 1e-13 for E[h(Y)] (measured
         # 3.2e-14, at c = 1.3).
         capped = stein.CappedIdentity(c)
         opaque = stein.LipschitzFunction(lambda t: min(t, c), 1.0)
@@ -168,12 +168,82 @@ class TestLipschitzSolution:
 
     @pytest.mark.parametrize("x", [1000.5, 1e4, 1e12, math.inf, math.nan])
     def test_quadrature_refused_beyond_x_max(self, x):
-        # at x = 1e4 the quadrature misses the peak and gave f = -9.2e-55
-        # for a true -0.99992; at 1e12 the difference quotient divided by 0
+        # by x = 1e5 the quadrature misses the peak (f = -1.4e-27 for a true
+        # -3.7e-6 at min(x, 1)); at 1e12 the difference quotient divided by 0
         for fn in (stein.solve_fh, stein.solve_fh_prime,
                    stein.stein_residual_continuous):
             with pytest.raises(walks.DomainError, match="x <= 1000"):
                 fn(stein.CAPPED_AT_ONE, x)
+
+
+# The caps of the grid-50 certification suite, midway between its nodes.
+SUITE_CAPS = [(k + 0.5) * 8.0 / 49.0 for k in range(3, 13)]
+
+
+def _opaque_cap(c, calls=None):
+    def fn(t):
+        if calls is not None:
+            calls.append(t)
+        return min(t, c)
+
+    return stein.LipschitzFunction(fn, 1.0)
+
+
+class TestOpaqueSolver:
+    """The knot-mesh quadrature of an opaque h: a value depends only on x
+    and h, and it costs and errs no more than pinned here."""
+
+    XS = np.array([0.0, 0.3, HALF_NORMAL_MEDIAN, 0.7, 1.0, 1.3, 2.5, 2.71,
+                   8.0, 11.5, 999.5, stein.LIPSCHITZ_X_MAX - 1e-9,
+                   stein.LIPSCHITZ_X_MAX])
+
+    def _shuffled(self):
+        # every point twice, knots included (the mesh gap is a power of 2)
+        xs = np.concatenate([self.XS, self.XS])
+        np.random.default_rng(23).shuffle(xs)
+        return xs
+
+    def test_batch_matches_per_point_calls(self):
+        h = _opaque_cap(1.3)
+        xs = self._shuffled()
+        assert stein.solve_fh(h, xs).tolist() == [stein.solve_fh(h, x)
+                                                  for x in xs]
+
+    def test_interleaved_functions_keep_their_values(self):
+        # the gap integrals of one h must never serve another: each value
+        # stays that of a call on its own and within 1e-10 of the closed form
+        xs = self._shuffled()
+        caps = (1.3, 2.0)
+        alone = [stein.solve_fh(_opaque_cap(c), xs).tolist() for c in caps]
+        mixed = [[], []]
+        for x in xs:
+            for i, c in enumerate(caps):
+                mixed[i].append(stein.solve_fh(_opaque_cap(c), x))
+        assert mixed == alone
+        for c, vals in zip(caps, alone):
+            exact = stein.solve_fh(stein.CappedIdentity(c), xs)
+            assert np.max(np.abs(np.array(vals) - exact)) <= 1e-10
+
+    def test_cap_suite_calls_of_h(self):
+        # measured 9 573 calls per suite on average; one adaptive quadrature
+        # per point over [x, x + 12] took 45 806
+        counts = []
+        for c in SUITE_CAPS:
+            calls = []
+            stein.verify_lemma_bounds("lipschitz", grid=50,
+                                      h=_opaque_cap(c, calls))
+            counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 22_900
+
+    @pytest.mark.parametrize("c", SUITE_CAPS, ids=lambda c: f"cap{c:.4f}")
+    def test_suite_points_match_closed_form(self, c):
+        # the suite's nodes and its f' and f'' stencils; budget 1e-10
+        # absolute (measured 4.03e-11, at c = 0.5714, x = 0.6531)
+        xs = np.linspace(0.0, 8.0, 50)
+        pts = np.concatenate([xs + d for d in (0.0, 1e-5, -1e-5, 1e-3, -1e-3)])
+        diff = (stein.solve_fh(_opaque_cap(c), pts)
+                - stein.solve_fh(stein.CappedIdentity(c), pts))
+        assert np.max(np.abs(diff)) <= 1e-10
 
 
 class TestSteinResidual:

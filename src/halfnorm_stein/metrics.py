@@ -15,9 +15,10 @@ distance is the integral of |F_law - F_Y|, evaluated segment by segment
 with the antiderivative H = p + xF, read off the same F and p. The F
 values at a segment's ends tell whether F_Y crosses the law's CDF inside
 it; only at such an interior crossing is the quantile taken, and as F_Y
-equals the law's CDF there, only p is evaluated at it. Quadrature noise
-never touches the theorem margins. A quantile-side quadrature provides an
-independent second route.
+equals the law's CDF there, only p is evaluated at it. No quadrature
+touches the theorem margins. ``wasserstein_quantile`` is an independent
+second route, also in closed form: it integrates the quantile gap, with
+the quantile read from ``ndtri`` where this route reads erf.
 
 A law is anything with ``atoms()`` and ``cdf()`` whose CDF is 1 beyond its
 last atom: the sweep reads the float CDF of ``walks.float_law``, kept only
@@ -34,10 +35,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-from scipy import integrate
 
-from .normal import (HALF_NORMAL_MEAN, _hn_isf, _hn_quantile, hn_cdf,
-                     hn_pdf, mills)
+from .normal import HALF_NORMAL_MEAN, _hn_quantile, hn_cdf, hn_pdf, mills
 from .walks import (FloatLaw, ScaledLaw, exact_pmf, float_law, half_length,
                     walk_length)
 
@@ -134,36 +133,25 @@ def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
 
 
 def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
-    """Independent Wasserstein route: integral of the quantile gap.
+    """Independent Wasserstein route: the integral of the quantile gap
+    |Q_law(u) - Q_Y(u)| over (0, 1), in closed form.
 
-    Integrates |Q_law(u) - Q_Y(u)| over (0, 1) by adaptive quadrature,
-    splitting each step of Q_law at the point where Q_Y crosses its level.
-    Every piece is mapped through u = 1 - exp(-v), which tames the slowly
-    diverging quantile at u = 1, and Q_Y is read from the survival side
-    at s = exp(-v).
+    On the step (lo, hi] of Q_law at atom x, the level u* = F(x), clipped
+    to the step, splits it into pieces on which Q_Y stays on one side of x.
+    As d/dt p(t) = -t p(t), int_{u0}^{u1} Q_Y = P(u0) - P(u1) with
+    P = p(Q_Y), so a piece is |x (u1 - u0) - (P(u0) - P(u1))|, with
+    P(0) = p(0) and P(1) = 0. Q_Y is read from ``ndtri`` (``_hn_quantile``),
+    where ``batch_distances`` reads erf and H, so the two routes share F
+    only at the split.
     """
     atoms = law.atoms()
-    cdf = law.cdf()
-    lows = np.concatenate(([0.0], cdf[:-1]))
-
-    total = 0.0
-    for x, lo, hi in zip(atoms, lows, cdf):
-        if hi - lo < 1e-15:
-            continue
-        split = hn_cdf(x)
-        points = sorted({lo, min(max(split, lo), hi), hi})
-        for u0, u1 in zip(points[:-1], points[1:]):
-            if 1.0 - u0 < 1e-15:
-                continue
-            v0 = -math.log1p(-u0)
-            v1 = -math.log1p(-u1) if u1 < 1.0 else v0 + 60.0
-            # full_output=1 silences the warning quad emits on pieces too
-            # small for its relative tolerance; epsabs governs there.
-            out = integrate.quad(
-                lambda v: abs(x - float(_hn_isf(math.exp(-v)))) * math.exp(-v),
-                v0, v1, epsabs=1e-11, epsrel=1e-10, limit=128, full_output=1)
-            total += out[0]
-    return total
+    hi = law.cdf()
+    lo = np.concatenate(([0.0], hi[:-1]))
+    split = np.clip(hn_cdf(atoms), lo, hi)
+    p_lo, p_split, p_hi = (hn_pdf(_hn_quantile(u)) for u in (lo, split, hi))
+    below = np.abs(atoms * (split - lo) - (p_lo - p_split))
+    above = np.abs(atoms * (hi - split) - (p_split - p_hi))
+    return float(np.sum(below) + np.sum(above))
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,21 @@ Kolmogorov class restricted to the nonnegative axis), the capped identities
 min(x, c), c in (0, inf], and opaque Lipschitz functions with a known
 constant (the Wasserstein class). Indicators and capped identities admit
 closed forms in the half-normal CDF F and Mills ratio R of ``normal``;
-an opaque Lipschitz h is solved by adaptive quadrature, which the tests
-also use as the oracle of the closed forms. Every Lipschitz solution is
-evaluated on x <= LIPSCHITZ_X_MAX.
+an opaque Lipschitz h is solved, and its E[h(Y)] taken, by a globally
+adaptive 21-point Gauss-Kronrod rule kept in this module, which raises
+where it misses its tolerance; the tests check the closed forms against
+it and against scipy's QUADPACK. Every Lipschitz solution is evaluated
+on x <= LIPSCHITZ_X_MAX.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy import integrate
 
 from .normal import (HALF_NORMAL_MEAN, HALF_NORMAL_MEDIAN, INV_SQRT_2PI,
                      cap_phi, hn_cdf, hn_cdf_integral, hn_pdf,
@@ -29,14 +31,14 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Step of the central difference that gives f_h' for Lipschitz h.
 FH_PRIME_STEP = 1e-5
 # Largest x where f_h of a Lipschitz h is evaluated. The quadrature of an
-# opaque h agrees with the closed forms to 1e-10 up to here; by x = 1e5 the
-# peak of width 1/x at the left end of a mesh gap escapes the quadrature
-# rule and f_h comes out wrong.
+# opaque h agrees with the closed forms to 1e-15 up to here, and at
+# x = 1e4; by x = 3e4 the peak of width 1/x at the left end of a mesh gap
+# lies inside the rule's outermost node, and f_h comes out wrong.
 LIPSCHITZ_X_MAX = 1000.0
 # Knot spacing of the mesh that cuts the tail integral of an opaque h
 # (see _quadrature_solution): a power of 2, so x / _KNOT_GAP and every knot
-# are exact. The grid-50 certification of min(x, c) calls h 9 573 times
-# per suite at 1/2 and 12 782 at 1; 1/4 saves 3 % of those calls but
+# are exact. The grid-50 certification of min(x, c) calls h 10 316 times
+# per suite at 1/2 and 13 668 at 1; 1/4 saves 0.4 % of those calls but
 # integrates twice the gaps for a point solved on its own.
 _KNOT_GAP = 0.5
 # K^2 - k0^2 where the tail sum stops: there w_k0(K) = 2^-64.
@@ -76,12 +78,13 @@ class LipschitzFunction:
     """An opaque scalar h with a known Lipschitz constant, solved by
     quadrature.
 
-    The adaptive rule can step over a kink of h that lies within about
-    1e-3 of an evaluation point and still report success. For
-    h = min(x, c) on a 400-point grid over [0, 8], 300 caps c in
-    [0.05, 7.9] give f_h within 1e-10 of the closed form for 263 caps.
-    The worst misses are 3.7e-7 in the solver (c = 6.036, x = 6.035) and
-    6.0e-7 in E[h(Y)], all without an IntegrationWarning.
+    The adaptive rule can step over a kink of h that lies nearer the end
+    of a piece than its outermost node, 0.22 % of the piece's width (about
+    1e-3 on a mesh gap), and still meet its tolerance. For h = min(x, c)
+    on a 400-point grid over [0, 8], 300 caps c in [0.05, 7.9] give f_h
+    within 1e-10 of the closed form for 266 caps. The worst misses are
+    3.7e-7 in the solver (c = 6.036, x = 6.035) and 6.7e-9 in E[h(Y)]
+    (c = 1.625), all without the rule raising.
     """
 
     fn: Callable[[float], float]
@@ -98,21 +101,150 @@ IDENTITY = CappedIdentity()
 CAPPED_AT_ONE = CappedIdentity(1.0)
 
 
+# ---------------------------------------------------------------------------
+# Quadrature of an opaque h.
+# ---------------------------------------------------------------------------
+
+# The 21-point Gauss-Kronrod rule on [-1, 1], as QUADPACK's dqk21 gives it:
+# the abscissae x >= 0 (each standing for -x and x) with their Kronrod
+# weights, and the weights of the embedded 10-point Gauss rule, whose
+# abscissae are the 2nd, 4th, ..., 10th of these.
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+# The 21 nodes -x_1, ..., -x_10, 0, x_10, ..., x_1 and the weights of both
+# rules over them; the Gauss rule weighs x_2, x_4, ..., x_10 and their
+# negatives.
+_GK_NODES = np.concatenate((np.negative(_XGK), _XGK[-2::-1]))
+_GK_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:10:2] = _G_WEIGHTS[19:10:-2] = _WG
+# Absolute and relative tolerance of every integral of an opaque h, the
+# most pieces the rule may cut one integral into, and QUADPACK's floor on
+# an error estimate, relative to the rule's integral of |f|.
+_QUAD_EPSABS = 1e-14
+_QUAD_EPSREL = 1e-13
+_QUAD_LIMIT = 200
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
+def _gk21(f, a, b, x):
+    """(values, error estimates) of int_a^b f(t, x) dt by the 21-point
+    rule, for rows of arrays a, b and x; f is elementwise in t and x. The
+    estimate is QUADPACK's: the Kronrod-Gauss gap e becomes
+    r min(1, (200 e / r)^1.5), with r the rule's integral of |f - mean f|,
+    and is at least 50 eps times its integral of |f|. Every row is reduced
+    alone, so its values do not depend on the other rows."""
+    half = 0.5 * (b - a)
+    fv = f((0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES, x[:, None])
+    weighted = fv * _GK_WEIGHTS
+    kronrod = np.add.reduce(weighted, 1)
+    err = np.abs(kronrod - np.add.reduce(fv * _G_WEIGHTS, 1))
+    spread = np.add.reduce(np.abs(fv - 0.5 * kronrod[:, None]) * _GK_WEIGHTS,
+                           1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5)
+    err = np.maximum(_ROUNDOFF * np.add.reduce(np.abs(weighted), 1),
+                     np.where(spread > 0.0, scaled, err))
+    return kronrod * half, err * np.abs(half)
+
+
+def _gauss_kronrod(f, a, b, x) -> np.ndarray:
+    """int_a^b f(t, x) dt for rows of arrays a, b and x, f elementwise in
+    t and x, by the globally adaptive 21-point Gauss-Kronrod rule.
+
+    Each row is its own integral: while its estimates sum to more than
+    max(_QUAD_EPSABS, _QUAD_EPSREL |integral|), its piece of largest
+    estimate is bisected. The rule never extrapolates. The rows still open
+    bisect in one pass of the rule, which leaves each row's value what it
+    would be alone. Where a row would take more than _QUAD_LIMIT pieces the
+    rule raises RuntimeError rather than return a value that misses its
+    tolerance.
+    """
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    totals, errs = (v.tolist() for v in _gk21(f, a, b, x))
+    pieces = [[(-e, lo, hi, v)] for lo, hi, v, e
+              in zip(a.tolist(), b.tolist(), totals, errs)]
+    rows = range(len(pieces))
+    while rows := [i for i in rows if errs[i] > max(
+            _QUAD_EPSABS, _QUAD_EPSREL * abs(totals[i]))]:
+        cuts = []
+        for i in rows:
+            if len(pieces[i]) == _QUAD_LIMIT:
+                raise RuntimeError(
+                    f"quadrature over [{a[i]}, {b[i]}] at x = {x[i]} missed "
+                    f"its tolerance in {_QUAD_LIMIT} pieces: error estimate "
+                    f"{errs[i]:.3g} for {totals[i]:.17g}")
+            neg_err, lo, hi, v = heapq.heappop(pieces[i])
+            totals[i] -= v
+            errs[i] += neg_err
+            mid = 0.5 * (lo + hi)
+            cuts += [(i, lo, mid), (i, mid, hi)]
+        owner, lo, hi = zip(*cuts)
+        halves = _gk21(f, np.array(lo), np.array(hi), x[list(owner)])
+        for i, l, h, v, e in zip(owner, lo, hi, *(q.tolist() for q in halves)):
+            heapq.heappush(pieces[i], (-e, l, h, v))
+            totals[i] += v
+            errs[i] += e
+    return np.array([v[0][3] if len(v) == 1 else math.fsum(p[3] for p in v)
+                     for v in pieces])
+
+
+def _values(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
+    """The scalar fn at each of ts, in an array shaped like ts."""
+    return np.fromiter(map(fn, ts.ravel().tolist()), dtype=float,
+                       count=ts.size).reshape(ts.shape)
+
+
 def mu_h(h: TestFunction) -> float:
     """E[h(Y)] under the half-normal law.
 
     For 1_{[0,z]} it is F(z), and 0 where z is not positive (or nan).
     For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
-    for every cap c, c = inf included; an opaque h is integrated by
-    quadrature.
+    for every cap c, c = inf included. An opaque h is integrated by the
+    quadrature rule over the mesh gaps [k, k + gap], out to the first knot
+    K where |h(0)| (1 - F(K)) + L p(K), the integral of the bound
+    |h(t)| <= |h(0)| + L t over [K, inf), is at most 2^-64.
     """
     if isinstance(h, HalfLineIndicator):
         return float(hn_cdf(h.z)) if h.z > 0.0 else 0.0
     if isinstance(h, CappedIdentity):
         return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
-    val, _ = integrate.quad(lambda t: h(t) * hn_pdf(t), 0.0, np.inf,
-                            epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    fn, lip = h.fn, h.lipschitz_constant
+    h0, gaps = abs(fn(0.0)), 0
+    while (h0 * 2.0 * normal_sf(gaps * _KNOT_GAP)
+           + lip * hn_pdf(gaps * _KNOT_GAP)) > 2.0 ** -64:
+        gaps += 1
+    knots = _KNOT_GAP * np.arange(gaps)
+    pieces = _gauss_kronrod(lambda t, _: _values(fn, t) * hn_pdf(t),
+                            knots, knots + _KNOT_GAP, knots)
+    return math.fsum(pieces.tolist())
 
 
 def fz(z: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
@@ -212,35 +344,51 @@ def _quadrature_solution(h: LipschitzFunction, mu: float, xs,
     S_k = I_k + exp((k^2 - (k + gap)^2)/2) S_{k + gap} out to the first
     knot K with w_k0(K) <= 2^-64, so f_h(x) = -(int_x^k0 g w_x
     + w_x(k0) S_k0). An L-Lipschitz h has |g(t)| <= L (t + 0.8), so the
-    tail dropped past K is below 2^-63 L. A value depends only on x and h,
-    never on the other points of xs or on the calls that filled
-    gap_integrals.
+    tail dropped past K is below 2^-63 L. Each call integrates the gaps it
+    lacks, then its partial pieces, each set in one pass of the rule, and
+    sums each S_k0 once. A value depends only on x and h, never on the
+    other points of xs or on the calls that filled gap_integrals.
+
+    Every piece is integrated in the offset s = t - x from its x, where
+    w_x = exp(-s (2x + s)/2): a node placed at t itself would be off by
+    eps t, and w_x, of slope -x w_x, would turn that into a relative
+    error of about eps x^2, 6e-11 at x = 750.
     """
     median, gap = HALF_NORMAL_MEDIAN, _KNOT_GAP
+    fn = h.fn
 
-    def integral(x, lo, hi):
-        val, _ = integrate.quad(
-            lambda t: (h(t) - mu) * math.exp(0.5 * (x * x - t * t)),
-            lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
-        return val
+    def weighted(s, x):  # g(x + s) w_x(x + s)
+        return (_values(fn, x + s) - mu) * np.exp(-0.5 * s * (2.0 * x + s))
 
-    out = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        if x <= median:
-            out[i] = integral(x, 0.0, x)
-            continue
-        first = math.ceil(x / gap)
-        k0 = first * gap
-        end = first + math.ceil((math.sqrt(k0 * k0 + _TAIL_EXPONENT)
-                                 - k0) / gap)
+    inner = xs <= median
+    x, k0 = xs[~inner], np.ceil(xs[~inner] / gap) * gap
+    firsts = (k0 / gap).astype(int).tolist()
+    ends = {}  # first knot index -> index of the knot K past the tail sum
+    for j in set(firsts):
+        k = j * gap
+        ends[j] = j + math.ceil((math.sqrt(k * k + _TAIL_EXPONENT) - k) / gap)
+    missing = sorted(set().union(*map(range, ends, ends.values()))
+                     - gap_integrals.keys())
+    if missing:
+        ks = gap * np.array(missing, dtype=float)
+        gap_integrals.update(zip(missing, _gauss_kronrod(
+            weighted, np.zeros_like(ks), np.full_like(ks, gap), ks).tolist()))
+    tails = {}
+    for j, end in ends.items():
         tail = 0.0
-        for j in range(end - 1, first - 1, -1):
-            k = j * gap
-            if j not in gap_integrals:
-                gap_integrals[j] = integral(k, k, k + gap)
-            tail = gap_integrals[j] + math.exp(-gap * (k + 0.5 * gap)) * tail
-        part = integral(x, x, k0) if x < k0 else 0.0
-        out[i] = -(part + math.exp(0.5 * (x * x - k0 * k0)) * tail)
+        for i in range(end - 1, j - 1, -1):
+            k = i * gap
+            tail = gap_integrals[i] + math.exp(-gap * (k + 0.5 * gap)) * tail
+        tails[j] = tail
+
+    # The pieces int_0^x up to the median, int_x^k0 above it, in s.
+    lo, hi = -xs, np.zeros_like(xs)
+    lo[~inner], hi[~inner] = 0.0, k0 - x
+    out = np.zeros_like(xs)
+    cut = lo < hi
+    out[cut] = _gauss_kronrod(weighted, lo[cut], hi[cut], xs[cut])
+    tail = np.array([tails[j] for j in firsts])
+    out[~inner] = -(out[~inner] + np.exp(0.5 * (x - k0) * (x + k0)) * tail)
     return out
 
 

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import halfnorm_stein
 
@@ -36,3 +39,17 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_leaves_quadrature_out():
+    # scipy.integrate, which pulls in scipy.optimize, cost about 0.33 s of
+    # importing the command line; the package computes without either
+    src = pathlib.Path(halfnorm_stein.__file__).resolve().parents[1]
+    code = ("import sys, halfnorm_stein.cli; "
+            "print(sorted({m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], "
+            "['scipy', 'optimize'])}))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -5,11 +5,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from halfnorm_stein import cli, stein, walks
 from halfnorm_stein.normal import (HALF_NORMAL_MEDIAN, cap_phi, hn_cdf,
-                                   hn_cdf_integral, hn_tail_integral, mills,
-                                   normal_sf, phi)
+                                   hn_cdf_integral, hn_pdf, hn_tail_integral,
+                                   mills, normal_sf, phi)
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -156,19 +157,19 @@ class TestLipschitzSolution:
                                   "min2.5", "min8"])
     def test_quadrature_matches_closed_form_up_to_x_max(self, c):
         # The closed form of min(x, c) against quadrature of the same h
-        # passed as an opaque function. Budgets: 1e-10 absolute for f
-        # (measured 3.8e-11, at c = inf) and 1e-13 for E[h(Y)] (measured
-        # 3.2e-14, at c = 1.3).
+        # passed as an opaque function. Budgets: 1e-13 absolute for f
+        # (measured 8.3e-16, at c = inf) and 1e-13 for E[h(Y)] (measured
+        # 1.1e-16, at c = 0.3).
         capped = stein.CappedIdentity(c)
         opaque = stein.LipschitzFunction(lambda t: min(t, c), 1.0)
         assert abs(stein.mu_h(capped) - stein.mu_h(opaque)) <= 1e-13
         for x in np.geomspace(0.01, stein.LIPSCHITZ_X_MAX, 80):
             assert abs(stein.solve_fh(capped, x)
-                       - stein.solve_fh(opaque, x)) <= 1e-10, x
+                       - stein.solve_fh(opaque, x)) <= 1e-13, x
 
     @pytest.mark.parametrize("x", [1000.5, 1e4, 1e12, math.inf, math.nan])
     def test_quadrature_refused_beyond_x_max(self, x):
-        # by x = 1e5 the quadrature misses the peak (f = -1.4e-27 for a true
+        # by x = 1e5 the quadrature misses the peak (f = -7.6e-51 for a true
         # -3.7e-6 at min(x, 1)); at 1e12 the difference quotient divided by 0
         for fn in (stein.solve_fh, stein.solve_fh_prime,
                    stein.stein_residual_continuous):
@@ -225,8 +226,8 @@ class TestOpaqueSolver:
             assert np.max(np.abs(np.array(vals) - exact)) <= 1e-10
 
     def test_cap_suite_calls_of_h(self):
-        # measured 9 573 calls per suite on average; one adaptive quadrature
-        # per point over [x, x + 12] took 45 806
+        # measured 10 316 calls per suite on average (9 573 with QUADPACK);
+        # one adaptive quadrature per point over [x, x + 12] took 45 806
         counts = []
         for c in SUITE_CAPS:
             calls = []
@@ -238,12 +239,70 @@ class TestOpaqueSolver:
     @pytest.mark.parametrize("c", SUITE_CAPS, ids=lambda c: f"cap{c:.4f}")
     def test_suite_points_match_closed_form(self, c):
         # the suite's nodes and its f' and f'' stencils; budget 1e-10
-        # absolute (measured 4.03e-11, at c = 0.5714, x = 0.6531)
+        # absolute (measured 4.02e-11, at c = 0.5714, x = 0.6531: the kink
+        # sits closer to the end of a piece than the rule's outermost node)
         xs = np.linspace(0.0, 8.0, 50)
         pts = np.concatenate([xs + d for d in (0.0, 1e-5, -1e-5, 1e-3, -1e-3)])
         diff = (stein.solve_fh(_opaque_cap(c), pts)
                 - stein.solve_fh(stein.CappedIdentity(c), pts))
         assert np.max(np.abs(diff)) <= 1e-10
+
+
+class TestGaussKronrod:
+    """The private quadrature rule of an opaque h."""
+
+    def _rule(self, weights, k):
+        return float(np.sum(weights * stein._GK_NODES ** k))
+
+    def test_table_integrates_monomials_exactly(self):
+        # int_{-1}^{1} t^k dt: the 21-point Kronrod rule is exact for
+        # k <= 31, its embedded 10-point Gauss rule for k <= 19
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(self._rule(stein._GK_WEIGHTS, k) - exact) <= 1e-15
+            if k <= 19:
+                assert abs(self._rule(stein._G_WEIGHTS, k) - exact) <= 1e-15
+
+    def test_gauss_part_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        used = stein._G_WEIGHTS > 0.0
+        assert np.allclose(stein._GK_NODES[used], nodes, rtol=0, atol=1e-15)
+        assert np.allclose(stein._G_WEIGHTS[used], weights, rtol=0,
+                           atol=1e-15)
+
+    def test_unresolvable_h_raises(self):
+        # 80 000 periods per mesh gap: 200 pieces cannot meet the tolerance,
+        # and the rule must say so rather than return a value
+        h = stein.LipschitzFunction(lambda t: 1e-6 * math.sin(1e6 * t), 1.0)
+        with pytest.raises(RuntimeError, match="missed its tolerance"):
+            stein.verify_lemma_bounds("lipschitz", grid=50, h=h)
+
+    def test_rows_are_integrals_of_their_own(self):
+        # a row's value is the same in any batch, refined at its kink or
+        # not; budget 1e-14 (measured 1.1e-16)
+        a, b = np.array([0.0, 0.3, 1.0]), np.array([1.0, 0.7, 2.5])
+        x = np.array([0.5, 0.0, 2.0])
+
+        def f(t, x):
+            return np.minimum(t, x) * np.exp(-t)
+
+        together = stein._gauss_kronrod(f, a, b, x)
+        alone = [stein._gauss_kronrod(f, a[i:i + 1], b[i:i + 1], x[i:i + 1])
+                 for i in range(3)]
+        assert together.tolist() == np.concatenate(alone).tolist()
+        exact = [1.0 - math.exp(-0.5) - 0.5 * math.exp(-1.0), 0.0,
+                 2.0 * math.exp(-1.0) - math.exp(-2.0) - 2.0 * math.exp(-2.5)]
+        assert np.max(np.abs(together - exact)) <= 1e-14
+
+    @pytest.mark.parametrize("c", SUITE_CAPS, ids=lambda c: f"cap{c:.4f}")
+    def test_opaque_mean_matches_quad_and_closed_form(self, c):
+        # budget 1e-12 (measured 1.8e-15 against the closed form and
+        # 6.7e-14 against quad)
+        opaque = stein.mu_h(_opaque_cap(c))
+        quad, _ = integrate.quad(lambda t: min(t, c) * hn_pdf(t), 0.0, np.inf,
+                                 epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert abs(opaque - quad) <= 1e-12
+        assert abs(opaque - stein.mu_h(stein.CappedIdentity(c))) <= 1e-12
 
 
 class TestSteinResidual:
@@ -659,7 +718,7 @@ class TestClosedFormPaths:
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature on a closed-form path")
 
-        monkeypatch.setattr(stein.integrate, "quad", refuse)
+        monkeypatch.setattr(stein, "_gauss_kronrod", refuse)
 
     def test_opaque_h_still_needs_quadrature(self):
         with pytest.raises(AssertionError, match="closed-form path"):

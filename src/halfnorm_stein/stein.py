@@ -6,11 +6,11 @@ Kolmogorov class restricted to the nonnegative axis), the capped identities
 min(x, c), c in (0, inf], and opaque Lipschitz functions with a known
 constant (the Wasserstein class). Indicators and capped identities admit
 closed forms in the half-normal CDF F and Mills ratio R of ``normal``;
-an opaque Lipschitz h is solved, and its E[h(Y)] taken, by a globally
-adaptive 21-point Gauss-Kronrod rule kept in this module, which raises
-where it misses its tolerance; the tests check the closed forms against
-it and against scipy's QUADPACK. Every Lipschitz solution is evaluated
-on x <= LIPSCHITZ_X_MAX.
+an opaque Lipschitz h is solved, and its E[h(Y)] read off the same
+integrals, by a globally adaptive 21-point Gauss-Kronrod rule kept in
+this module, which raises where it misses its tolerance; the tests check
+the closed forms against it and against scipy's QUADPACK. Every
+Lipschitz solution is evaluated on x <= LIPSCHITZ_X_MAX.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Callable, ClassVar
 
 import numpy as np
 
 from .normal import (HALF_NORMAL_MEAN, HALF_NORMAL_MEDIAN, INV_SQRT_2PI,
-                     cap_phi, hn_cdf, hn_cdf_integral, hn_pdf,
-                     hn_tail_integral, mills, normal_sf, phi)
+                     cap_phi, hn_cdf, hn_cdf_integral, hn_tail_integral,
+                     mills, normal_sf, phi)
 from .walks import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -36,9 +37,9 @@ FH_PRIME_STEP = 1e-5
 # lies inside the rule's outermost node, and f_h comes out wrong.
 LIPSCHITZ_X_MAX = 1000.0
 # Knot spacing of the mesh that cuts the tail integral of an opaque h
-# (see _quadrature_solution): a power of 2, so x / _KNOT_GAP and every knot
-# are exact. The grid-50 certification of min(x, c) calls h 10 316 times
-# per suite at 1/2 and 13 668 at 1; 1/4 saves 0.4 % of those calls but
+# (see _quadrature_solver): a power of 2, so x / _KNOT_GAP and every knot
+# are exact. The grid-50 certification of min(x, c) calls h 9 286 times
+# per suite at 1/2 and 12 638 at 1; 1/4 saves 3.4 % of those calls but
 # integrates twice the gaps for a point solved on its own.
 _KNOT_GAP = 0.5
 # K^2 - k0^2 where the tail sum stops: there w_k0(K) = 2^-64.
@@ -69,6 +70,10 @@ class CappedIdentity:
     c: float = math.inf
     lipschitz_constant: ClassVar[float] = 1.0
 
+    def __post_init__(self):
+        if not self.c > 0.0:
+            raise ValueError(f"cap c must be in (0, inf], got c = {self.c}")
+
     def __call__(self, x):
         return np.minimum(x, self.c)
 
@@ -82,7 +87,7 @@ class LipschitzFunction:
     of a piece than its outermost node, 0.22 % of the piece's width (about
     1e-3 on a mesh gap), and still meet its tolerance. For h = min(x, c)
     on a 400-point grid over [0, 8], 300 caps c in [0.05, 7.9] give f_h
-    within 1e-10 of the closed form for 266 caps. The worst misses are
+    within 1e-10 of the closed form for 265 caps. The worst misses are
     3.7e-7 in the solver (c = 6.036, x = 6.035) and 6.7e-9 in E[h(Y)]
     (c = 1.625), all without the rule raising.
     """
@@ -227,24 +232,14 @@ def mu_h(h: TestFunction) -> float:
 
     For 1_{[0,z]} it is F(z), and 0 where z is not positive (or nan).
     For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
-    for every cap c, c = inf included. An opaque h is integrated by the
-    quadrature rule over the mesh gaps [k, k + gap], out to the first knot
-    K where |h(0)| (1 - F(K)) + L p(K), the integral of the bound
-    |h(t)| <= |h(0)| + L t over [K, inf), is at most 2^-64.
+    for every cap c, c = inf included. For an opaque h it is p(0) S_0,
+    read off the knot mesh that solves it (see _quadrature_solver).
     """
     if isinstance(h, HalfLineIndicator):
         return float(hn_cdf(h.z)) if h.z > 0.0 else 0.0
     if isinstance(h, CappedIdentity):
         return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
-    fn, lip = h.fn, h.lipschitz_constant
-    h0, gaps = abs(fn(0.0)), 0
-    while (h0 * 2.0 * normal_sf(gaps * _KNOT_GAP)
-           + lip * hn_pdf(gaps * _KNOT_GAP)) > 2.0 ** -64:
-        gaps += 1
-    knots = _KNOT_GAP * np.arange(gaps)
-    pieces = _gauss_kronrod(lambda t, _: _values(fn, t) * hn_pdf(t),
-                            knots, knots + _KNOT_GAP, knots)
-    return math.fsum(pieces.tolist())
+    return _quadrature_solver(h)[0]
 
 
 def fz(z: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
@@ -328,120 +323,131 @@ def _capped_identity_solution(h: CappedIdentity, mu: float, xs):
     return out
 
 
-def _quadrature_solution(h: LipschitzFunction, mu: float, xs,
-                         gap_integrals: dict[int, float]):
-    """f_h at x > 0 for an opaque h with E[h(Y)] = mu, by adaptive
-    quadrature over a fixed knot mesh; gap_integrals holds the I_k below
-    already integrated for this h and mu, by knot index, and is filled in.
+def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
+    """(E[h(Y)], f_h at x > 0, elementwise) for an opaque h, by adaptive
+    quadrature over one fixed knot mesh.
 
-    With g = h - mu and w_x(t) = exp((x^2 - t^2)/2), f_h(x) is the short,
-    well-conditioned int_0^x g w_x up to the half-normal median; above it
-    the complementary -int_x^inf g w_x avoids cancellation against
-    exp(x^2/2). That tail is cut at the knots j * _KNOT_GAP: the partial
-    piece from x to the first knot k0 >= x, then the gap integrals
-    I_k = int_k^{k + gap} g w_k, each integrated once and shared by every
-    x that reaches it, summed by the Horner recurrence
-    S_k = I_k + exp((k^2 - (k + gap)^2)/2) S_{k + gap} out to the first
-    knot K with w_k0(K) <= 2^-64, so f_h(x) = -(int_x^k0 g w_x
-    + w_x(k0) S_k0). An L-Lipschitz h has |g(t)| <= L (t + 0.8), so the
-    tail dropped past K is below 2^-63 L. Each call integrates the gaps it
-    lacks, then its partial pieces, each set in one pass of the rule, and
-    sums each S_k0 once. A value depends only on x and h, never on the
-    other points of xs or on the calls that filled gap_integrals.
+    With w_x(t) = exp((x^2 - t^2)/2), f_h(x) = -int_x^inf (h - mu) w_x,
+    where int_x^inf w_x is the Mills ratio R(x). The knots j * _KNOT_GAP
+    cut the tail into gap integrals I_k = int_k^{k + gap} h w_k, summed by
+    the Horner recurrence S_k = I_k + w_k(k + gap) S_{k + gap} out to the
+    first knot K with w_k(K) <= 2^-64. As |h(t)| <= |h(0)| + L t, the tail
+    dropped past K is at most 2^-64 (|h(0)|/K + L). As w_0 = p/p(0),
+    mu = p(0) S_0. Up to the half-normal median f_h(x) is the short,
+    well-conditioned int_0^x (h - mu) w_x; above it, with k0 the first
+    knot >= x, f_h(x) = mu R(x) - (int_x^k0 h w_x + w_x(k0) S_k0), which
+    avoids cancellation against exp(x^2/2). Each I_k is integrated once
+    per solver and serves the mean and every x; each call integrates the
+    gaps it lacks, then its pieces, each set in one pass of the rule. A
+    value depends only on x and h, never on other points or calls.
 
     Every piece is integrated in the offset s = t - x from its x, where
     w_x = exp(-s (2x + s)/2): a node placed at t itself would be off by
     eps t, and w_x, of slope -x w_x, would turn that into a relative
     error of about eps x^2, 6e-11 at x = 750.
     """
-    median, gap = HALF_NORMAL_MEDIAN, _KNOT_GAP
-    fn = h.fn
+    fn, gap = h.fn, _KNOT_GAP
+    gap_integrals: dict[int, float] = {}  # I_k by knot index k / gap
 
-    def weighted(s, x):  # g(x + s) w_x(x + s)
-        return (_values(fn, x + s) - mu) * np.exp(-0.5 * s * (2.0 * x + s))
+    def weighted(shift):  # (h(x + s) - shift) w_x(x + s)
+        return lambda s, x: ((_values(fn, x + s) - shift)
+                             * np.exp(-0.5 * s * (2.0 * x + s)))
 
-    inner = xs <= median
-    x, k0 = xs[~inner], np.ceil(xs[~inner] / gap) * gap
-    firsts = (k0 / gap).astype(int).tolist()
-    ends = {}  # first knot index -> index of the knot K past the tail sum
-    for j in set(firsts):
-        k = j * gap
-        ends[j] = j + math.ceil((math.sqrt(k * k + _TAIL_EXPONENT) - k) / gap)
-    missing = sorted(set().union(*map(range, ends, ends.values()))
-                     - gap_integrals.keys())
-    if missing:
-        ks = gap * np.array(missing, dtype=float)
-        gap_integrals.update(zip(missing, _gauss_kronrod(
-            weighted, np.zeros_like(ks), np.full_like(ks, gap), ks).tolist()))
-    tails = {}
-    for j, end in ends.items():
-        tail = 0.0
-        for i in range(end - 1, j - 1, -1):
-            k = i * gap
-            tail = gap_integrals[i] + math.exp(-gap * (k + 0.5 * gap)) * tail
-        tails[j] = tail
+    def tail_sums(firsts) -> np.ndarray:  # S_k0 for each index k0 / gap
+        ends = {j: j + math.ceil((math.sqrt((j * gap) ** 2 + _TAIL_EXPONENT)
+                                  - j * gap) / gap) for j in set(firsts)}
+        missing = sorted(set().union(*map(range, ends, ends.values()))
+                         - gap_integrals.keys())
+        if missing:
+            ks = gap * np.array(missing, dtype=float)
+            gap_integrals.update(zip(missing, _gauss_kronrod(
+                weighted(0.0), np.zeros_like(ks), np.full_like(ks, gap),
+                ks).tolist()))
+        sums = dict.fromkeys(ends, 0.0)
+        for j, end in ends.items():
+            for i in range(end - 1, j - 1, -1):
+                sums[j] = (gap_integrals[i]
+                           + math.exp(-gap * gap * (i + 0.5)) * sums[j])
+        return np.array([sums[j] for j in firsts])
 
-    # The pieces int_0^x up to the median, int_x^k0 above it, in s.
-    lo, hi = -xs, np.zeros_like(xs)
-    lo[~inner], hi[~inner] = 0.0, k0 - x
-    out = np.zeros_like(xs)
-    cut = lo < hi
-    out[cut] = _gauss_kronrod(weighted, lo[cut], hi[cut], xs[cut])
-    tail = np.array([tails[j] for j in firsts])
-    out[~inner] = -(out[~inner] + np.exp(0.5 * (x - k0) * (x + k0)) * tail)
-    return out
+    mu = 2.0 * INV_SQRT_2PI * float(tail_sums([0])[0])
+
+    def solve(xs):
+        inner = xs <= HALF_NORMAL_MEDIAN
+        x, k0 = xs[~inner], np.ceil(xs[~inner] / gap) * gap
+        out = np.empty_like(xs)
+        out[inner] = _gauss_kronrod(weighted(mu), -xs[inner],
+                                    np.zeros_like(xs[inner]), xs[inner])
+        part, cut = np.zeros_like(x), x < k0
+        part[cut] = _gauss_kronrod(weighted(0.0), np.zeros_like(x[cut]),
+                                   (k0 - x)[cut], x[cut])
+        tail = tail_sums((k0 / gap).astype(int).tolist())
+        out[~inner] = mu * mills(x) - (
+            part + np.exp(0.5 * (x - k0) * (x + k0)) * tail)
+        return out
+
+    return mu, solve
 
 
-def _lipschitz_solver(h: Lipschitz, mu: float) -> Callable:
-    """x -> f_h(x) for Lipschitz h with E[h(Y)] = mu, elementwise: the
-    closed form for min(x, c), quadrature for an opaque h; f_h = 0 at
-    x <= 0. An x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError.
-    The solver of an opaque h keeps its gap integrals while it lives, so
-    the calls it serves integrate each mesh gap once.
-    """
-    gap_integrals: dict[int, float] = {}
+def _lipschitz_solver(h: Lipschitz) -> tuple[float, Callable]:
+    """(E[h(Y)], x -> f_h(x) elementwise) for Lipschitz h: the closed form
+    for min(x, c), quadrature for an opaque h; f_h = 0 at x <= 0, and an
+    x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError."""
+    if isinstance(h, CappedIdentity):
+        mu = mu_h(h)
+        positive_part = partial(_capped_identity_solution, h, mu)
+    else:
+        mu, positive_part = _quadrature_solver(h)
 
     def solve(x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
-        positive = ~(xs <= 0.0)
-        beyond = positive & ~(xs <= LIPSCHITZ_X_MAX)
+        beyond = ~(xs <= LIPSCHITZ_X_MAX)
         if np.any(beyond):
             raise DomainError(f"f_h of a Lipschitz h is evaluated only for "
                               f"x <= {LIPSCHITZ_X_MAX:g}, "
                               f"got x = {xs[beyond].flat[0]}")
         out = np.zeros_like(xs)
-        if isinstance(h, CappedIdentity):
-            out[positive] = _capped_identity_solution(h, mu, xs[positive])
-        else:
-            out[positive] = _quadrature_solution(h, mu, xs[positive],
-                                                 gap_integrals)
+        positive = xs > 0.0
+        out[positive] = positive_part(xs[positive])
         return out
 
-    return solve
+    return mu, solve
 
 
 def _difference_quotient(h: Lipschitz, f: Callable, x) -> np.ndarray:
     """f_h' at x by differences of f_h, given as the solver f of h,
-    elementwise: central with step s, forward where x - s < 0.
+    elementwise: central with step s, within [0, LIPSCHITZ_X_MAX].
 
     f_h'' jumps where h' does, at x = c for min(x, c), and a central
     stencil across that kink is off by s/4 (2.5e-6). Within s of the kink
-    (and at x >= 2 s) the stencil is the second-order one-sided one,
-    (4 f(x + t) - 3 f(x) - f(x + 2t)) / (2t), with t = s on x >= c and
-    t = -s below it. The kinks of an opaque h are unknown.
+    or of LIPSCHITZ_X_MAX (and at x >= 2 s) the stencil is the
+    second-order one-sided one, (4 f(x + t) - 3 f(x) - f(x + 2t)) / (2t),
+    with t = s on x >= c, t = -s below it and where x + 2s would pass
+    LIPSCHITZ_X_MAX. The kinks of an opaque h are unknown. A point past
+    LIPSCHITZ_X_MAX reaches f as itself, which refuses it.
     """
-    s = FH_PRIME_STEP
+    s, c = FH_PRIME_STEP, getattr(h, "c", math.nan)
     xs = np.asarray(x, dtype=float)
-    lo = np.maximum(xs - s, 0.0)
-    out = np.array((f(xs + s) - f(lo)) / (xs + s - lo))
-    if isinstance(h, CappedIdentity):
-        near = (np.abs(xs - h.c) < s) & (xs >= 2.0 * s)
-        if np.any(near):
-            at = xs[near]
-            t = np.where(at >= h.c, s, -s)
-            out[near] = (4.0 * f(at + t) - 3.0 * f(at)
-                         - f(at + 2.0 * t)) / (2.0 * t)
+    top = xs + s > LIPSCHITZ_X_MAX
+    lo, hi = np.maximum(xs - s, 0.0), np.where(top, xs, xs + s)
+    out = np.array((f(hi) - f(lo)) / (hi - lo))
+    one_sided = ((np.abs(xs - c) < s) | top) & (xs >= 2.0 * s)
+    if np.any(one_sided):
+        at = xs[one_sided]
+        t = np.where((at >= c) & (at + 2.0 * s <= LIPSCHITZ_X_MAX), s, -s)
+        out[one_sided] = (4.0 * f(at + t) - 3.0 * f(at)
+                          - f(at + 2.0 * t)) / (2.0 * t)
     return out
+
+
+def _solution(h: TestFunction) -> tuple[float, Callable, Callable]:
+    """(E[h(Y)], f_h, f_h') of h, elementwise in x: the closed forms for an
+    indicator (f_z' left-continuous), else the Lipschitz solver."""
+    if isinstance(h, HalfLineIndicator):
+        return (mu_h(h), partial(fz, h.z),
+                partial(fz_prime, h.z, side="left"))
+    mu, f = _lipschitz_solver(h)
+    return mu, f, partial(_difference_quotient, h, f)
 
 
 def solve_fh(h: TestFunction, x):
@@ -450,30 +456,21 @@ def solve_fh(h: TestFunction, x):
     Indicators and capped identities use their closed forms, an opaque
     Lipschitz h adaptive quadrature.
     """
-    if isinstance(h, HalfLineIndicator):
-        return fz(h.z, x)
-    out = _lipschitz_solver(h, mu_h(h))(x)
+    out = _solution(h)[1](x)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def solve_fh_prime(h: TestFunction, x):
     """f_h', elementwise: the closed form for indicators, a central
     difference of f_h for Lipschitz h."""
-    if isinstance(h, HalfLineIndicator):
-        return fz_prime(h.z, x, side="left")
-    out = _difference_quotient(h, _lipschitz_solver(h, mu_h(h)), x)
+    out = _solution(h)[2](x)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def stein_residual_continuous(h: TestFunction, x: float) -> float:
     """f'(x) - x f(x) - (h(x) - E[h(Y)]); zero for the exact solution."""
-    mu = mu_h(h)
-    if isinstance(h, HalfLineIndicator):
-        f_prime, f = fz_prime(h.z, x, side="left"), fz(h.z, x)
-    else:
-        solve = _lipschitz_solver(h, mu)
-        f_prime, f = _difference_quotient(h, solve, x), solve(x)
-    return float(f_prime - x * f - (h(x) - mu))
+    mu, f, f_prime = _solution(h)
+    return float(f_prime(x) - x * f(x) - (h(x) - mu))
 
 
 # ---------------------------------------------------------------------------
@@ -629,27 +626,28 @@ def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
     step = 1e-3
     if x_hi < step:
         raise ValueError(f"z_hi must be at least the f'' step, got {x_hi}")
-    lip = h.lipschitz_constant
-    mu = mu_h(h)
+    lip, c = h.lipschitz_constant, getattr(h, "c", math.nan)
+    _, f, f_prime = _solution(h)
     xs = np.linspace(0.0, x_hi, grid)
-    f = _lipschitz_solver(h, mu)
-    f_vals = f(xs)
-    fp_vals = _difference_quotient(h, f, xs)
+    f_vals, fp_vals = f(xs), f_prime(xs)
     inner = xs >= step
     x2, f_mid = xs[inner], f_vals[inner]
-    f2 = (f(x2 + step) - 2.0 * f_mid + f(x2 - step)) / (step * step)
-    if isinstance(h, CappedIdentity):
-        # f'' jumps by 1 at the kink x = c, and a central difference there
-        # reads a blend of both sides. Within a step of c, keep the larger
-        # |f''| of the one-sided second-order differences
-        # (2 f(x) - 5 f(x + t) + 4 f(x + 2t) - f(x + 3t)) / t^2, t = -+step.
-        near = (np.abs(x2 - h.c) < step) & (x2 >= 3.0 * step)
+    f2 = (f(np.minimum(x2 + step, LIPSCHITZ_X_MAX)) - 2.0 * f_mid
+          + f(x2 - step)) / (step * step)
+    # f'' jumps by 1 at the kink x = c of min(x, c), where a central
+    # difference reads a blend of both sides, and near LIPSCHITZ_X_MAX the
+    # central stencil passes it. There f'' is the larger in |.| of the
+    # one-sided (2 f(x) - 5 f(x + t) + 4 f(x + 2t) - f(x + 3t)) / t^2 over
+    # t = -+step within a step of c, t = -step within 3 steps of the top.
+    top = x2 + 3.0 * step > LIPSCHITZ_X_MAX
+    kink = (np.abs(x2 - c) < step) & (x2 >= 3.0 * step) & ~top
+    for near, ts in ((kink, (-step, step)), (top, (-step,))):
         if np.any(near):
             at = x2[near]
-            left, right = ((2.0 * f_mid[near] - 5.0 * f(at + t)
-                            + 4.0 * f(at + 2.0 * t) - f(at + 3.0 * t))
-                           / (step * step) for t in (-step, step))
-            f2[near] = np.where(np.abs(left) >= np.abs(right), left, right)
+            f2[near] = reduce(
+                lambda a, b: np.where(np.abs(a) >= np.abs(b), a, b),
+                ((2.0 * f_mid[near] - 5.0 * f(at + t) + 4.0 * f(at + 2.0 * t)
+                  - f(at + 3.0 * t)) / (step * step) for t in ts))
     (sup_f, at_f), (sup_fp, at_fp), (sup_f2, at_f2) = (
         _peak(f_vals, xs), _peak(fp_vals, xs), _peak(f2, x2))
     return BoundReport(kind="lipschitz", checks=(

@@ -190,6 +190,18 @@ def test_stein_solution_far_point_does_not_overflow(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_stein_solution_at_and_past_x_max(capsys):
+    # the f' stencil at x = 1000 stays at or below the bound, and a point
+    # past it is refused by its own value
+    code, out = run(capsys, "stein-solution", "--lipschitz", "min1",
+                    "--x", "1000", "--format", "json")
+    assert code == 0
+    assert all(math.isfinite(v) for v in json.loads(out)[0].values())
+    assert cli.main(["stein-solution", "--lipschitz", "min1",
+                     "--x", "1000.5"]) == 2
+    assert "got x = 1000.5\n" in capsys.readouterr().err
+
+
 def test_verify_lemmas_lipschitz_json(capsys):
     # the second-derivative supremum was a numpy float, and its check's
     # numpy bool ended the JSON output in a traceback

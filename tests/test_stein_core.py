@@ -167,14 +167,51 @@ class TestLipschitzSolution:
             assert abs(stein.solve_fh(capped, x)
                        - stein.solve_fh(opaque, x)) <= 1e-13, x
 
+    @pytest.mark.parametrize("a", [5.0, -3.0, 1e3])
+    def test_opaque_h_off_zero_at_origin(self, a):
+        # h = a + min(t, 1) has the solution of min(t, 1) and the mean
+        # a + E[min(Y, 1)]; |h(0)| enters the tail the mesh drops. Budget
+        # 1e-13 max(1, |a|) for f (measured 2.4e-13 at a = 1e3) and for
+        # E[h(Y)] (measured 1.1e-13 at a = 1e3)
+        opaque = stein.LipschitzFunction(lambda t: a + min(t, 1.0), 1.0)
+        budget = 1e-13 * max(1.0, abs(a))
+        mean = a + stein.mu_h(stein.CAPPED_AT_ONE)
+        assert abs(stein.mu_h(opaque) - mean) <= budget
+        xs = np.geomspace(0.01, stein.LIPSCHITZ_X_MAX, 80)
+        diff = (stein.solve_fh(opaque, xs)
+                - stein.solve_fh(stein.CAPPED_AT_ONE, xs))
+        assert np.max(np.abs(diff)) <= budget
+
+    @pytest.mark.parametrize("h", [
+        stein.IDENTITY, stein.CAPPED_AT_ONE,
+        stein.LipschitzFunction(lambda t: min(t, 1.0), 1.0)],
+        ids=["identity", "min1", "opaque-min1"])
+    def test_x_max_itself_is_solved(self, h):
+        # the difference stencils at x = LIPSCHITZ_X_MAX stay at or below
+        # it; budget 1e-9 for the residual, as at x = 999.9 (measured
+        # 3.8e-12, for the identity)
+        x = stein.LIPSCHITZ_X_MAX
+        assert math.isfinite(stein.solve_fh_prime(h, x))
+        assert abs(stein.stein_residual_continuous(h, x)) <= 1e-9
+        assert stein.verify_lemma_bounds("lipschitz", z_hi=x, grid=50,
+                                         h=h).passed
+
     @pytest.mark.parametrize("x", [1000.5, 1e4, 1e12, math.inf, math.nan])
     def test_quadrature_refused_beyond_x_max(self, x):
         # by x = 1e5 the quadrature misses the peak (f = -7.6e-51 for a true
         # -3.7e-6 at min(x, 1)); at 1e12 the difference quotient divided by 0
         for fn in (stein.solve_fh, stein.solve_fh_prime,
                    stein.stein_residual_continuous):
-            with pytest.raises(walks.DomainError, match="x <= 1000"):
+            with pytest.raises(walks.DomainError,
+                               match=f"x <= 1000, got x = {x}$"):
                 fn(stein.CAPPED_AT_ONE, x)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -math.inf, math.nan])
+    def test_cap_outside_its_range_refused(self, c):
+        # min(x, -1) is the constant -1, whose solution is 0, but the
+        # closed form assumes c > 0 and gave f_h(1) = -0.2418
+        with pytest.raises(ValueError, match="cap c must be in"):
+            stein.CappedIdentity(c)
 
 
 # The caps of the grid-50 certification suite, midway between its nodes.
@@ -225,8 +262,34 @@ class TestOpaqueSolver:
             exact = stein.solve_fh(stein.CappedIdentity(c), xs)
             assert np.max(np.abs(np.array(vals) - exact)) <= 1e-10
 
+    def test_mean_and_solution_share_gap_integrals(self, monkeypatch):
+        # one grid-50 suite integrates each mesh gap [k, k + gap] once, in
+        # the rows of width gap that the rule is given (the mean is the
+        # tail sum from knot 0, not an integral of its own)
+        gap = stein._KNOT_GAP
+        knots = []
+        real = stein._gauss_kronrod
+
+        def recording(f, a, b, x):
+            knots.extend(np.asarray(x)[np.asarray(b) - np.asarray(a)
+                                       == gap].tolist())
+            return real(f, a, b, x)
+
+        monkeypatch.setattr(stein, "_gauss_kronrod", recording)
+        stein.verify_lemma_bounds("lipschitz", grid=50,
+                                  h=_opaque_cap(SUITE_CAPS[0]))
+        assert sorted(knots) == [gap * k for k in range(len(knots))]
+
+    def test_continuous_across_the_branch_switch(self):
+        # int_0^x (h - mu) w_x up to the median, mu R(x) minus the tail
+        # above it; budget 1e-13 (measured 5.3e-16)
+        h = stein.LipschitzFunction(lambda t: 2.0 + math.sin(t), 1.0)
+        m = HALF_NORMAL_MEDIAN
+        above = np.nextafter(m, math.inf)
+        assert abs(stein.solve_fh(h, above) - stein.solve_fh(h, m)) <= 1e-13
+
     def test_cap_suite_calls_of_h(self):
-        # measured 10 316 calls per suite on average (9 573 with QUADPACK);
+        # measured 9 286 calls per suite on average (9 573 with QUADPACK);
         # one adaptive quadrature per point over [x, x + 12] took 45 806
         counts = []
         for c in SUITE_CAPS:

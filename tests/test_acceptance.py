@@ -94,7 +94,7 @@ def test_solution_norm_bounds_certified():
         by_name = {c.name: c for c in rep.checks}
         assert by_name["sup |f_h|"].observed <= 1.0
         assert by_name["sup |f_h'|"].observed <= SQRT_2_PI
-        assert by_name["sup |f_h''|"].observed <= 2.0 + 1e-4
+        assert by_name["sup |f_h''|"].observed <= 2.0
 
     # sharpness of the derivative bound at a high cut level: Gordon's
     # Mills-ratio inequality z/(1+z^2) <= (1-Phi(z))/phi(z) <= 1/z

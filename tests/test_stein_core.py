@@ -289,21 +289,23 @@ class TestOpaqueSolver:
         assert abs(stein.solve_fh(h, above) - stein.solve_fh(h, m)) <= 1e-13
 
     def test_cap_suite_calls_of_h(self):
-        # measured 9 286 calls per suite on average (9 573 with QUADPACK);
-        # one adaptive quadrature per point over [x, x + 12] took 45 806
+        # measured 6 178 calls per suite on average (9 286 while f'' was a
+        # second difference of f, 9 573 with QUADPACK); one adaptive
+        # quadrature per point over [x, x + 12] took 45 806
         counts = []
         for c in SUITE_CAPS:
             calls = []
             stein.verify_lemma_bounds("lipschitz", grid=50,
                                       h=_opaque_cap(c, calls))
             counts.append(len(calls))
-        assert sum(counts) / len(counts) <= 22_900
+        assert sum(counts) / len(counts) <= 15_240
 
     @pytest.mark.parametrize("c", SUITE_CAPS, ids=lambda c: f"cap{c:.4f}")
     def test_suite_points_match_closed_form(self, c):
-        # the suite's nodes and its f' and f'' stencils; budget 1e-10
-        # absolute (measured 4.02e-11, at c = 0.5714, x = 0.6531: the kink
-        # sits closer to the end of a piece than the rule's outermost node)
+        # the suite's nodes, its f' stencil and points 1e-3 off the nodes;
+        # budget 1e-10 absolute (measured 4.02e-11, at c = 0.5714,
+        # x = 0.6531: the kink sits closer to the end of a piece than the
+        # rule's outermost node)
         xs = np.linspace(0.0, 8.0, 50)
         pts = np.concatenate([xs + d for d in (0.0, 1e-5, -1e-5, 1e-3, -1e-3)])
         diff = (stein.solve_fh(_opaque_cap(c), pts)
@@ -604,18 +606,43 @@ class TestLemmaReports:
         names = [c.name for c in report.checks]
         assert names == ["sup |f_h|", "sup |f_h'|", "sup |f_h''|"]
 
-    def test_second_derivative_at_the_kink(self):
+    @pytest.mark.parametrize("h", [
+        stein.CAPPED_AT_ONE,
+        stein.LipschitzFunction(lambda t: min(t, 1.0), 1.0)],
+        ids=["min1", "opaque-min1"])
+    def test_second_derivative_at_the_kink(self, h):
         # Grid 9 on [0, 8] puts a node on the kink of min(x, 1), where f''
         # jumps by h'(1-) - h'(1+) = 1. From f'' = f + x f' + h' and
         # f' = x f + h - mu, the left limit is 2 f(1) + 2 - mu = 0.8852 and
-        # the right one 0.1148 lower; a central difference reads 0.385.
-        # Budget 1e-5: the one-sided difference's truncation error is about
-        # (11/12) 1e-6 f'''' (measured 3.5e-6).
-        h = stein.CAPPED_AT_ONE
+        # the right one 0.1148 lower; a central second difference of f read
+        # 0.385 for the opaque h, whose kink the suite cannot see. Budget
+        # 1e-5: the central f' of the opaque h straddles the kink and is off
+        # by 1e-5/4 (measured 2.5e-6; 1.8e-11 for the closed form).
         check = stein.verify_lemma_bounds("lipschitz", grid=9, h=h).checks[2]
-        expected = 2.0 * stein.solve_fh(h, 1.0) + 2.0 - stein.mu_h(h)
+        exact = stein.CAPPED_AT_ONE
+        expected = 2.0 * stein.solve_fh(exact, 1.0) + 2.0 - stein.mu_h(exact)
         assert check.at == 1.0
         assert abs(check.observed - expected) <= 1e-5
+
+    def test_identity_second_derivative_against_mpmath(self):
+        # h(x) = x: f = mu R - 1 with R = (1 - Phi)/phi, f' = x f + x - mu
+        # and f'' = f + x f' + 1, in 50-digit mpmath at the grid-200 nodes
+        # x >= 1e-3; the sup sits at x = 8/199. Budget 1e-11 (measured
+        # 5.4e-13, from the 1e-5-step f' and the rounded slope of h)
+        check = stein.verify_lemma_bounds("lipschitz", grid=200).checks[2]
+        with mpmath.workdps(50):
+            mu = mpmath.sqrt(2 / mpmath.pi)
+
+            def f_second(x):
+                x = mpmath.mpf(x)
+                f = mu * mpmath.erfc(x / mpmath.sqrt(2)) / (
+                    2 * mpmath.npdf(x)) - 1
+                return abs(f + x * (x * f + x - mu) + 1)
+
+            exact, at = max((f_second(x), x)
+                            for x in np.linspace(0.0, 8.0, 200) if x >= 1e-3)
+        assert check.at == at
+        assert abs(check.observed - float(exact)) <= 1e-11
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -633,15 +660,22 @@ class TestLemmaReports:
           for z_hi in (0.0, -1.0, math.inf)),
         pytest.param("lipschitz", 5e-4, id="0.0005-lipschitz")])
     def test_empty_range_rejected(self, kind, z_hi):
-        # z_hi = 5e-4 leaves the Lipschitz suite no node at x >= 1e-3, the
-        # step of its f'' stencil, so sup |f_h''| would read an empty set
+        # z_hi = 5e-4 leaves the Lipschitz suite no node at x >= 1e-3,
+        # where its f'' starts, so sup |f_h''| would read an empty set
         with pytest.raises(ValueError, match="z_hi must be"):
             stein.verify_lemma_bounds(kind, z_hi=z_hi, grid=10)
 
+    @pytest.mark.parametrize("z_hi", [1000.5, 2000.0])
+    def test_range_past_x_max_rejected(self, z_hi):
+        # refused up front, naming z_hi, not the first grid node past
+        # LIPSCHITZ_X_MAX; z_hi = 1000 itself is certified (see
+        # test_x_max_itself_is_solved)
+        with pytest.raises(ValueError, match=f"z_hi must be .*got {z_hi}$"):
+            stein.verify_lemma_bounds("lipschitz", z_hi=z_hi, grid=50)
+
     def test_second_derivative_limit_is_tight(self):
         # h(x) = x declared 0.3-Lipschitz: at grid 30, sup |f_h''| reads
-        # 0.6548, above 2L = 0.6 by far more than the 1e-4 that the
-        # difference quotient is allowed
+        # 0.6548, above the limit 2L = 0.6
         h = stein.LipschitzFunction(lambda x: x, 0.3)
         f_second = stein.verify_lemma_bounds("lipschitz", grid=30,
                                              h=h).checks[2]
@@ -694,18 +728,19 @@ def _reference_indicator_report(z_hi, grid):
 
 
 def _reference_lipschitz_report(h, x_hi, grid):
-    """The Lipschitz suite as a per-point loop over the public solvers."""
-    xs = np.linspace(0.0, x_hi, grid)
+    """The Lipschitz suite as a per-point loop over the public solvers:
+    f'' = f + x f' + h' at x >= 1e-3, h' either one-sided slope of h."""
+    xs = np.linspace(0.0, x_hi, grid).tolist()
     sup_f = max(abs(stein.solve_fh(h, x)) for x in xs)
     sup_fp = max(abs(stein.solve_fh_prime(h, x)) for x in xs)
-    step = 1e-3
+    s = stein.FH_PRIME_STEP
     sup_fpp = 0.0
     for x in xs:
-        if x < step:
+        if x < 1e-3:
             continue
-        f2 = (stein.solve_fh(h, x + step) - 2.0 * stein.solve_fh(h, x)
-              + stein.solve_fh(h, x - step)) / (step * step)
-        sup_fpp = max(sup_fpp, abs(f2))
+        base = stein.solve_fh(h, x) + x * stein.solve_fh_prime(h, x)
+        for slope in ((h(x + s) - h(x)) / s, (h(x) - h(x - s)) / s):
+            sup_fpp = max(sup_fpp, abs(base + slope))
     return sup_f, sup_fp, sup_fpp
 
 

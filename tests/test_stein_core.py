@@ -158,8 +158,8 @@ class TestLipschitzSolution:
     def test_quadrature_matches_closed_form_up_to_x_max(self, c):
         # The closed form of min(x, c) against quadrature of the same h
         # passed as an opaque function. Budgets: 1e-13 absolute for f
-        # (measured 8.3e-16, at c = inf) and 1e-13 for E[h(Y)] (measured
-        # 1.1e-16, at c = 0.3).
+        # (measured 6.0e-15, at c = 0.3) and 1e-13 for E[h(Y)] (measured
+        # 7.5e-15, at c = 0.3).
         capped = stein.CappedIdentity(c)
         opaque = stein.LipschitzFunction(lambda t: min(t, c), 1.0)
         assert abs(stein.mu_h(capped) - stein.mu_h(opaque)) <= 1e-13
@@ -171,8 +171,8 @@ class TestLipschitzSolution:
     def test_opaque_h_off_zero_at_origin(self, a):
         # h = a + min(t, 1) has the solution of min(t, 1) and the mean
         # a + E[min(Y, 1)]; |h(0)| enters the tail the mesh drops. Budget
-        # 1e-13 max(1, |a|) for f (measured 2.4e-13 at a = 1e3) and for
-        # E[h(Y)] (measured 1.1e-13 at a = 1e3)
+        # 1e-13 max(1, |a|) for f (measured 1.6e-13 at a = 1e3) and for
+        # E[h(Y)] (measured 1.2e-13 at a = 1e3)
         opaque = stein.LipschitzFunction(lambda t: a + min(t, 1.0), 1.0)
         budget = 1e-13 * max(1.0, abs(a))
         mean = a + stein.mu_h(stein.CAPPED_AT_ONE)
@@ -198,8 +198,10 @@ class TestLipschitzSolution:
 
     @pytest.mark.parametrize("x", [1000.5, 1e4, 1e12, math.inf, math.nan])
     def test_quadrature_refused_beyond_x_max(self, x):
-        # by x = 1e5 the quadrature misses the peak (f = -7.6e-51 for a true
-        # -3.7e-6 at min(x, 1)); at 1e12 the difference quotient divided by 0
+        # the tests hold the quadrature to the closed forms only up to
+        # x = 1000; from about 7e8 it sums no tail (f = +6.3e-11 for a true
+        # -3.7e-11 at min(x, 1), x = 1e10), and at 1e12 the difference
+        # quotient divided by 0
         for fn in (stein.solve_fh, stein.solve_fh_prime,
                    stein.stein_residual_continuous):
             with pytest.raises(walks.DomainError,
@@ -212,6 +214,20 @@ class TestLipschitzSolution:
         # closed form assumes c > 0 and gave f_h(1) = -0.2418
         with pytest.raises(ValueError, match="cap c must be in"):
             stein.CappedIdentity(c)
+
+    @pytest.mark.parametrize("lip", [-1.0, math.nan, math.inf])
+    def test_lipschitz_constant_outside_its_range_refused(self, lip):
+        # 5 min(x, 1) declared with L = inf passed its suite against limits
+        # of inf; L = -1 or nan gave a failed report, not an input error
+        with pytest.raises(ValueError, match="Lipschitz constant must be in"):
+            stein.LipschitzFunction(lambda t: 5.0 * min(t, 1.0), lip)
+
+    def test_zero_lipschitz_constant_certifies_a_constant(self):
+        # h = 0 has f_h = 0 exactly, within the limits 0 of L = 0
+        h = stein.LipschitzFunction(lambda t: 0.0, 0.0)
+        report = stein.verify_lemma_bounds("lipschitz", grid=50, h=h)
+        assert report.passed
+        assert [c.limit for c in report.checks] == [0.0, 0.0, 0.0]
 
 
 # The caps of the grid-50 certification suite, midway between its nodes.
@@ -268,30 +284,30 @@ class TestOpaqueSolver:
         # tail sum from knot 0, not an integral of its own)
         gap = stein._KNOT_GAP
         knots = []
-        real = stein._gauss_kronrod
+        real = stein._adaptive
 
         def recording(f, a, b, x):
             knots.extend(np.asarray(x)[np.asarray(b) - np.asarray(a)
                                        == gap].tolist())
             return real(f, a, b, x)
 
-        monkeypatch.setattr(stein, "_gauss_kronrod", recording)
+        monkeypatch.setattr(stein, "_adaptive", recording)
         stein.verify_lemma_bounds("lipschitz", grid=50,
                                   h=_opaque_cap(SUITE_CAPS[0]))
         assert sorted(knots) == [gap * k for k in range(len(knots))]
 
     def test_continuous_across_the_branch_switch(self):
         # int_0^x (h - mu) w_x up to the median, mu R(x) minus the tail
-        # above it; budget 1e-13 (measured 5.3e-16)
+        # above it; budget 1e-13 (measured 1.0e-15)
         h = stein.LipschitzFunction(lambda t: 2.0 + math.sin(t), 1.0)
         m = HALF_NORMAL_MEDIAN
         above = np.nextafter(m, math.inf)
         assert abs(stein.solve_fh(h, above) - stein.solve_fh(h, m)) <= 1e-13
 
     def test_cap_suite_calls_of_h(self):
-        # measured 6 178 calls per suite on average (9 286 while f'' was a
-        # second difference of f, 9 573 with QUADPACK); one adaptive
-        # quadrature per point over [x, x + 12] took 45 806
+        # measured 7 482 calls per suite on average, the ends of every
+        # piece among them; one adaptive quadrature per point over
+        # [x, x + 12] took 45 806
         counts = []
         for c in SUITE_CAPS:
             calls = []
@@ -300,12 +316,28 @@ class TestOpaqueSolver:
             counts.append(len(calls))
         assert sum(counts) / len(counts) <= 15_240
 
+    def test_kink_just_inside_a_piece(self):
+        # at x = 6.035 the kink of min(x, 6.036) sits 1e-3 into the piece
+        # [x, 6.5], 0.2 % of its width; budget 1e-10 (measured 3.5e-14; a
+        # rule without end nodes stepped over it and missed by 5.0e-7)
+        x, c = 6.035, 6.036
+        assert abs(stein.solve_fh(_opaque_cap(c), x)
+                   - stein.solve_fh(stein.CappedIdentity(c), x)) <= 1e-10
+
+    def test_cap_sweep_matches_closed_form(self):
+        # every 10th of 300 caps in [0.05, 7.9] on 400 points over [0, 8];
+        # budget 1e-10 (measured 4.9e-13, at c = 7.1386)
+        xs = np.linspace(0.0, 8.0, 400)
+        for c in np.linspace(0.05, 7.9, 300)[::10]:
+            diff = (stein.solve_fh(_opaque_cap(c), xs)
+                    - stein.solve_fh(stein.CappedIdentity(c), xs))
+            assert np.max(np.abs(diff)) <= 1e-10, c
+
     @pytest.mark.parametrize("c", SUITE_CAPS, ids=lambda c: f"cap{c:.4f}")
     def test_suite_points_match_closed_form(self, c):
         # the suite's nodes, its f' stencil and points 1e-3 off the nodes;
-        # budget 1e-10 absolute (measured 4.02e-11, at c = 0.5714,
-        # x = 0.6531: the kink sits closer to the end of a piece than the
-        # rule's outermost node)
+        # budget 1e-10 absolute (measured 1.5e-13, at c = 1.5510,
+        # x = 1.4704)
         xs = np.linspace(0.0, 8.0, 50)
         pts = np.concatenate([xs + d for d in (0.0, 1e-5, -1e-5, 1e-3, -1e-3)])
         diff = (stein.solve_fh(_opaque_cap(c), pts)
@@ -317,23 +349,27 @@ class TestGaussKronrod:
     """The private quadrature rule of an opaque h."""
 
     def _rule(self, weights, k):
-        return float(np.sum(weights * stein._GK_NODES ** k))
+        return float(np.sum(weights * stein._NODES ** k))
 
-    def test_table_integrates_monomials_exactly(self):
-        # int_{-1}^{1} t^k dt: the 21-point Kronrod rule is exact for
-        # k <= 31, its embedded 10-point Gauss rule for k <= 19
-        for k in range(32):
+    def test_weights_integrate_monomials_exactly(self):
+        # int_{-1}^{1} t^k dt: the 25-point rule is exact for k <= 25, the
+        # 13-point rule for k <= 13; budget 1e-15 (measured 1.6e-16)
+        for k in range(26):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(self._rule(stein._GK_WEIGHTS, k) - exact) <= 1e-15
-            if k <= 19:
-                assert abs(self._rule(stein._G_WEIGHTS, k) - exact) <= 1e-15
+            assert abs(self._rule(stein._WEIGHTS, k) - exact) <= 1e-15
+            if k <= 13:
+                assert abs(self._rule(stein._HALF_WEIGHTS, k)
+                           - exact) <= 1e-15
 
-    def test_gauss_part_is_gauss_legendre(self):
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        used = stein._G_WEIGHTS > 0.0
-        assert np.allclose(stein._GK_NODES[used], nodes, rtol=0, atol=1e-15)
-        assert np.allclose(stein._G_WEIGHTS[used], weights, rtol=0,
-                           atol=1e-15)
+    def test_nodes_hold_the_ends_and_nest(self):
+        # the nodes cos(k pi / 24) run from 1 to -1; the 13-point rule
+        # weighs every other one of them and nothing else
+        nodes = stein._NODES
+        assert nodes[0] == 1.0 and nodes[-1] == -1.0
+        assert np.allclose(nodes, np.cos(np.arange(25) * math.pi / 24),
+                           rtol=0, atol=1e-15)
+        assert np.all(stein._HALF_WEIGHTS[::2] > 0.0)
+        assert np.all(stein._HALF_WEIGHTS[1::2] == 0.0)
 
     def test_unresolvable_h_raises(self):
         # 80 000 periods per mesh gap: 200 pieces cannot meet the tolerance,
@@ -344,15 +380,15 @@ class TestGaussKronrod:
 
     def test_rows_are_integrals_of_their_own(self):
         # a row's value is the same in any batch, refined at its kink or
-        # not; budget 1e-14 (measured 1.1e-16)
+        # not; budget 1e-14 (measured 2.6e-15)
         a, b = np.array([0.0, 0.3, 1.0]), np.array([1.0, 0.7, 2.5])
         x = np.array([0.5, 0.0, 2.0])
 
         def f(t, x):
             return np.minimum(t, x) * np.exp(-t)
 
-        together = stein._gauss_kronrod(f, a, b, x)
-        alone = [stein._gauss_kronrod(f, a[i:i + 1], b[i:i + 1], x[i:i + 1])
+        together = stein._adaptive(f, a, b, x)
+        alone = [stein._adaptive(f, a[i:i + 1], b[i:i + 1], x[i:i + 1])
                  for i in range(3)]
         assert together.tolist() == np.concatenate(alone).tolist()
         exact = [1.0 - math.exp(-0.5) - 0.5 * math.exp(-1.0), 0.0,
@@ -361,8 +397,8 @@ class TestGaussKronrod:
 
     @pytest.mark.parametrize("c", SUITE_CAPS, ids=lambda c: f"cap{c:.4f}")
     def test_opaque_mean_matches_quad_and_closed_form(self, c):
-        # budget 1e-12 (measured 1.8e-15 against the closed form and
-        # 6.7e-14 against quad)
+        # budget 1e-12 (measured 4.7e-14 against the closed form and
+        # 5.0e-14 against quad)
         opaque = stein.mu_h(_opaque_cap(c))
         quad, _ = integrate.quad(lambda t: min(t, c) * hn_pdf(t), 0.0, np.inf,
                                  epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -816,7 +852,7 @@ class TestClosedFormPaths:
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature on a closed-form path")
 
-        monkeypatch.setattr(stein, "_gauss_kronrod", refuse)
+        monkeypatch.setattr(stein, "_adaptive", refuse)
 
     def test_opaque_h_still_needs_quadrature(self):
         with pytest.raises(AssertionError, match="closed-form path"):

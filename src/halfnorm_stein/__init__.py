@@ -6,6 +6,15 @@ equation; discrete Stein characterizations; and exact Kolmogorov and
 Wasserstein distances checked against closed-form n^{-1/2} error bounds.
 """
 
+import os as _os
+
+# Loading OpenBLAS, in numpy's import, starts a worker thread that spins
+# for about 60 ms of CPU, slowing the import itself and, on a short run,
+# what comes after it. The package makes no BLAS call, so it asks for no
+# worker; this must run before numpy's first import, and a value the
+# caller set is kept.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .characterization import (CharacterizationSpec, indicator_residuals,
                                make_spec, recover_pmf)
 from .metrics import (AuxiliaryReport, DistanceReport, RateRow,

@@ -18,7 +18,7 @@ it; only at such an interior crossing is the quantile taken, and as F_Y
 equals the law's CDF there, only p is evaluated at it. No quadrature
 touches the theorem margins. ``wasserstein_quantile`` is an independent
 second route, also in closed form: it integrates the quantile gap, with
-the quantile read from ``ndtri`` where this route reads erf.
+the quantile read from AS241 where this route reads F.
 
 A law is anything with ``atoms()`` and ``cdf()`` whose CDF is 1 beyond its
 last atom: the sweep reads the float CDF of ``walks.float_law``, kept only
@@ -140,8 +140,8 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
     to the step, splits it into pieces on which Q_Y stays on one side of x.
     As d/dt p(t) = -t p(t), int_{u0}^{u1} Q_Y = P(u0) - P(u1) with
     P = p(Q_Y), so a piece is |x (u1 - u0) - (P(u0) - P(u1))|, with
-    P(0) = p(0) and P(1) = 0. Q_Y is read from ``ndtri`` (``_hn_quantile``),
-    where ``batch_distances`` reads erf and H, so the two routes share F
+    P(0) = p(0) and P(1) = 0. Q_Y is read from AS241 (``_hn_quantile``),
+    where ``batch_distances`` reads F and H, so the two routes share F
     only at the split.
     """
     atoms = law.atoms()

@@ -222,11 +222,9 @@ def fz(z: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
     broadcasting against x: fz(z[:, None], xs) is a (z, x) grid. Neither
     branch divides by p, and both are finite on x and z clamped at 0.
     """
-    xs, zs = np.asarray(x, dtype=float), np.maximum(z, 0.0)
-    at = np.maximum(xs, 0.0)
-    out = np.where(xs > 0.0,
-                   np.where(at <= zs, hn_cdf(at) * _tail_over_density(zs, at),
-                            hn_cdf(zs) * mills(at)), 0.0)
+    at = np.maximum(np.asarray(x, dtype=float), 0.0)
+    zs = np.maximum(z, 0.0)
+    out = _fz_values(at, zs, hn_cdf(at), hn_cdf(zs), mills(at), mills(zs))
     return out if out.ndim else float(out)
 
 
@@ -251,10 +249,24 @@ def fz_prime(z: float | np.ndarray, x: float | np.ndarray,
     at, zs = np.maximum(xs, 0.0), np.maximum(z, 0.0)
     left = xs <= z if side == "left" else xs < z
     out = np.where(z < 0.0, 0.0,
-                   np.where(left,
-                            hn_cdf_integral(at) * _tail_over_density(zs, at),
-                            -hn_cdf(zs) * (1.0 - at * mills(at))))
+                   _fz_prime_values(at, zs, left, hn_cdf(zs),
+                                    hn_cdf_integral(at), mills(at), mills(zs)))
     return out if out.ndim else float(out)
+
+
+def _fz_values(x, z, f_x, f_z, r_x, r_z):
+    """fz at x, z >= 0 from F and R there, broadcasting as fz does.
+    (1 - F(z))/p(x) is taken as R(z) p(z)/p(x), finite where 1 - F(z) and
+    p(x) both underflow."""
+    inner = np.where(x <= z, f_x * (r_z * _density_ratio(z, x)), f_z * r_x)
+    return np.where(x > 0.0, inner, 0.0)
+
+
+def _fz_prime_values(x, z, left, f_z, h_x, r_x, r_z):
+    """fz_prime at x, z >= 0 from F, H and R there: the left branch where
+    the mask left holds, the right one elsewhere."""
+    return np.where(left, h_x * (r_z * _density_ratio(z, x)),
+                    -f_z * (1.0 - x * r_x))
 
 
 def _density_ratio(z, x):
@@ -268,12 +280,6 @@ def _density_ratio(z, x):
     """
     m = np.minimum(0.5 * x + 0.5 * z, 1e300)
     return np.exp(-np.clip(z - x, 0.0, 40.0) * m)
-
-
-def _tail_over_density(z, x):
-    """(1 - F(z))/p(x) = R(z) p(z)/p(x) for 0 <= x <= z, finite where
-    1 - F(z) and p(x) both underflow."""
-    return mills(z) * _density_ratio(z, x)
 
 
 def _capped_identity_solution(h: CappedIdentity, mu: float, xs):
@@ -567,15 +573,21 @@ def _peak(vals: np.ndarray, *axes: np.ndarray):
 
 def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
     # The (z, x) grid in blocks of Z_BLOCK levels z, each broadcast against
-    # the x row by fz and fz_prime. The z grid is the x grid, so x = z lies
-    # in each row: the row holds the right limit of f_z' there, and the
-    # left limit H(z) R(z) is added for z > 0.
+    # the x row as in fz and fz_prime. The z grid is the x grid, so F, H and
+    # R are evaluated once, on the row, and x = z lies in each row: the row
+    # holds the right limit of f_z' there, and the left limit H(z) R(z) is
+    # added for z > 0.
     xs = np.linspace(0.0, z_hi, grid)
+    f_x, h_x, r_x = hn_cdf(xs), hn_cdf_integral(xs), mills(xs)
     peaks_f, peaks_fp = [], []
     for lo in range(0, grid, Z_BLOCK):
-        z = xs[lo:lo + Z_BLOCK]
-        peaks_f.append(_peak(fz(z[:, None], xs), z, xs))
-        peaks_fp.append(_peak(fz_prime(z[:, None], xs, side="right"), z, xs))
+        block = slice(lo, lo + Z_BLOCK)
+        z, f_z, r_z = xs[block, None], f_x[block, None], r_x[block, None]
+        peaks_f.append(_peak(_fz_values(xs, z, f_x, f_z, r_x, r_z),
+                             xs[block], xs))
+        peaks_fp.append(_peak(
+            _fz_prime_values(xs, z, xs < z, f_z, h_x, r_x, r_z),
+            xs[block], xs))
     value, z = _peak(fz_prime(xs[1:], xs[1:], side="left"), xs[1:])
     peaks_fp.append((value, (z, z)))
     # The sup of |f_z| over x sits at x = z; refine along that diagonal.

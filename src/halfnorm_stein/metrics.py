@@ -2,15 +2,18 @@
 half-normal distribution, plus the closed-form error bounds they are
 measured against.
 
-``batch_distances`` measures a stream of laws in blocks: it concatenates
-their atoms and CDFs, at most ``_BLOCK_ATOMS`` atoms to a block (a longer
-law is a block of its own), evaluates F and p once per block and reduces
-per law with ``reduceat``. A sweep of short laws thus pays numpy's
-per-call overhead once per block instead of once per law. ``distances``
-is its batch of one. The Kolmogorov supremum over a discrete/continuous
-pair is attained at an atom, approached from the left or the right; both
-candidates are checked, and the per-law maximum of the same differences
-is the same float, so blocking leaves d_K bit for bit. The Wasserstein
+Distances are measured a block of laws at a time: ``_block_distances``
+takes the block's atoms and CDFs concatenated, evaluates F and p once and
+reduces per law with ``reduceat``. A sweep of short laws thus pays numpy's
+per-call overhead once per block instead of once per law. An n-list
+(``bound_checks``, ``rate_table``) is measured straight from the blocks of
+float CDFs that ``walks._float_blocks`` builds, at most ``_BLOCK_ATOMS``
+padded atoms to a block, with its atoms scale * j built in one pass and
+no law object made; ``distances`` measures one law object as a block of
+one. The Kolmogorov supremum over a discrete/continuous pair is attained
+at an atom, approached from the left or the right; both candidates are
+checked, and the per-law maximum of the same differences is the same
+float, so blocking leaves d_K bit for bit. The Wasserstein
 distance is the integral of |F_law - F_Y|, evaluated segment by segment
 with the antiderivative H = p + xF, read off the same F and p. The F
 values at a segment's ends tell whether F_Y crosses the law's CDF inside
@@ -21,15 +24,15 @@ second route, also in closed form: it integrates the quantile gap, with
 the quantile read from AS241 where this route reads F.
 
 A law is anything with ``atoms()`` and ``cdf()`` whose CDF is 1 beyond its
-last atom: the sweep reads the float CDF of ``walks.float_law``, kept only
-up to its first entry equal to 1.0, the exact oracles a ``ScaledLaw`` with
-every atom and the exact CDF rounded once.
+last atom: the float CDF of ``walks.float_law``, kept only up to its first
+entry equal to 1.0, or, for the exact oracles, a ``ScaledLaw`` with every
+atom and the exact CDF rounded once. The blocks of an n-list hold the
+same float CDFs as ``float_law``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -37,17 +40,22 @@ from itertools import accumulate
 import numpy as np
 
 from .normal import HALF_NORMAL_MEAN, _hn_quantile, hn_cdf, hn_pdf, mills
-from .walks import (FloatLaw, ScaledLaw, exact_pmf, float_law, half_length,
-                    walk_length)
+from .walks import (FloatLaw, ScaledLaw, _float_blocks, exact_pmf,
+                    half_length, walk_length)
 
 
 _P0 = float(hn_pdf(0.0))  # p(0) = H(0)
-_BLOCK_ATOMS = 2 ** 12  # atoms per block of batch_distances
+# padded atoms per block of the float laws of an n-list.
+# bound_checks over the benchmark sweep's three n-lists took 20.5 ms at
+# 2^13 against 25.1 at 2^12 and 18.3 at 2^14 (warm, best of 30, on a
+# 2-core Xeon); a block peaks at about 110 bytes an atom, most of it the
+# Taylor-table gather of F
+_BLOCK_ATOMS = 2 ** 13
 
 
 def distances(law: ScaledLaw | FloatLaw) -> tuple[float, float]:
     """(d_K, d_W) against the half-normal for atoms on [0, inf), from one
-    evaluation of F and p at the atoms: ``batch_distances`` of one law.
+    evaluation of F and p at the atoms: ``_block_distances`` of one law.
 
     d_K = sup_z |F_law(z) - F(z)|, taken at each atom from both sides.
     d_W = integral of |F_law - F| over [0, inf). On each segment [a, b]
@@ -66,36 +74,23 @@ def distances(law: ScaledLaw | FloatLaw) -> tuple[float, float]:
     1.0, so d_K is the uncut route's bit for bit and d_W moves by at most
     1e-14 (``walks.float_law``).
     """
-    ((_, d_k, d_w),) = batch_distances([law])
-    return d_k, d_w
+    x = law.atoms()
+    d_k, d_w = _block_distances(x, law.cdf(), np.array([len(x)]))
+    return float(d_k[0]), float(d_w[0])
 
 
-def batch_distances(laws: Iterable[ScaledLaw | FloatLaw]
-                    ) -> Iterator[tuple[ScaledLaw | FloatLaw, float, float]]:
-    """(law, d_K, d_W) for each law in turn, as ``distances`` gives them.
-
-    Laws are read from ``laws`` until the next one would take the block
-    past _BLOCK_ATOMS atoms, so a generator of laws keeps one block alive.
-    No laws at all raises ValueError.
-    """
-    block, size = [], 0
-    for law in laws:
-        atoms = law.atoms()
-        if block and size + len(atoms) > _BLOCK_ATOMS:
-            yield from _block_distances(block)
-            block, size = [], 0
-        block.append((law, atoms, law.cdf()))
-        size += len(atoms)
-    if not block:
-        raise ValueError("no laws to measure")
-    yield from _block_distances(block)
+def _lattice(scales: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The atoms scale * j, j = 0..size - 1, of each law in turn."""
+    starts = np.cumsum(sizes) - sizes
+    j = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)
+    return np.repeat(scales, sizes) * j
 
 
-def _block_distances(block):
-    """(law, d_K, d_W) for each (law, atoms, cdf) of a block, from one
-    evaluation of F and p at the block's concatenated atoms."""
-    laws, xs, cdfs = zip(*block)
-    sizes = np.array([len(x) for x in xs])
+def _block_distances(x: np.ndarray, cdf: np.ndarray, sizes: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(d_K, d_W) of each law of a block, its atoms and CDF concatenated
+    in ``x`` and ``cdf``, sizes[i] of them from law i, from one evaluation
+    of F and p at the block's atoms."""
     ends = np.cumsum(sizes)
     starts, last = ends - sizes, ends - 1
 
@@ -105,12 +100,13 @@ def _block_distances(block):
         out[starts] = first
         return out
 
-    x = np.concatenate(xs)
-    cdf = np.concatenate(cdfs)
-    c = before(cdf, 0.0)  # F_law on [a, b), left of b
     f = hn_cdf(x)
+    c = before(cdf, 0.0)  # F_law on [a, b), left of b
     d_k = np.maximum.reduceat(np.maximum(np.abs(cdf - f), np.abs(c - f)),
                               starts)
+    # p at the crossings first, while few arrays of the block are alive
+    inner = np.flatnonzero((before(f, 0.0) < c) & (c < f))
+    p_cross = hn_pdf(_hn_quantile(c[inner]))
 
     p = hn_pdf(x)
     anti_b = p + x * f
@@ -118,13 +114,19 @@ def _block_distances(block):
     a = before(x, 0.0)
     seg = anti_b - anti_a - c * (x - a)
     np.negative(seg, out=seg, where=c >= f)
-    inner = np.flatnonzero((before(f, 0.0) < c) & (c < f))
     seg[inner] = (anti_a[inner] + anti_b[inner]
-                  - c[inner] * (a[inner] + x[inner])
-                  - 2.0 * hn_pdf(_hn_quantile(c[inner])))
+                  - c[inner] * (a[inner] + x[inner]) - 2.0 * p_cross)
     tail = p[last] * (1.0 - x[last] * mills(x[last]))
-    d_w = np.add.reduceat(seg, starts) + tail
-    return zip(laws, d_k.tolist(), d_w.tolist())
+    return d_k, np.add.reduceat(seg, starts) + tail
+
+
+def _float_distances(statistic_tag: str, ns):
+    """(scales, cdf, sizes, d_K, d_W) of each block of the float laws of
+    ``ns`` in turn, ``walks._float_blocks`` of at most _BLOCK_ATOMS padded
+    atoms, so one block is alive at a time."""
+    for scales, cdf, sizes in _float_blocks(statistic_tag, ns, _BLOCK_ATOMS):
+        yield (scales, cdf, sizes,
+               *_block_distances(_lattice(scales, sizes), cdf, sizes))
 
 
 def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
@@ -141,7 +143,7 @@ def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
     As d/dt p(t) = -t p(t), int_{u0}^{u1} Q_Y = P(u0) - P(u1) with
     P = p(Q_Y), so a piece is |x (u1 - u0) - (P(u0) - P(u1))|, with
     P(0) = p(0) and P(1) = 0. Q_Y is read from AS241 (``_hn_quantile``),
-    where ``batch_distances`` reads F and H, so the two routes share F
+    where ``distances`` reads F and H, so the two routes share F
     only at the split.
     """
     atoms = law.atoms()
@@ -216,18 +218,24 @@ def bound_check(statistic_tag: str, n: int) -> DistanceReport:
 def bound_checks(statistic_tag: str, ns) -> list[DistanceReport]:
     """Distances for each n of ``ns``, next to the matching theorem bounds.
 
-    Both distances read one CDF from ``float_law``, O(sqrt(n)) atoms long;
+    Both distances read one CDF of ``float_law``, O(sqrt(n)) atoms long;
     it agrees with the exactly rounded CDF of ``scaled_law`` to about 1e-14
-    on the atoms it keeps. The laws are built as ``batch_distances`` reads
-    them, one block at a time. An empty ``ns`` raises ValueError.
+    on the atoms it keeps. The laws are built a block at a time by
+    ``walks._float_blocks`` and each block is measured as built, its atoms
+    and CDFs never wrapped as laws. An empty ``ns`` raises ValueError.
     """
     ns = list(ns)
-    laws = batch_distances(float_law(statistic_tag, n) for n in ns)
+    if not ns:
+        raise ValueError("no laws to measure")
+    d_k, d_w = [], []
+    for *_, k, w in _float_distances(statistic_tag, ns):
+        d_k += k.tolist()
+        d_w += w.tolist()
     return [DistanceReport(
-        statistic_tag=statistic_tag, n=n, kolmogorov=d_k, wasserstein=d_w,
+        statistic_tag=statistic_tag, n=n, kolmogorov=k, wasserstein=w,
         bound_K=theorem_bound(statistic_tag, n, "K"),
         bound_W=theorem_bound(statistic_tag, n, "W"),
-    ) for (_, d_k, d_w), n in zip(laws, ns, strict=True)]
+    ) for n, k, w in zip(ns, d_k, d_w, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +319,26 @@ def rate_table(statistic_tag: str, n_list) -> list[RateRow]:
     """sqrt(n)-scaled distances, the mass at zero and the mean gap.
 
     For returns, sqrt(n) P(K_n = 0) tends to sqrt(2/pi) and
-    sqrt(n) |E[W] - E[Y]| tends to 1, pinning the n^{-1/2} rate. One
-    ``float_law`` per n gives all columns; E[X] = scale * sum_k P(X > k),
-    summed over the kept atoms, as P(X > k) reads 0.0 from the last one on.
+    sqrt(n) |E[W] - E[Y]| tends to 1, pinning the n^{-1/2} rate. The float
+    law of each n, measured in blocks as in ``bound_checks``, gives all
+    columns; E[X] = scale * sum_k P(X > k), summed over the kept atoms, as
+    P(X > k) reads 0.0 from the last one on.
     """
     n_list = list(n_list)
     if not n_list:
         raise ValueError("empty n list")
+    laws = []  # (mean, P(X = 0), d_K, d_W) of each law, its CDF dropped
+    for scales, cdf, sizes, d_k, d_w in _float_distances(statistic_tag,
+                                                         n_list):
+        for scale, law, k, w in zip(scales.tolist(),
+                                    np.split(cdf, np.cumsum(sizes[:-1])),
+                                    d_k.tolist(), d_w.tolist()):
+            laws.append((scale * float(np.sum(1.0 - law[:-1])),
+                         float(law[0]), k, w))
     rows = []
-    laws = batch_distances(float_law(statistic_tag, n) for n in n_list)
-    for n, (law, d_k, d_w) in zip(n_list, laws, strict=True):
-        cdf = law.cdf()
+    for n, (mean, p0, d_k, d_w) in zip(n_list, laws, strict=True):
         rn = math.sqrt(n)
-        mean = law.scale * float(np.sum(1.0 - cdf[:-1]))
         rows.append(RateRow(n=n, sqrtn_dK=rn * d_k, sqrtn_dW=rn * d_w,
-                            sqrtn_p0=rn * float(cdf[0]),
+                            sqrtn_p0=rn * p0,
                             sqrtn_mean_gap=rn * abs(mean - HALF_NORMAL_MEAN)))
     return rows

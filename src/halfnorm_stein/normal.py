@@ -310,9 +310,13 @@ def hn_tail_integral(x):
     """G(x) = p(x) - x (1 - F(x)) = p(x) (1 - x R(x)), the integral of 1 - F
     over [x, inf). 1 - x R is about 1/x^2, so the relative error of R and
     the eps x^2/2 rounding of p's exponent both grow as eps x^2. x is
-    clamped at 40, as in phi; G is 0.0 from x = 38.41 on, G(inf) too."""
+    clamped at 40, as in phi; G is 0.0 from x = 38.41 on, G(inf) too.
+    Below 0, where R overflows from x = -37.7 on, G is p - x (1 - F) as
+    written, a sum of two positive terms, and G(-inf) = inf."""
     x = np.minimum(x, 40.0)
-    return hn_pdf(x) * (1.0 - x * mills(x))
+    up = np.maximum(x, 0.0)
+    return np.where(x < 0.0, hn_pdf(x) - x * (1.0 - hn_cdf(x)),
+                    hn_pdf(up) * (1.0 - up * mills(up)))[()]
 
 
 def _hn_isf(s):

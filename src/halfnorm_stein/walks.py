@@ -5,14 +5,17 @@ lengths n = 2m + parity (``half_length`` is the one admissibility rule,
 ``walk_length`` its inverse) and its scale, ``_ratios`` the ratio recurrence
 of its row of m + 1 entries and ``_masses`` the map of that row onto the
 support. ``exact_pmf`` runs the recurrence in big integers (O(m)
-operations, denominator 2^(2m)) and keeps every atom. ``float_law`` runs it
-in floats only over the law's numerical support, O(sqrt(n)) entries: the
-row is cut where a geometric bound puts the dropped mass below 2^-64 of the
-kept mass, and the normalised CDF is trimmed after its first entry equal
-to 1.0. The exact pmfs rounded once are its oracle. The oracle of
-the exact pmfs is an enumeration of all 2^n paths (n <= 22) by in-place
-prefix doubling, one statistic per call: at most 3 int8 arrays of 2^n,
-O(2^n) work, one bounded counting pass, no formula.
+operations, denominator 2^(2m)) and keeps every atom. The float laws run
+it in floats only over the law's numerical support, O(sqrt(n)) entries:
+the row is cut where a geometric bound puts the dropped mass below 2^-64
+of the kept mass, and the normalised CDF is trimmed after its first entry
+equal to 1.0. One row builder, ``_float_block``, makes them for a block
+of n at once, as one padded 2D array with one cumprod and one cumsum along
+its rows; ``float_law`` is its block of one, and ``metrics`` measures each
+block of a sweep as built. The exact pmfs rounded once are its oracle.
+The oracle of the exact pmfs is an enumeration of all 2^n paths (n <= 22)
+by in-place prefix doubling, one statistic per call: at most 3 int8
+arrays of 2^n, O(2^n) work, one bounded counting pass, no formula.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ BRUTE_FORCE_MAX_N = 22
 # proved to be at most _TAIL_RTOL of the kept mass
 _X_CUT = 10.0
 _TAIL_RTOL = 2.0 ** -64
+
+# the most atoms the row of a float law may map onto: 8 MiB a float array,
+# and about 100 bytes an atom at the peak of its distances (measured at
+# n = 2^26 and 2^28). It admits n up to 1.1e10 (returns, max) or 4.4e10
+# (halfmax, signchanges); a larger n raises DomainError before any row is
+# built
+_MAX_ATOMS = 2 ** 20
 
 
 class DomainError(ValueError):
@@ -197,10 +207,10 @@ def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
 
 def float_law(statistic_tag: str, n: int) -> FloatLaw:
     """The law of ``scaled_law(statistic_tag, n)`` on its numerical support,
-    with float atoms and CDF.
+    with float atoms and CDF: ``_float_block`` of the one n.
 
     The pmf is built up to a constant factor by a float cumprod over the
-    ratio recurrences of the exact pmfs, cut where ``_float_row`` proves
+    ratio recurrences of the exact pmfs, cut where the tail bound proves
     the dropped mass at most 2^-64 of the kept mass. Each dropped term is
     then below half an ulp of the running sum, so the normaliser, the last
     kept partial sum, is the one the whole row gives. The cumulative sum
@@ -210,31 +220,30 @@ def float_law(statistic_tag: str, n: int) -> FloatLaw:
     On that prefix the CDF agrees with ``ScaledLaw.cdf()`` to about 1e-14
     up to n = 4096 and is bit for bit the CDF of the uncut row, so d_K is
     unchanged by the cut and d_W, which adds the tail beyond the last atom
-    in closed form, moves by at most 1e-14.
+    in closed form, moves by at most 1e-14. An n whose row would hold more
+    than _MAX_ATOMS atoms raises DomainError.
     """
-    m = half_length(statistic_tag, n)
-    cdf = np.cumsum(_masses(statistic_tag, _float_row(statistic_tag, m)))
-    cdf /= cdf[-1]
-    # cdf never exceeds 1.0, so this is the first index where it reads 1.0
-    cdf = cdf[:np.searchsorted(cdf, 1.0) + 1]
-    return FloatLaw(_LAWS[statistic_tag][1] / math.sqrt(n), cdf)
+    scales, cdf, _ = _float_block(statistic_tag, [_cut(statistic_tag, n)])
+    return FloatLaw(float(scales[0]), cdf)
 
 
-def _ratios(statistic_tag: str, m: int) -> tuple[range, range]:
-    """(numerators, denominators): row entry k + 1 is entry k times their
-    k-th quotient. returns: binom(2m - r, m) 2^r, quotients 2(m - r)/(2m - r),
-    so that P(K_n = r) = binom(2m - r, m) / 2^(2m - r) on r = 0..m;
-    the others: binom(n, c + j), c = n - m, quotients (m - j)/(c + j + 1).
+def _ratios(statistic_tag: str, m, j):
+    """(numerator, denominator) of the j-th quotient of the row of m + 1
+    entries: row entry j + 1 is entry j times their quotient, j = 0..m - 1,
+    elementwise on ints or on arrays of whole numbers. returns:
+    binom(2m - r, m) 2^r, quotients 2(m - r)/(2m - r), so that
+    P(K_n = r) = binom(2m - r, m) / 2^(2m - r) on r = 0..m; the others:
+    binom(n, c + j), c = n - m, quotients (m - j)/(c + j + 1).
     """
     if statistic_tag == "returns":
-        return range(2 * m, 0, -2), range(2 * m, m, -1)
-    c = m + _LAWS[statistic_tag][0]
-    return range(m, 0, -1), range(c + 1, c + m + 1)
+        return 2 * m - 2 * j, 2 * m - j
+    return m - j, m + _LAWS[statistic_tag][0] + 1 + j
 
 
 def _masses(statistic_tag: str, row: np.ndarray) -> np.ndarray:
-    """The row mapped onto the support 0..upper; a float row or an object
-    row of exact ints alike. Over 2^(2m), with p_{n,r} = P(S_n = r):
+    """The row mapped onto the support 0..upper, along its last axis; a
+    float row or an object row of exact ints alike. Over 2^(2m), with
+    p_{n,r} = P(S_n = r):
     max: P(M_n = r) = p_{n,r} + p_{n,r+1};
     halfmax: q(s) = 2 binom(2m, m + s) / 2^(2m) for s >= 1 and
     q(0) = P(M_n = 0) = binom(2m, m) / 2^(2m);
@@ -243,51 +252,117 @@ def _masses(statistic_tag: str, row: np.ndarray) -> np.ndarray:
     if statistic_tag == "max":
         # exactly one of r, r + 1 is even, so binom(n, m + j) is the mass
         # at r = 2j - 1 and at r = 2j
-        return np.repeat(row, 2)[1:]
+        return np.repeat(row, 2, axis=-1)[..., 1:]
     if statistic_tag == "halfmax":
         # the boundary atom q(0) is not doubled
-        return np.concatenate((row[:1], 2 * row[1:]))
+        return np.concatenate((row[..., :1], 2 * row[..., 1:]), axis=-1)
     return row
+
+
+def _atoms(statistic_tag: str, k):
+    """Atoms of the support that row entries 0..k map onto."""
+    return 2 * k + 1 if statistic_tag == "max" else k + 1
 
 
 def _exact_row(statistic_tag: str, m: int) -> np.ndarray:
     """The row from binom(2m + parity, m), an object array of exact ints."""
     row = [math.comb(2 * m + _LAWS[statistic_tag][0], m)]
-    for num, den in zip(*_ratios(statistic_tag, m)):
+    nums, dens = _ratios(statistic_tag, m, np.arange(m))
+    for num, den in zip(nums.tolist(), dens.tolist()):
         row.append(row[-1] * num // den)
     return np.array(row, dtype=object)
 
 
-def _float_row(statistic_tag: str, m: int) -> np.ndarray:
-    """Entries 0..k of the row divided by its first entry, by a float
-    cumprod, for a cut index k proved to drop at most 2^-64 of the mass.
+def _cut(statistic_tag: str, n: int) -> tuple[int, int, int]:
+    """(n, m, k): the first cut k of the row of ``float_law`` at n, its row
+    entry at the atom x = _X_CUT. Entries sit 1/sqrt(n) apart in x for
+    returns and 2/sqrt(n) for the others (max has two atoms per entry), so
+    k is 10 sqrt(n) or 5 sqrt(n), at most m.
+
+    An inadmissible n raises DomainError, and so does an n whose row of the
+    cut maps onto more than _MAX_ATOMS atoms. Past n = _MAX_ATOMS^2, where
+    sqrt(n) may not even be a float, every row does, and m stands in for k.
+    """
+    m = half_length(statistic_tag, n)
+    k = m
+    if n <= _MAX_ATOMS ** 2:
+        spacing = 1 if statistic_tag == "returns" else 2  # x times sqrt(n)
+        k = min(m, math.ceil(_X_CUT * math.sqrt(n) / spacing))
+    _check_atoms(statistic_tag, n, _atoms(statistic_tag, k))
+    return n, m, k
+
+
+def _check_atoms(statistic_tag: str, n: int, atoms: int) -> None:
+    if atoms > _MAX_ATOMS:
+        raise DomainError(f"{statistic_tag} at n = {n} needs a float law "
+                          f"of {atoms} atoms, more than {_MAX_ATOMS}")
+
+
+def _float_blocks(statistic_tag: str, ns, cells: int):
+    """``_float_block`` of consecutive runs of the n of ``ns``, each run
+    as long as its rows, padded to the widest, map onto at most ``cells``
+    atoms; a law wider than that is a run of its own. Each n is checked
+    by ``_cut`` as its run is formed."""
+    block, widest = [], 0
+    for n in ns:
+        cut = _cut(statistic_tag, n)
+        width = _atoms(statistic_tag, cut[2])
+        if block and (len(block) + 1) * max(widest, width) > cells:
+            yield _float_block(statistic_tag, block)
+            block, widest = [], 0
+        block.append(cut)
+        widest = max(widest, width)
+    if block:
+        yield _float_block(statistic_tag, block)
+
+
+def _float_block(statistic_tag: str, cuts) -> tuple[np.ndarray, np.ndarray,
+                                                      np.ndarray]:
+    """(scales, cdf, sizes) of ``float_law`` at each (n, m, k) of ``cuts``:
+    the laws' CDFs concatenated, sizes[i] atoms from law i.
+
+    The rows are built at once, padded to the widest: row i holds the
+    quotients 0..k_i - 1 of ``_ratios`` and 0.0 beyond them, so one
+    cumprod along the rows gives entries 0..k_i and exactly 0.0 past
+    k_i, which no cumulative sum or normaliser can tell from the end of
+    the row. Each product and each sum is accumulated in order along its
+    row, so every row is bit for bit the row built alone.
 
     Every row's quotients q_j decrease in j, so entry k + j is at most
     row[k] q_k^j and the entries past k sum to at most
     row[k] q_k / (1 - q_k); ``_masses`` doubles them for max and halfmax.
-    The cut is kept when that bound is at most _TAIL_RTOL times the kept
-    mass. The first k is the row entry at the atom x = _X_CUT: entries sit
-    1/sqrt(n) apart in x for returns and 2/sqrt(n) for the others (max has
-    two atoms per entry), so k is 10 sqrt(n) or 5 sqrt(n). A cut that
-    fails the bound doubles k, up to the whole row.
+    A cut is kept when that bound is at most _TAIL_RTOL times the kept
+    mass, the row's last partial sum. The rows whose cut fails it double
+    k, up to the whole row, and the block is built again.
     """
-    nums, dens = _ratios(statistic_tag, m)
-    spacing = 1 if statistic_tag == "returns" else 2  # in x, times sqrt(n)
+    # as floats, exact below 2^53, so no integer loop or cast touches a row
+    n, m, k = (np.array(v, dtype=float) for v in zip(*cuts))
     doubled = 2.0 if statistic_tag in ("max", "halfmax") else 1.0
-    k = min(m, math.ceil(_X_CUT * math.sqrt(walk_length(statistic_tag, m))
-                         / spacing))
+    rows = np.arange(len(k))
     while True:
-        num, den = (np.arange(r.start, r.stop, r.step, dtype=float)
-                    for r in (nums[:k + 1], dens[:k + 1]))
-        q = num / den
-        row = np.ones(k + 1)
-        np.cumprod(q[:k], out=row[1:])
-        if k == m:
-            return row
-        tail = doubled * row[k] * q[k] / (1.0 - q[k])
-        if tail <= _TAIL_RTOL * _masses(statistic_tag, row).sum():
-            return row
-        k = min(2 * k, m)
+        # column c holds quotient c - 1 up to c = k and 0.0 past it, and
+        # column 0 the row's first entry, 1.0
+        j = np.arange(-1, k.max())
+        row = np.divide(*_ratios(statistic_tag, m[:, None], j),
+                        out=np.zeros((len(k), len(j))), where=j < k[:, None])
+        row[:, 0] = 1.0
+        np.cumprod(row, axis=1, out=row)
+        row_k = row[rows, k.astype(np.intp)]
+        cdf = np.cumsum(_masses(statistic_tag, row), axis=1)
+        q_k = np.divide(*_ratios(statistic_tag, m, k))
+        tail = doubled * row_k * q_k / (1.0 - q_k)
+        short = tail > _TAIL_RTOL * cdf[:, -1]
+        if not short.any():
+            break
+        k = np.where(short, np.minimum(2 * k, m), k)
+        widest = np.argmax(k)
+        _check_atoms(statistic_tag, int(n[widest]),
+                     int(_atoms(statistic_tag, k[widest])))
+    cdf /= cdf[:, -1:]
+    # cdf never exceeds 1.0, so this is each row's first index reading 1.0
+    sizes = np.argmax(cdf >= 1.0, axis=1) + 1
+    kept = np.arange(cdf.shape[1]) < sizes[:, None]
+    return _LAWS[statistic_tag][1] / np.sqrt(n), cdf[kept], sizes
 
 
 def mean_exact(pmf: ExactPMF) -> Fraction:

@@ -303,6 +303,18 @@ def test_domain_errors_exit_two(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check-bounds", "distance",
+                                     "rate-table"])
+@pytest.mark.parametrize("n", [1 << 62, 10 ** 15, (1 << 64) + 2])
+def test_huge_n_exits_two(capsys, command, n):
+    # 2^62 ended in a numpy _ArrayMemoryError traceback and exit 1, 10^15
+    # in a process killed for its memory
+    assert cli.main([command, "--stat", "max", "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"halfnorm-stein {command}: error: max at n = ")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out = run(capsys, "distance", "--stat", "returns", "--n", "4",

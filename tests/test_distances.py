@@ -487,6 +487,19 @@ def test_rate_table_evaluates_f_and_p_once_per_row(evaluations):
     assert evaluations["hn_cdf"].calls > 1
 
 
+def test_bound_checks_evaluate_f_and_p_on_kept_atoms_only(evaluations):
+    # the laws are built as padded rows, but F runs on exactly the atoms
+    # each float_law keeps, and p on those plus the crossings: no padded
+    # cell and no atom past a cut is evaluated. The n list spans blocks
+    # of several widths and a law wider than a block.
+    ns = [2, 64, 1024, 4096, *range(2000, 4097, 16), 1 << 22, 6, 8]
+    atoms = sum(len(walks.float_law("max", n).atoms()) for n in ns)
+    metrics.bound_checks("max", ns)
+    f, p, q = _elements(evaluations)
+    assert f == atoms and p == atoms + q and q <= atoms
+    assert evaluations["hn_cdf"].calls > 2
+
+
 def test_auxiliary_bounds_evaluates_f_and_p_once_per_law(evaluations):
     # one V-law and the bound_check of the maximum it is compared with
     metrics.auxiliary_bounds(300)
@@ -503,54 +516,68 @@ def test_auxiliary_bounds_evaluates_f_and_p_once_per_law(evaluations):
 BATCH_BUDGET = 1e-15
 
 
-def _assert_batch_matches_alone(laws):
-    batched = list(metrics.batch_distances(iter(laws)))
-    assert len(batched) == len(laws)
-    for law, (same, d_k, d_w) in zip(laws, batched):
-        assert same is law
+def _assert_block_matches_alone(laws):
+    # any laws, concatenated into one block of _block_distances
+    sizes = np.array([len(law.atoms()) for law in laws])
+    d_k, d_w = metrics._block_distances(
+        np.concatenate([law.atoms() for law in laws]),
+        np.concatenate([law.cdf() for law in laws]), sizes)
+    assert len(d_k) == len(d_w) == len(laws)
+    for law, k, w in zip(laws, d_k.tolist(), d_w.tolist()):
         alone_k, alone_w = metrics.distances(law)
-        assert d_k == alone_k
-        assert abs(d_w - alone_w) <= BATCH_BUDGET
+        assert k == alone_k
+        assert abs(w - alone_w) <= BATCH_BUDGET
+
+
+def _assert_checks_match_alone(tag, ns):
+    # the blocks of an n-list against float_law at each n
+    reports = metrics.bound_checks(tag, ns)
+    assert [r.n for r in reports] == list(ns)
+    for r in reports:
+        alone_k, alone_w = metrics.distances(walks.float_law(tag, r.n))
+        assert r.kolmogorov == alone_k
+        assert abs(r.wasserstein - alone_w) <= BATCH_BUDGET
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_batch_matches_each_law_alone(tag):
     # every admissible n up to 4096/4097 in one stream of blocks
     first = 3 if tag == "signchanges" else 2
-    _assert_batch_matches_alone([walks.float_law(tag, n)
-                                 for n in range(first, 4098, 2)])
-
-
-def _steps(size):
-    """A FloatLaw of ``size`` equal masses on the lattice 0.05 * k."""
-    return walks.FloatLaw(0.05, np.arange(1, size + 1) / size)
+    _assert_checks_match_alone(tag, range(first, 4098, 2))
 
 
 def test_block_filled_exactly(evaluations):
-    # two laws that fill a block to the atom are one F evaluation; one atom
-    # more opens a second block
-    full = [_steps(1000), _steps(metrics._BLOCK_ATOMS - 1000)]
-    list(metrics.batch_distances(full))
+    # returns at n = 254 is cut at its whole row of 128 entries, so a
+    # block's worth of such rows, one of them narrower, fills the block to
+    # the padded cell and is one F evaluation; one law more opens a
+    # second block
+    per_block = metrics._BLOCK_ATOMS // 128
+    assert per_block * 128 == metrics._BLOCK_ATOMS
+    assert walks._cut("returns", 254) == (254, 127, 127)
+    full = [2, *[254] * (per_block - 1)]
+    blocks = list(walks._float_blocks("returns", full, metrics._BLOCK_ATOMS))
+    assert len(blocks) == 1 and blocks[0][1].size < metrics._BLOCK_ATOMS
+    metrics.bound_checks("returns", full)
     assert evaluations["hn_cdf"].calls == 1
-    assert evaluations["hn_cdf"].elements == metrics._BLOCK_ATOMS
-    list(metrics.batch_distances([*full, _steps(1)]))
+    assert len(list(walks._float_blocks("returns", [*full, 2],
+                                        metrics._BLOCK_ATOMS))) == 2
+    metrics.bound_checks("returns", [*full, 2])
     assert evaluations["hn_cdf"].calls == 3
-    _assert_batch_matches_alone([*full, _steps(1), *full])
+    _assert_checks_match_alone("returns", [*full, 2, *full])
 
 
 def test_law_longer_than_a_block(evaluations):
-    # max at n = 2^20 keeps more atoms than a block holds, so it is a block
+    # max at n = 2^22 keeps more atoms than a block holds, so it is a block
     # of its own between the short laws around it
-    long = walks.float_law("max", 1 << 20)
-    assert len(long.atoms()) > metrics._BLOCK_ATOMS
-    laws = [walks.float_law("max", 64), long, walks.float_law("max", 128)]
-    list(metrics.batch_distances(laws))
+    ns = [64, 1 << 22, 128]
+    assert len(walks.float_law("max", 1 << 22).atoms()) > metrics._BLOCK_ATOMS
+    metrics.bound_checks("max", ns)
     assert evaluations["hn_cdf"].calls == 3
-    _assert_batch_matches_alone(laws)
+    _assert_checks_match_alone("max", ns)
 
 
 def test_batch_mixes_scaled_and_float_laws():
-    _assert_batch_matches_alone([
+    _assert_block_matches_alone([
         walks.scaled_law("returns", 64), walks.float_law("max", 128),
         *HAND_MADE_LAWS.values(), walks.scaled_law("signchanges", 65),
         walks.float_law("halfmax", 4000), walks.scaled_law("max", 2)])
@@ -558,9 +585,9 @@ def test_batch_mixes_scaled_and_float_laws():
 
 def test_empty_batch_raises():
     with pytest.raises(ValueError):
-        list(metrics.batch_distances([]))
-    with pytest.raises(ValueError):
         metrics.bound_checks("max", [])
+    with pytest.raises(ValueError):
+        metrics.rate_table("max", [])
 
 
 @pytest.mark.parametrize("tag,first", [("returns", 2), ("max", 2),

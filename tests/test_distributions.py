@@ -213,6 +213,20 @@ def test_mills_ratio_and_tail_integral_far_out(x):
     assert r == (0.0 if x == math.inf else 1.0 / x)
 
 
+@pytest.mark.parametrize("x,expected", [
+    (-37.5, 75.0), (-38.0, 76.0), (-39.0, 78.0), (-1e3, 2e3),
+    (-math.inf, math.inf)])
+def test_tail_integral_below_zero(x, expected):
+    # G(x) = p(x) - x (1 - F(x)) is p(x) + 2|x| - |x| (1 - F(|x|)) below 0,
+    # and p and 1 - F(|x|) are below 1e-300 at these x; p (1 - x R) gave
+    # inf from x = -38 on (R overflows) and nan with a warning from -39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, gs = hn_tail_integral(x), hn_tail_integral(np.array([x, 1.0]))
+    assert g == expected and gs[0] == expected
+    assert gs[1] == hn_tail_integral(1.0)
+
+
 def test_normal_tails_relative_accuracy():
     # normal_sf(x) = erfc(x / sqrt 2)/2 and cap_phi(x) = normal_sf(-x) on
     # [-38, 38] against 50-digit mpmath. Budget, with eps = 2^-52: relative
@@ -245,7 +259,7 @@ _LEVELS = np.concatenate([np.linspace(0.0, 1.0, 401), 2.0 ** -np.arange(
     pytest.param(fn, points, id=fn.__name__) for fn, points in (
         (phi, _BIT_POINTS), (cap_phi, _BIT_POINTS), (normal_sf, _BIT_POINTS),
         (hn_pdf, _BIT_POINTS), (hn_cdf, _BIT_POINTS), (mills, _BIT_POINTS),
-        (hn_cdf_integral, _NONNEGATIVE), (hn_tail_integral, _NONNEGATIVE),
+        (hn_cdf_integral, _NONNEGATIVE), (hn_tail_integral, _BIT_POINTS),
         (_hn_isf, _LEVELS), (_hn_quantile, _LEVELS))])
 def test_float_argument_matches_array_bit_for_bit(fn, points):
     # a float or a 0-d array takes the scalar path, any other array the

@@ -19,7 +19,9 @@ Error budgets:
   at most 4.5e-16, from summing fewer zero terms.
 """
 
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +53,7 @@ def uncut_float_law(tag, n):
     """The float route over the whole row of m + 1 entries, normalised by
     its last partial sum and not trimmed: the reference for the cut."""
     m = walks.half_length(tag, n)
-    num, den = (np.arange(r.start, r.stop, r.step, dtype=float)
-                for r in walks._ratios(tag, m))
+    num, den = walks._ratios(tag, m, np.arange(m, dtype=float))
     row = np.ones(m + 1)
     np.cumprod(num / den, out=row[1:])
     cdf = np.cumsum(walks._masses(tag, row))
@@ -95,11 +96,42 @@ def test_cut_matches_uncut_route(tag):
         assert abs(d_w - ref_w) <= CUT_BUDGET, n
 
 
+# sha256 of repr((n, d_K, d_W, bound_K, bound_W)) over every admissible
+# n <= 4096/4097, in order, as bound_checks gave them when each law was
+# built on its own; a faster route must keep every float
+BOUND_CHECK_DIGESTS = {
+    "returns":
+        "d3a26362c79d936d5f0fcebdbf5c72e08394066c0dac26ab559725e61b1f1c2d",
+    "max": "e7e5c24fb86786b87b6d05dd6dfbe9a2262f1e73d1b251ce321a881469450190",
+    "halfmax":
+        "9c5549588a542094b974bb8b27eba8d9544202ed1670de33b397427c27437c88",
+    "signchanges":
+        "eb0175ee5b6911fdcf2e98ec9dc9b42471965f1d783efe1be8285aa4e33e40c6",
+}
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_bound_checks_are_pinned_bit_for_bit(tag):
+    first = 3 if tag == "signchanges" else 2
+    digest = hashlib.sha256()
+    for r in metrics.bound_checks(tag, range(first, 4098, 2)):
+        digest.update(repr((r.n, r.kolmogorov, r.wasserstein,
+                            r.bound_K, r.bound_W)).encode())
+    assert digest.hexdigest() == BOUND_CHECK_DIGESTS[tag]
+
+
+def uncut_float_blocks(tag, ns, cells):
+    """``walks._float_blocks`` with each law uncut, in blocks of one."""
+    for n in ns:
+        law = uncut_float_law(tag, n)
+        yield np.array([law.scale]), law.cdf(), np.array([len(law.cdf())])
+
+
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_rate_table_matches_uncut_route(tag, monkeypatch):
     ns = every_admissible_and_powers(tag)
     rows = metrics.rate_table(tag, ns)
-    monkeypatch.setattr(metrics, "float_law", uncut_float_law)
+    monkeypatch.setattr(metrics, "_float_blocks", uncut_float_blocks)
     for row, ref in zip(rows, metrics.rate_table(tag, ns), strict=True):
         rn = math.sqrt(row.n)
         assert (row.n, row.sqrtn_dK, row.sqrtn_p0) \
@@ -123,15 +155,67 @@ def test_cut_does_not_depend_on_the_first_guess(tag, x_cut, monkeypatch):
         assert np.array_equal(walks.float_law(tag, n).cdf(), law.cdf()), n
 
 
+def _row_widths(monkeypatch):
+    """The width of every block of rows ``walks._float_block`` builds, read
+    where it maps them onto the support."""
+    widths, masses = [], walks._masses
+
+    def spy(tag, row):
+        widths.append(row.shape[-1])
+        return masses(tag, row)
+
+    monkeypatch.setattr(walks, "_masses", spy)
+    return widths
+
+
 @pytest.mark.parametrize("tag", walks.STATISTICS)
-def test_float_law_work_is_order_sqrt_n(tag):
+def test_float_law_work_is_order_sqrt_n(tag, monkeypatch):
     # no timing: the row and the CDF stay O(sqrt(n)) long up to n = 2^20;
     # the row stops at the atom x = 10 unless its tail bound fails
     first = 3 if tag == "signchanges" else 2
+    widths = _row_widths(monkeypatch)
     for n in [*admissible(tag), *((1 << k) + first - 2 for k in range(1, 21))]:
+        widths.clear()
         assert len(walks.float_law(tag, n).cdf()) <= 10 * math.isqrt(n) + 2
-        row = walks._float_row(tag, walks.half_length(tag, n))
-        assert len(row) <= 10 * (math.isqrt(n) + 1) + 1, n
+        assert max(widths) <= 10 * (math.isqrt(n) + 1) + 1, n
+
+
+# (statistic, first guess, whether some first cut below m holds): at 8.0
+# and 8.5 some such cuts hold and others double, at 3.0 all of them double,
+# some several times
+MIXED_CUTS = [("returns", 8.0, True), ("max", 8.5, True),
+              ("halfmax", 8.5, True), ("signchanges", 8.5, True),
+              ("returns", 3.0, False), ("max", 3.0, False)]
+
+
+@pytest.mark.parametrize("tag,x_cut,some_hold", MIXED_CUTS)
+def test_mixed_block_matches_uncut_route(tag, x_cut, some_hold, monkeypatch):
+    # one block of rows of different widths, in no order: the shortest
+    # end at m, some rows double their cut and others keep their first
+    # guess. Each law must still be the uncut route's prefix bit for bit,
+    # so no padding reaches a cut, a normaliser or another row
+    first = 3 if tag == "signchanges" else 2
+    ns = [first + d for d in (398, 0, 4094, 98, 8, 2046, 998, 48)]
+    monkeypatch.setattr(walks, "_X_CUT", x_cut)
+    widths = _row_widths(monkeypatch)
+    doubles = {}
+    for n in ns:
+        widths.clear()
+        walks.float_law(tag, n)
+        doubles[n] = len(widths) > 1
+    assert any(doubles.values()) and not all(doubles.values())
+    assert some_hold == any(
+        not doubles[n] and walks._cut(tag, n)[2] < walks.half_length(tag, n)
+        for n in ns)
+    widths.clear()
+    ((scales, cdf, sizes),) = walks._float_blocks(tag, ns, 1 << 20)
+    assert len(widths) > 1
+    for n, scale, law in zip(ns, scales, np.split(cdf, np.cumsum(sizes[:-1])),
+                             strict=True):
+        whole = uncut_float_law(tag, n).cdf()
+        assert scale == walks.float_law(tag, n).scale, n
+        assert np.array_equal(law, whole[:len(law)]), n
+        assert np.all(whole[len(law):] == 1.0), n
 
 
 @pytest.mark.parametrize("tag,n", [("returns", 5), ("returns", 0),
@@ -143,3 +227,64 @@ def test_float_law_rejects_bad_n(tag, n):
         walks.float_law(tag, n)
     with pytest.raises(ValueError):
         walks.scaled_law(tag, n)
+
+
+HUGE_N = [1 << 62, 10 ** 15, (1 << 64) + 2, 10 ** 400]
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+@pytest.mark.parametrize("n", HUGE_N)
+def test_huge_n_is_refused_before_anything_is_built(tag, n, monkeypatch):
+    # 2^62 ended in numpy's _ArrayMemoryError, 10^15 in a process killed
+    # for its memory; a block holds m and k as floats, exact below 2^53,
+    # and past about 1.8e308 sqrt(n) is no float. Refused before any row
+    # exists
+    n += tag == "signchanges"
+
+    def build(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(walks, "_float_block", build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(walks.DomainError, match="atoms, more than"):
+            walks.float_law(tag, n)
+        with pytest.raises(walks.DomainError, match="atoms, more than"):
+            metrics.bound_checks(tag, [n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 16
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_atom_limit_admits_the_measured_range(tag):
+    # the largest admitted n, found by bisection over m, maps its row onto
+    # at most _MAX_ATOMS atoms and the next n onto more; the ROADMAP's
+    # n = 2^24 and the tests' 2^20 lie far inside
+    def admitted(m):
+        try:
+            walks._cut(tag, walks.walk_length(tag, m))
+        except walks.DomainError:
+            return False
+        return True
+
+    lo, hi = 1, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    n = walks.walk_length(tag, lo)
+    assert walks._atoms(tag, walks._cut(tag, n)[2]) <= walks._MAX_ATOMS
+    with pytest.raises(walks.DomainError):
+        walks._cut(tag, n + 2)
+    assert n >= 1 << 33
+
+
+def test_cut_doubled_past_the_atom_limit_is_refused(monkeypatch):
+    # returns at n = 4096 with a first guess at x = 0.5: its first cut, 33
+    # atoms, is admitted, and the tail bound doubles it past 100
+    monkeypatch.setattr(walks, "_X_CUT", 0.5)
+    monkeypatch.setattr(walks, "_MAX_ATOMS", 100)
+    assert walks._cut("returns", 4096)[2] == 32
+    with pytest.raises(walks.DomainError, match="at n = 4096 needs"):
+        walks.float_law("returns", 4096)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _grid_points(spec: str) -> int:
-    """A certification grid size: an integer of at least 2."""
+    """A certification grid size: an integer from 2 to stein.MAX_GRID."""
     try:
         points = int(spec)
     except ValueError:
@@ -40,6 +41,9 @@ def _grid_points(spec: str) -> int:
     if points < 2:
         raise argparse.ArgumentTypeError(
             f"grid needs at least 2 points, got {points}")
+    if points > stein.MAX_GRID:
+        raise argparse.ArgumentTypeError(
+            f"grid takes at most {stein.MAX_GRID} points, got {points}")
     return points
 
 
@@ -247,6 +251,7 @@ def _cmd_simulate(args) -> int:
     return 0 if all(row["passed"] for row in rows) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfnorm-stein",
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("indicator", "lipschitz", "all"),
                    default="all")
     p.add_argument("--grid", type=_grid_points, default=400,
-                   help="points per axis, at least 2")
+                   help=f"points per axis, 2 to {stein.MAX_GRID}")
     p.set_defaults(fn=_cmd_verify_lemmas)
 
     p = sub.add_parser("simulate", help="Monte Carlo check against the exact law")

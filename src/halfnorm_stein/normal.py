@@ -1,9 +1,9 @@
 """Standard-normal and half-normal evaluators, in numpy alone.
 
 All functions accept scalars or numpy arrays and evaluate elementwise. A
-float (or a 0-d array) takes a scalar path through the same arithmetic, so
-it gives the same np.float64, bit for bit, as the same point inside an
-array.
+float (or a 0-d array) runs through the same array code as a one-element
+array, so it gives an np.float64 with the same bits as the same point
+inside any array.
 The half-normal law is these closed forms, for x >= 0: the density
 p = 2 phi, the CDF F = 2 Phi - 1 = erf(x / sqrt 2), the Mills ratio
 R = (1 - F)/p, H = p + x F = int F, G = p - x (1 - F) = int_x^inf (1 - F),
@@ -83,7 +83,6 @@ _AS241 = np.array([
       1.48753612908506148525e-2, 1.36929880922735805310e-1,
       5.99832206555887937690e-1, 1.0)),
 ])
-_AS241_ROWS = _AS241.tolist()
 # per power, (numerator, denominator) by branch: gathered per element
 _AS241_BY_POWER = np.ascontiguousarray(_AS241.transpose(2, 1, 0))
 
@@ -94,9 +93,9 @@ _DEGREE = 5
 
 
 def _poly(coefficients, u):
-    """Horner's rule, highest power first, on a float or in place on a new
-    array. The coefficients are numbers, or arrays shaped like u (one
-    polynomial per element)."""
+    """Horner's rule, highest power first, in place on a new array. The
+    coefficients are numbers, or arrays shaped like u (one polynomial per
+    element)."""
     acc = coefficients[0] * u + coefficients[1]
     for c in coefficients[2:]:
         acc *= u
@@ -105,7 +104,7 @@ def _poly(coefficients, u):
 
 
 def _mills_fit(x):
-    """R(x) at x >= 0 from _MILLS_FIT, for a float or an array; R(inf) = 0."""
+    """R(x) at each x >= 0 of an array from _MILLS_FIT; R(inf) = 0."""
     clipped = np.minimum(x, 1e300)  # keeps y finite at inf
     return _poly(_MILLS_FIT, (clipped - 4.0) / (clipped + 4.0)) / (1.0 + x)
 
@@ -140,7 +139,6 @@ def _tables():
 
 
 _MILLS_TABLE, _CDF_TABLE = _tables()
-_MILLS_ROWS, _CDF_ROWS = _MILLS_TABLE.T.tolist(), _CDF_TABLE.T.tolist()
 
 
 def _tabulated(table, x):
@@ -151,30 +149,10 @@ def _tabulated(table, x):
     return _poly(table.take(node.astype(np.intp), axis=1), y - node)
 
 
-def _tabulated_float(rows, x):
-    """A Taylor table at the float x in [0, _TABLE_END], as _tabulated."""
-    y = x * _STEPS
-    node = round(min(_LAST_NODE, y))  # min keeps its first argument at nan
-    return _poly(rows[node], y - node)
-
-
-def _evaluate(scalar_fn, array_fn, x):
-    """scalar_fn at a float or 0-d x, as an np.float64; otherwise array_fn
-    on the flattened array x, shaped like it. Both give the same doubles."""
+def _evaluate(array_fn, x):
+    """array_fn on x flattened, then shaped like x: np.float64 for a float."""
     a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        return np.float64(scalar_fn(float(a)))
-    out = array_fn(a.ravel())
-    return out if a.ndim == 1 else out.reshape(a.shape)
-
-
-def _mills_float(x):
-    a = abs(x)
-    r = _mills_fit(a) if a >= _TABLE_END else _tabulated_float(_MILLS_ROWS, a)
-    if x < 0.0:  # R(-a) = 1/phi(a) - R(a)
-        with np.errstate(over="ignore"):
-            return np.exp(0.5 * (a * a)) / INV_SQRT_2PI - r
-    return r
+    return array_fn(a.ravel()).reshape(a.shape)[()]
 
 
 def _mills_array(x):
@@ -184,67 +162,37 @@ def _mills_array(x):
     if far.any():  # the fit is 27 Horner steps, even on no elements
         r[far] = _mills_fit(a[far])
     neg = x < 0.0
-    if neg.any():
+    if neg.any():  # R(-a) = 1/phi(a) - R(a)
         with np.errstate(over="ignore"):
             r[neg] = np.exp(0.5 * np.square(a[neg])) / INV_SQRT_2PI - r[neg]
     return r
 
 
 # F is odd, and its last node, at _TABLE_END, reads 1.0
-def _cdf_float(x):
-    return math.copysign(
-        _tabulated_float(_CDF_ROWS, min(abs(x), _TABLE_END)), x)
-
-
 def _cdf_array(x):
     return np.copysign(
         _tabulated(_CDF_TABLE, np.minimum(np.abs(x), _TABLE_END)), x)
 
 
-def _sf_float(x):
-    """1 - Phi(x): phi R above 0, (1 + F(-x))/2 at and below it."""
-    if x > 0.0:
-        c = min(x, 40.0)  # phi is 0.0 from 38.6 on; x^2 must not overflow
-        return INV_SQRT_2PI * np.exp(-0.5 * (c * c)) * _mills_float(x)
-    return 0.5 * (1.0 + _cdf_float(-x))
-
-
 def _sf_array(x):
+    """1 - Phi(x): phi R above 0, (1 + F(-x))/2 at and below it."""
     out = np.empty_like(x)
     up = x > 0.0
     xu = x[up]
-    out[up] = (INV_SQRT_2PI * np.exp(-0.5 * np.square(np.minimum(xu, 40.0)))
-               * _mills_array(xu))
+    out[up] = phi(xu) * _mills_array(xu)
     out[~up] = 0.5 * (1.0 + _cdf_array(-x[~up]))
     return out
 
 
-def _isf_float(s):
-    """-Phi^{-1}(s/2), the half-normal quantile at 1 - s, by AS241 at the
-    float s: Phi^{-1}(p) with p = s/2 and its sign flipped, which is
-    exact."""
+def _isf_array(s):
+    """-Phi^{-1}(s/2), the half-normal quantile at 1 - s, by AS241 at each
+    element of a flat array: Phi^{-1}(p) with p = s/2 and its sign flipped,
+    which is exact. Each element gathers its AS241 branch's coefficients,
+    and all are evaluated at once."""
     p = 0.5 * s
     w = 0.5 - p  # -q in AS241
-    t = min(p, 1.0 - p)
-    if t >= 0.075:  # AS241's |q| <= 0.425
-        r = 0.180625 - w * w
-        num, den = _AS241_ROWS[0]
-        return _poly(num, r) * w / _poly(den, r)
-    if not t > 0.0:
-        return math.inf if p == 0.0 else -math.inf if p == 1.0 else math.nan
-    r = math.sqrt(-np.log(t))
-    num, den = _AS241_ROWS[1 if r <= 5.0 else 2]
-    r = r - (1.6 if r <= 5.0 else 5.0)
-    return _poly(num, r) * math.copysign(1.0, w) / _poly(den, r)
-
-
-def _isf_array(s):
-    """_isf_float at each element of a flat array: each element gathers
-    its AS241 branch's coefficients, and all are evaluated at once."""
-    p = 0.5 * s
-    w = 0.5 - p
     t = np.minimum(p, 1.0 - p)
-    outer = t < 0.075
+    outer = t < 0.075  # outside AS241's |q| <= 0.425
     r = np.sqrt(-np.log(np.maximum(t, 5e-324)))
     tail = r > 5.0
     v = np.where(outer, r - np.where(tail, 5.0, 1.6), 0.180625 - w * w)
@@ -271,12 +219,12 @@ def phi(x):
 def cap_phi(x):
     """Standard normal CDF, read from the upper tail at -x, so it keeps its
     relative accuracy far out on the left."""
-    return _evaluate(lambda v: _sf_float(-v), lambda a: _sf_array(-a), x)
+    return _evaluate(lambda a: _sf_array(-a), x)
 
 
 def normal_sf(x):
     """Upper tail 1 - cap_phi(x), accurate to full relative precision."""
-    return _evaluate(_sf_float, _sf_array, x)
+    return _evaluate(_sf_array, x)
 
 
 def hn_pdf(x):
@@ -288,7 +236,7 @@ def hn_cdf(x):
     """Half-normal CDF F(x) = 2 cap_phi(x) - 1 = erf(x / sqrt 2) at x >= 0,
     odd in x; its Taylor table keeps the relative accuracy near 0 that
     2 cap_phi - 1 cancels."""
-    return _evaluate(_cdf_float, _cdf_array, x)
+    return _evaluate(_cdf_array, x)
 
 
 def mills(x):
@@ -298,7 +246,7 @@ def mills(x):
     It stays finite (about 1/x) where 1 - F and p both underflow, and
     R(inf) = 0. Below 0 it is 1/phi(x) - R(-x), inf from x = -37.7 on.
     """
-    return _evaluate(_mills_float, _mills_array, x)
+    return _evaluate(_mills_array, x)
 
 
 def hn_cdf_integral(x):
@@ -326,7 +274,7 @@ def _hn_isf(s):
     Taken from the survival side, so s far below machine epsilon keeps its
     full relative accuracy.
     """
-    return _evaluate(_isf_float, _isf_array, s)
+    return _evaluate(_isf_array, s)
 
 
 def _hn_quantile(q):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfnorm_stein import cli, metrics, simulate, walks
+from halfnorm_stein import cli, metrics, simulate, stein, walks
 
 
 def run(capsys, *argv):
@@ -368,6 +368,35 @@ def test_verify_lemmas_rejects_degenerate_grid(capsys, kind, grid):
     err = capsys.readouterr().err
     assert "grid needs at least 2 points" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", [stein.MAX_GRID + 1, 10 ** 18])
+def test_verify_lemmas_refuses_a_grid_above_the_cap(monkeypatch, capsys,
+                                                    grid):
+    # 10^18 ended in numpy's _ArrayMemoryError traceback and exit 1; now
+    # argparse's usage error, exit 2, ends in one line naming the cap
+    def certify(*args, **kwargs):
+        raise AssertionError("a suite was run")
+
+    monkeypatch.setattr(stein, "verify_lemma_bounds", certify)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-lemmas", "--grid", str(grid)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"halfnorm-stein verify-lemmas: error: argument --grid: grid takes "
+        f"at most {stein.MAX_GRID} points, got {grid}")
+    assert "Traceback" not in err
+    assert cli._grid_points(str(stein.MAX_GRID)) == stein.MAX_GRID
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    argv = ("distance", "--stat", "returns", "--n", "2:8:2", "--format", "csv")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0 and first[1]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 _STAT = st.sampled_from(walks.STATISTICS + ("bogus",))

@@ -262,9 +262,10 @@ _LEVELS = np.concatenate([np.linspace(0.0, 1.0, 401), 2.0 ** -np.arange(
         (hn_cdf_integral, _NONNEGATIVE), (hn_tail_integral, _BIT_POINTS),
         (_hn_isf, _LEVELS), (_hn_quantile, _LEVELS))])
 def test_float_argument_matches_array_bit_for_bit(fn, points):
-    # a float or a 0-d array takes the scalar path, any other array the
-    # vectorised one; both give the same double, sign of zero included, a
-    # float gives np.float64, and an empty array gives an empty array
+    # a float or a 0-d array is evaluated as a one-element array; it gives
+    # the same double as the same point inside a longer array, sign of zero
+    # included, so no element's value depends on its neighbours; a float
+    # gives np.float64, and an empty array gives an empty array
     values = fn(points)
     for x, expected in zip(points.tolist(), values):
         got = fn(x)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -623,6 +624,73 @@ class TestSupSearch:
         with pytest.raises(ValueError):
             stein.sup_search(stein.aux_S, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (math.nan, 1.0),
+        (-1e308, 1e308)])
+    def test_infinite_interval(self, lo, hi):
+        # an end or a width that is not finite has no grid to refine: it
+        # returned (nan, nan), and the nested scans would never end
+        with pytest.raises(ValueError, match="is empty or not finite"):
+            stein.sup_search(stein.aux_S, lo, hi)
+
+    def test_diagonal_supremum_against_mpmath(self):
+        # sup_z f_z(z) = F(z) R(z): at its argmax (F R)' = p R + F (z R - 1)
+        # vanishes; 40-digit mpmath gives z* = 1.2253840052406991 and
+        # F R = 0.45629684786605056 there
+        with mpmath.workdps(40):
+            def fr(z):
+                cdf = mpmath.erf(z / mpmath.sqrt(2))
+                return cdf, (1 - cdf) / (2 * mpmath.npdf(z))
+
+            def slope(z):
+                cdf, r = fr(z)
+                return 2 * mpmath.npdf(z) * r + cdf * (z * r - 1)
+
+            z_star = mpmath.findroot(slope, 1.2)
+            peak = float(fr(z_star)[0] * fr(z_star)[1])
+            z_star = float(z_star)
+        assert (z_star, peak) == (1.2253840052406991, 0.45629684786605056)
+        argmax, value = stein.sup_search(_diagonal, 0.0, 8.0)
+        assert abs(argmax - z_star) <= stein.SUP_RESOLUTION
+        assert abs(value - peak) <= 1e-15
+
+    def test_each_round_is_one_call_of_sup_grid_points(self):
+        # each bracket is 2/(SUP_GRID - 1) of the last: 8, 0.040, 2.0e-4,
+        # 1.0e-6 (still above SUP_RESOLUTION), then 5.1e-9
+        sizes = []
+
+        def diagonal(z):
+            sizes.append(np.shape(z))
+            return _diagonal(z)
+
+        stein.sup_search(diagonal, 0.0, 8.0)
+        assert sizes == [(stein.SUP_GRID,)] * 4
+
+    def test_bimodal_returns_largest_value_scanned(self):
+        # a broad bump at x = 2 and a taller spike, 1e-3 wide, on the first
+        # round's grid point at x = 6.035: the spike wins the first round,
+        # and the finer rounds only reach its shoulders
+        spike = np.linspace(0.0, 8.0, stein.SUP_GRID)[301]
+        scanned = []
+
+        def bimodal(x):
+            y = (np.exp(-np.square(x - 2.0))
+                 + 1.5 * np.exp(-1e6 * np.square(x - spike)))
+            scanned.extend(zip(y.tolist(), x.tolist()))
+            return y
+
+        argmax, value = stein.sup_search(bimodal, 0.0, 8.0)
+        assert (value, argmax) == max(scanned)
+        assert argmax == spike and len(scanned) > stein.SUP_GRID
+
+    def test_sparse_doubles_end_the_search(self):
+        # near 1e300 neighbouring doubles are about 1e284 apart, so no
+        # bracket gets SUP_RESOLUTION wide; the search stops once a bracket
+        # is no narrower than the last (a loop on the width alone never ends)
+        argmax, value = stein.sup_search(lambda x: -np.abs(x - 1e300),
+                                         1e299, 2e300)
+        assert (argmax, value) == (1e300, 0.0)
+
 
 class TestLemmaReports:
     def test_indicator_report(self):
@@ -689,6 +757,29 @@ class TestLemmaReports:
     def test_degenerate_grid_rejected(self, kind, grid):
         with pytest.raises(ValueError, match="at least 2 points"):
             stein.verify_lemma_bounds(kind, grid=grid)
+
+    @pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
+    @pytest.mark.parametrize("grid", [stein.MAX_GRID + 1, 10 ** 18])
+    def test_huge_grid_is_refused_before_anything_is_built(
+            self, kind, grid, monkeypatch):
+        # 10^18 points ended in numpy's _ArrayMemoryError; refused before
+        # any grid exists, while MAX_GRID itself reaches the suite
+        def build(*args):
+            raise AssertionError("a suite was run")
+
+        monkeypatch.setattr(stein, "_indicator_bound_report", build)
+        monkeypatch.setattr(stein, "_lipschitz_bound_report", build)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {stein.MAX_GRID} "
+                                                 f"points, got {grid}$"):
+                stein.verify_lemma_bounds(kind, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 16
+        with pytest.raises(AssertionError, match="a suite was run"):
+            stein.verify_lemma_bounds(kind, grid=stein.MAX_GRID)
 
     @pytest.mark.parametrize("kind,z_hi", [
         *(pytest.param(kind, z_hi, id=f"{z_hi}-{kind}")

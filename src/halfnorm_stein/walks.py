@@ -13,9 +13,9 @@ equal to 1.0. One row builder, ``_float_block``, makes them for a block
 of n at once, as one padded 2D array with one cumprod and one cumsum along
 its rows; ``float_law`` is its block of one, and ``metrics`` measures each
 block of a sweep as built. The exact pmfs rounded once are its oracle.
-The oracle of the exact pmfs is an enumeration of all 2^n paths (n <= 22)
-by in-place prefix doubling, one statistic per call: at most 3 int8
-arrays of 2^n, O(2^n) work, one bounded counting pass, no formula.
+The oracle of the exact pmfs is an exact int64 count of all 2^n paths
+(n <= 62) per walk state, advanced one step at a time, one statistic per
+call: O(n^2) states, O(n^3) work, no formula.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _LAWS = {"returns": (0, 1.0), "max": (0, 1.0), "halfmax": (0, 2.0),
 
 STATISTICS = tuple(_LAWS)
 
-BRUTE_FORCE_MAX_N = 22
+BRUTE_FORCE_MAX_N = 62
 
 # float_law first tries a cut at the atom x = 10, where Hoeffding's bound
 # exp(-x^2/2) on the tail is exp(-50) = 2e-22 (twice that for the maximum,
@@ -421,57 +421,70 @@ def moment_bounds_check(m: int) -> MomentBoundReport:
     return MomentBoundReport(m, ek, en, ec, ok)
 
 
-def _enumerate(kind: str, n: int) -> np.ndarray:
-    """The per-path "max", "returns" or "signchanges" of all 2^n paths, as
-    int8; path i takes step k = +1 exactly when bit k of i is set.
+def _count(kind: str, n: int) -> np.ndarray:
+    """counts[v], v = 0..n: how many of the 2^n paths have "max",
+    "returns" or "signchanges" equal to v, as int64.
 
-    The paths are built in place by prefix doubling in two int8 arrays of
-    2^n, the position S and the statistic. Before step k, entries [0, 2^k)
-    hold the 2^k prefixes of length k; their +1 extensions are written into
-    [2^k, 2^(k+1)) and entries [0, 2^k) become their -1 extensions, so the
-    2^n paths cost about 2^(n+1) updates and no temporary exceeds 2^(n-1)
-    bytes.
+    Paths are counted per walk state, advanced one step at a time over
+    O(n^2) states, so O(n^3) work:
+    max: over (max - position, max); a +1 step at the max raises it;
+    returns: over (position, returns); a step onto 0 is a return;
+    signchanges: over (sign of the last nonzero position, position,
+    changes); a step off 0 against that sign is a change.
+    A state counts at most 2^n <= 2^62 paths, so no entry can wrap.
     """
-    s = np.zeros(1 << n, dtype=np.int8)
-    stat = np.zeros(1 << n, dtype=np.int8)
-    for k in range(n):
-        h = 1 << k
-        lo, hi = s[:h], s[h:2 * h]
-        lo_stat, hi_stat = stat[:h], stat[h:2 * h]
-        hi_stat[:] = lo_stat
-        if kind == "signchanges" and k:
-            # S_k = 0 is crossed iff step k repeats step k - 1, and step
-            # k - 1 is +1 exactly on the prefixes [h/2, h)
-            hi_stat[h // 2:] += lo[h // 2:] == 0
-            lo_stat[:h // 2] += lo[:h // 2] == 0
-        np.add(lo, 1, out=hi)
-        lo -= 1
-        if kind == "max":
-            # a -1 step never raises the running max
-            np.maximum(hi_stat, hi, out=hi_stat)
-        elif kind == "returns":
-            hi_stat += hi == 0
-            lo_stat += lo == 0
-    return stat
+    if kind == "max":
+        # table[d, v]: paths at position v - d below their max v
+        table = np.zeros((n + 1, n + 1), dtype=np.int64)
+        table[0, 0] = 1
+        for _ in range(n):
+            step = np.zeros_like(table)
+            step[1:] = table[:-1]
+            step[:-1] += table[1:]
+            step[0, 1:] += table[0, :-1]
+            table = step
+        return table.sum(axis=0)
+    # table[..., p + n, v]: paths at position p; signchanges has a plane
+    # per sign, 0 negative and 1 positive, each holding the positions of
+    # its sign and 0
+    shape = (2 * n + 1, n + 1) if kind == "returns" else (2, 2 * n + 1, n + 1)
+    table = np.zeros(shape, dtype=np.int64)
+    if kind == "returns":
+        table[n, 0] = 1
+    else:
+        # the first step sets the sign and changes nothing
+        table[0, n - 1, 0] = table[1, n + 1, 0] = 1
+    for _ in range(n - (kind == "signchanges")):
+        step = np.zeros_like(table)
+        step[..., 1:, :] = table[..., :-1, :]
+        step[..., :-1, :] += table[..., 1:, :]
+        if kind == "returns":
+            # the paths at 0 have just returned
+            step[n, 1:] = step[n, :-1].copy()
+            step[n, 0] = 0
+        else:
+            # the paths that left 0 against their plane's sign change
+            # plane and have changed sign once more
+            for sign, p in ((0, n + 1), (1, n - 1)):
+                step[1 - sign, p, 1:] += step[sign, p, :-1]
+                step[sign, p] = 0
+        table = step
+    return table.reshape(-1, n + 1).sum(axis=0)
 
 
 def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
-    """Exact pmf by enumerating all 2^n paths; the oracle for the formulas.
+    """Exact pmf by counting all 2^n paths; the oracle for the formulas.
 
-    Each call enumerates one statistic (halfmax from the per-path max by
-    ``path_statistic``), so at most 3 int8 arrays of 2^n are alive, and
-    counts its values in one pass of np.bincount over slices of 2^16, so
-    only a slice at a time is widened to intp. The support is read off the
-    enumeration, not assumed.
+    ``_count`` counts the paths of one statistic per walk state, with no
+    formula (halfmax is read off the max by ``path_statistic`` on its
+    values). The support is read off the count, not assumed; n up to
+    BRUTE_FORCE_MAX_N, whose 2^n paths fit in int64.
     """
     half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"enumeration capped at n = {BRUTE_FORCE_MAX_N}")
-    values = path_statistic(statistic_tag,
-                            _enumerate(path_kind(statistic_tag), n))
-    block = 1 << 16
-    counts = np.zeros(n + 1, dtype=np.int64)  # every statistic is <= n
-    for start in range(0, values.size, block):
-        counts += np.bincount(values[start:start + block], minlength=n + 1)
+        raise ValueError(f"path count capped at n = {BRUTE_FORCE_MAX_N}")
+    counts = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(counts, path_statistic(statistic_tag, np.arange(n + 1)),
+              _count(path_kind(statistic_tag), n))
     counts = np.trim_zeros(counts, "b").tolist()
     return ExactPMF(0, len(counts) - 1, tuple(counts), 1 << n, statistic_tag)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enumeration_check import (check_formulas_match_enumeration,
-                               naive_walk_statistics)
+from enumeration_check import (ENUMERATION_MAX_N, _enumerate,
+                               check_formulas_match_enumeration,
+                               enumerated_counts, naive_walk_statistics)
 from halfnorm_stein import metrics, simulate, walks
 
 
@@ -107,6 +108,16 @@ def test_brute_force_oracle_equality():
     check_formulas_match_enumeration()
 
 
+def test_brute_force_count_matches_enumeration():
+    # the count of paths per walk state against its own oracle, the
+    # enumeration of every path, at every admissible n it reaches
+    for tag in walks.STATISTICS:
+        first = 3 if tag == "signchanges" else 2
+        for n in range(first, ENUMERATION_MAX_N + 1, 2):
+            assert (walks.brute_force_pmf(tag, n).numerators
+                    == enumerated_counts(tag, n)), (tag, n)
+
+
 def _naive_statistics(n):
     """(max, returns, sign changes) of each of the 2^n paths, and halfmax,
     one path at a time and in the enumeration's order: path i takes step
@@ -124,7 +135,7 @@ def test_brute_force_matches_per_path_loop(n):
     # the joint law: the marginal law of the sign changes equals that of the
     # zeros where the walk touches without crossing
     kinds = ("max", "returns", "signchanges")
-    joint = list(zip(*(walks._enumerate(kind, n).tolist() for kind in kinds)))
+    joint = list(zip(*(_enumerate(kind, n).tolist() for kind in kinds)))
     assert collections.Counter(joint) == collections.Counter(
         (p["max"], p["returns"], p["signchanges"]) for p in paths)
     # path by path, in the documented order
@@ -142,13 +153,14 @@ def test_brute_force_matches_per_path_loop(n):
 
 def test_brute_force_cap():
     with pytest.raises(ValueError):
-        walks.brute_force_pmf("returns", 24)
+        walks.brute_force_pmf("returns", 64)
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_brute_force_memory_at_the_cap(tag):
-    # one statistic per call keeps at most three int8 arrays of 2^n alive,
-    # and the count widens a slice of 2^16 values at a time, never all 2^n
+    # one statistic per call, counted in two int64 tables of O(n^2)
+    # states: at most about 250 KiB at the cap, where one int8 per path
+    # would take 4 EiB
     n = walks.BRUTE_FORCE_MAX_N - (tag == "signchanges")
     tracemalloc.start()
     try:
@@ -156,7 +168,54 @@ def test_brute_force_memory_at_the_cap(tag):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (1 << n) + (1 << 20)
+    assert peak <= 1 << 20
+
+
+def test_brute_force_reads_no_formula(monkeypatch):
+    # the oracle never reaches the formulas it checks
+    def formula(*args):
+        raise AssertionError("the path count read a formula")
+
+    for name in ("_ratios", "_masses", "_exact_row", "exact_pmf"):
+        monkeypatch.setattr(walks, name, formula)
+    monkeypatch.setattr(math, "comb", formula)
+    for tag in walks.STATISTICS:
+        walks.brute_force_pmf(tag, walks.BRUTE_FORCE_MAX_N
+                              - (tag == "signchanges"))
+
+
+def _position_counts(n):
+    """counts[k][s + k]: the number of the 2^k paths with S_k = s, for
+    k = 0..n, each row the last shifted and added to itself; no binomial
+    formula."""
+    rows = [[1]]
+    for _ in range(n):
+        rows.append([a + b for a, b in zip([0, 0] + rows[-1],
+                                           rows[-1] + [0, 0])])
+    return rows
+
+
+def test_brute_force_meets_fellers_identities():
+    # Feller, Vol. I, ch. III, between the path count and the law of S_n:
+    # N_2m =d |S_2m| / 2, C_2m+1 =d (|S_2m+1| - 1) / 2 and
+    # P(K_2m = r) = P(S_2m-r = r), a count of 2^(2m - r) paths times 2^r
+    rows = _position_counts(walks.BRUTE_FORCE_MAX_N)
+
+    def abs_counts(n, parity):
+        # the paths with |S_n| = 2s + parity, s = 0, 1, ...
+        row = rows[n]
+        return tuple(row[n + v] + (v > 0) * row[n - v]
+                     for v in range(parity, n + 1, 2))
+
+    for n in range(2, walks.BRUTE_FORCE_MAX_N + 1, 2):
+        assert (walks.brute_force_pmf("halfmax", n).numerators
+                == abs_counts(n, 0)), n
+        if n + 1 <= walks.BRUTE_FORCE_MAX_N:
+            assert (walks.brute_force_pmf("signchanges", n + 1).numerators
+                    == abs_counts(n + 1, 1)), n + 1
+        returns = walks.brute_force_pmf("returns", n).numerators
+        assert returns == tuple(rows[n - r][n] << r
+                                for r in range(n // 2 + 1)), n
 
 
 def test_mean_identities():
@@ -320,7 +379,7 @@ def test_half_length_rejects(tag, n):
 
 
 class _Reached(Exception):
-    """Raised by a patched enumeration or walk drawer: n was accepted."""
+    """Raised by a patched path counter or walk drawer: n was accepted."""
 
 
 def _accepts(fn, *args) -> bool:
@@ -341,8 +400,7 @@ def test_every_entry_point_shares_one_domain(monkeypatch, tag):
     def reached(*args):
         raise _Reached
 
-    monkeypatch.setattr(walks, "_enumerate", reached)
-    monkeypatch.setattr(walks, "BRUTE_FORCE_MAX_N", 30)
+    monkeypatch.setattr(walks, "_count", reached)
     monkeypatch.setattr(simulate, "_steps", reached)
     for n in range(-3, 31):
         verdicts = {_accepts(walks.exact_pmf, tag, n),

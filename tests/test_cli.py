@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -223,6 +224,25 @@ def test_verify_lemmas_prints_where_each_supremum_sits(capsys):
     rows = json.loads(run(capsys, "verify-lemmas", "--kind", "lipschitz",
                           "--grid", "41", "--format", "json")[1])
     assert all(isinstance(row["at"], float) for row in rows)
+
+
+# sha256 of the whole stdout of `verify-lemmas --kind all --format json`
+# by grid, as a sweep of the indicator suite's whole (z, x) grid gave it:
+# reading the suprema on the diagonal alone must keep every byte
+VERIFY_LEMMAS_DIGESTS = {
+    200: "afab9e23eabf4f2e8ff61e45e7852512f2f8b59aec0d560049d2107c08c1adc2",
+    400: "1d652e136d2c469518f0494089e43796152cd6bd104825bf52f00cb69cdc2701",
+    1600: "fa6ffb1cca023f6bd7f95666fadae9c5428948e359d210e3abf6b1a11187d31b",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(VERIFY_LEMMAS_DIGESTS))
+def test_verify_lemmas_output_is_pinned(capsys, grid):
+    code, out = run(capsys, "verify-lemmas", "--kind", "all", "--format",
+                    "json", "--grid", str(grid))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == VERIFY_LEMMAS_DIGESTS[grid])
 
 
 def test_stein_solution_far_tail_has_no_nan(capsys):

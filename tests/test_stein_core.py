@@ -823,6 +823,23 @@ class TestLemmaReports:
         z, x = f_z.at
         assert z == x and f_z.observed == stein.fz(z, x)
 
+    def test_indicator_suite_is_linear_in_the_grid(self, monkeypatch):
+        # The suite reads the diagonal only: its grid row twice (the two
+        # limits of f_z') and sup_search's rounds of SUP_GRID points, at
+        # most 8 of them. A sweep of the (z, x) square would hand
+        # p(z)/p(x) grid^2 = 16.8 M points for each of f_z and f_z'.
+        sizes = []
+        density_ratio = stein._density_ratio
+
+        def spy(z, x):
+            sizes.append(np.broadcast(z, x).size)
+            return density_ratio(z, x)
+
+        monkeypatch.setattr(stein, "_density_ratio", spy)
+        grid = 4096
+        assert stein.verify_lemma_bounds("indicator", grid=grid).passed
+        assert sum(sizes) <= 2 * grid + 8 * stein.SUP_GRID
+
     @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
                              ids=["identity", "min1"])
     def test_lipschitz_suprema_are_located(self, h):
@@ -834,24 +851,22 @@ class TestLemmaReports:
 
 
 def _reference_indicator_report(z_hi, grid):
-    """The indicator suite as a scalar double loop over fz and fz_prime."""
-    zs = np.linspace(0.0, z_hi, grid)
-    xs = np.linspace(0.0, z_hi, grid)
-    sup_abs = 0.0
-    sup_prime = 0.0
-    for z in zs:
-        for x in xs:
-            sup_abs = max(sup_abs, abs(stein.fz(z, x)))
-            if x == z:
-                if z > 0.0:
-                    sup_prime = max(sup_prime,
-                                    abs(stein.fz_prime(z, x, side="left")))
-                sup_prime = max(sup_prime,
-                                abs(stein.fz_prime(z, x, side="right")))
-            else:
-                sup_prime = max(sup_prime, abs(stein.fz_prime(z, x)))
-    _, diag_sup = stein.sup_search(_diagonal, 0.0, z_hi)
-    return max(sup_abs, diag_sup), sup_prime
+    """The indicator suite as a scalar double loop over fz and fz_prime on
+    the whole (z, x) grid, the right limit of f_z' at x = z, then the left
+    limits at z > 0 and the refined diagonal of f_z: (sup, (z, x) where it
+    sits) of |f_z| and of |f_z'|, the first in that order on a tie."""
+    nodes = np.linspace(0.0, z_hi, grid).tolist()
+    peaks_f, peaks_fp = [], []
+    for z in nodes:
+        for x in nodes:
+            peaks_f.append((abs(stein.fz(z, x)), (z, x)))
+            peaks_fp.append((abs(stein.fz_prime(z, x, side="right")), (z, x)))
+    peaks_fp += [(abs(stein.fz_prime(z, z, side="left")), (z, z))
+                 for z in nodes if z > 0.0]
+    z, value = stein.sup_search(_diagonal, 0.0, z_hi)
+    peaks_f.append((value, (z, z)))
+    return tuple(max(peaks, key=lambda p: p[0])
+                 for peaks in (peaks_f, peaks_fp))
 
 
 def _reference_lipschitz_report(h, x_hi, grid):
@@ -874,11 +889,16 @@ def _reference_lipschitz_report(h, x_hi, grid):
 class TestReportParity:
     """The vectorised suites equal scalar loops over the public API, exactly."""
 
-    def test_indicator_rows_match_scalar_loop(self):
-        # grid 41 on [0, 5]: step 1/8, so z = 0 and every x = z is a node
-        report = stein.verify_lemma_bounds("indicator", z_hi=5.0, grid=41)
-        observed = tuple(c.observed for c in report.checks)
-        assert observed == _reference_indicator_report(5.0, 41)
+    @pytest.mark.parametrize("z_hi,grid", [(5.0, 41), (8.0, 2), (8.0, 3),
+                                           (8.0, 120), (1.0, 57), (0.3, 17)])
+    def test_indicator_rows_match_scalar_loop(self, z_hi, grid):
+        # The suite's rows on the diagonal against the whole (z, x) grid:
+        # each sup and where it sits, exactly. Grid 41 on [0, 5] has step
+        # 1/8; below z_hi = 1.2254, where f_z(z) still rises, the grid end
+        # ties with sup_search.
+        report = stein.verify_lemma_bounds("indicator", z_hi=z_hi, grid=grid)
+        observed = tuple((c.observed, c.at) for c in report.checks)
+        assert observed == _reference_indicator_report(z_hi, grid)
 
     @pytest.mark.parametrize("h", [
         stein.IDENTITY, stein.LipschitzFunction(lambda x: min(x, 1.3), 1.0)],
@@ -996,6 +1016,35 @@ class TestMuHCalls:
 def test_x_fz_monotone(z, hi):
     grid = np.arange(0.0, hi + 1e-9, 0.01)
     assert stein.verify_monotone_xfz(z, grid)
+
+
+@pytest.mark.parametrize("rows", ["uniform", "across-diagonal"])
+def test_indicator_solution_is_monotone_off_the_diagonal(rows):
+    # The indicator suite reads both sups on x = z, which rests on four
+    # monotonicities in x, checked for z up to 40 on an x grid to 60 and on
+    # rows stepping 1e-7 across x = z: f_z does not fall on x <= z nor rise
+    # on x >= z; f_z' with its left limit at z does not fall on x <= z (as
+    # x f_z does not); |f_z'| with its right limit at z does not rise on
+    # x >= z. Budget: a step may go the wrong way by 4 eps of the value,
+    # the rounding of the closed forms (measured: no step does).
+    zs = np.linspace(0.0, 40.0, 161)[:, None]
+    if rows == "uniform":
+        xs = np.broadcast_to(np.linspace(0.0, 60.0, 1201), (161, 1201))
+    else:
+        xs = np.maximum(zs + 1e-7 * np.arange(-100, 101), 0.0)
+    f = stein.fz(zs, xs)
+    claims = {
+        "f_z rises": (f, xs <= zs),
+        "f_z falls": (-f, xs >= zs),
+        "f_z' rises": (stein.fz_prime(zs, xs, side="left"), xs <= zs),
+        "|f_z'| falls": (-np.abs(stein.fz_prime(zs, xs, side="right")),
+                         xs >= zs),
+    }
+    eps = np.finfo(float).eps
+    for claim, (vals, on) in claims.items():
+        pairs = on[:, :-1] & on[:, 1:]
+        budget = 4.0 * eps * np.abs(vals[:, :-1])
+        assert np.all((np.diff(vals, axis=1) >= -budget)[pairs]), claim
 
 
 def test_x_fz_drop_is_caught():

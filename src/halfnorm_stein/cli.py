@@ -9,6 +9,7 @@ their float projections.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -89,6 +90,22 @@ def _render(args, rows: list[dict]) -> None:
         _emit(args, "\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's limit on the decimal digits of an int-to-str
+    conversion (4 300 by default, from Python 3.10.7) inside the block, and
+    restore it after; older Pythons have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _mass_texts(pmf: walks.ExactPMF) -> list[str]:
     """str(Fraction(v, d)) of every mass v/d of a walk law. Its d is 2^n,
     so v and d share only the trailing zero bits of v, shifted out here in
@@ -116,7 +133,8 @@ def _cmd_pmf(args) -> int:
     n = args.n if args.m is None else walks.walk_length(args.stat, args.m)
     law = walks.scaled_law(args.stat, n)
     pmf = law.base
-    texts = _mass_texts(pmf)
+    with _any_int_digits():  # from n = 14 286 a mass has over 4 300 digits
+        texts = _mass_texts(pmf)
     # v / d rounds the same rational as float(Fraction(v, d)), once
     floats = [v / pmf.denominator for v in pmf.numerators]
     if args.format == "json":

@@ -38,8 +38,8 @@ FH_PRIME_STEP = 1e-5
 LIPSCHITZ_X_MAX = 1000.0
 # Knot spacing of the mesh that cuts the tail integral of an opaque h
 # (see _quadrature_solver): a power of 2, so x / _KNOT_GAP and every knot
-# are exact. The grid-50 certification of min(x, c) calls h 7 482 times
-# per suite at 1/2 and 10 492 at 1; 1/4 saves 4.1 % of those calls but
+# are exact. The grid-50 certification of min(x, c) calls h 7 483 times
+# per suite at 1/2 and 10 493 at 1; 1/4 saves 4.1 % of those calls but
 # integrates twice the gaps for a point solved on its own.
 _KNOT_GAP = 0.5
 # K^2 - k0^2 where the tail sum stops: there w_k0(K) = 2^-64.
@@ -202,14 +202,10 @@ def mu_h(h: TestFunction) -> float:
 
     For 1_{[0,z]} it is F(z), and 0 where z is not positive (or nan).
     For min(x, c) it is the integral of 1 - F over [0, c], p(0) - G(c),
-    for every cap c, c = inf included. For an opaque h it is p(0) S_0,
+    for every cap c, c = inf included. For an opaque h, h(0) + p(0) S_0
     read off the knot mesh that solves it (see _quadrature_solver).
     """
-    if isinstance(h, HalfLineIndicator):
-        return float(hn_cdf(h.z)) if h.z > 0.0 else 0.0
-    if isinstance(h, CappedIdentity):
-        return HALF_NORMAL_MEAN - float(hn_tail_integral(h.c))
-    return _quadrature_solver(h)[0]
+    return _solution(h)[0]
 
 
 def fz(z: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
@@ -294,18 +290,20 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
     quadrature over one fixed knot mesh.
 
     With w_x(t) = exp((x^2 - t^2)/2), f_h(x) = -int_x^inf (h - mu) w_x,
-    where int_x^inf w_x is the Mills ratio R(x). The knots j * _KNOT_GAP
-    cut the tail into gap integrals I_k = int_k^{k + gap} h w_k, summed by
-    the Horner recurrence S_k = I_k + w_k(k + gap) S_{k + gap} out to the
-    first knot K with w_k(K) <= 2^-64. As |h(t)| <= |h(0)| + L t, the tail
-    dropped past K is at most 2^-64 (|h(0)|/K + L). As w_0 = p/p(0),
-    mu = p(0) S_0. Up to the half-normal median f_h(x) is the short,
-    well-conditioned int_0^x (h - mu) w_x; above it, with k0 the first
-    knot >= x, f_h(x) = mu R(x) - (int_x^k0 h w_x + w_x(k0) S_k0), which
-    avoids cancellation against exp(x^2/2). Each I_k is integrated once
-    per solver and serves the mean and every x; each call integrates the
-    gaps it lacks, then its pieces, each set in one pass of the rule. A
-    value depends only on x and h, never on other points or calls.
+    where int_x^inf w_x is the Mills ratio R(x). The tail integrates
+    g = h - h(0), so a constant h has g = 0 and f_h = 0 exactly. The knots
+    j * _KNOT_GAP cut it into gap integrals I_k = int_k^{k + gap} g w_k,
+    summed by the Horner recurrence S_k = I_k + w_k(k + gap) S_{k + gap}
+    out to the first knot K with w_k(K) <= 2^-64. As |g(t)| <= L t, the
+    tail dropped past K is at most 2^-64 L. As w_0 = p/p(0),
+    mu = h(0) + p(0) S_0. Up to the half-normal median f_h(x) is the
+    short, well-conditioned int_0^x (h - mu) w_x; above it, with k0 the
+    first knot >= x, f_h(x) = (mu - h(0)) R(x) - (int_x^k0 g w_x
+    + w_x(k0) S_k0), which avoids cancellation against exp(x^2/2). Each
+    I_k is integrated once per solver and serves the mean and every x;
+    each call integrates the gaps it lacks, then its pieces, each set in
+    one pass of the rule. A value depends only on x and h, never on other
+    points or calls.
 
     Every piece is integrated in the offset s = t - x from its x, where
     w_x = exp(-s (2x + s)/2): a node placed at t itself would be off by
@@ -313,6 +311,7 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
     error of about eps x^2, 6e-11 at x = 750.
     """
     fn, gap = h.fn, _KNOT_GAP
+    h0 = float(fn(0.0))
     gap_integrals: dict[int, float] = {}  # I_k by knot index k / gap
 
     def weighted(shift):  # (h(x + s) - shift) w_x(x + s)
@@ -327,7 +326,7 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
         if missing:
             ks = gap * np.array(missing, dtype=float)
             gap_integrals.update(zip(missing, _adaptive(
-                weighted(0.0), np.zeros_like(ks), np.full_like(ks, gap),
+                weighted(h0), np.zeros_like(ks), np.full_like(ks, gap),
                 ks).tolist()))
         sums = dict.fromkeys(ends, 0.0)
         for j, end in ends.items():
@@ -336,7 +335,7 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
                            + math.exp(-gap * gap * (i + 0.5)) * sums[j])
         return np.array([sums[j] for j in firsts])
 
-    mu = 2.0 * INV_SQRT_2PI * float(tail_sums([0])[0])
+    mu = h0 + 2.0 * INV_SQRT_2PI * float(tail_sums([0])[0])
 
     def solve(xs):
         inner = xs <= HALF_NORMAL_MEDIAN
@@ -345,54 +344,30 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
         out[inner] = _adaptive(weighted(mu), -xs[inner],
                                np.zeros_like(xs[inner]), xs[inner])
         part, cut = np.zeros_like(x), x < k0
-        part[cut] = _adaptive(weighted(0.0), np.zeros_like(x[cut]),
+        part[cut] = _adaptive(weighted(h0), np.zeros_like(x[cut]),
                               (k0 - x)[cut], x[cut])
         tail = tail_sums((k0 / gap).astype(int).tolist())
-        out[~inner] = mu * mills(x) - (
+        out[~inner] = (mu - h0) * mills(x) - (
             part + np.exp(0.5 * (x - k0) * (x + k0)) * tail)
         return out
 
     return mu, solve
 
 
-def _lipschitz_solver(h: Lipschitz) -> tuple[float, Callable]:
-    """(E[h(Y)], x -> f_h(x) elementwise) for Lipschitz h: the closed form
-    for min(x, c), quadrature for an opaque h; f_h = 0 at x <= 0, and an
-    x beyond LIPSCHITZ_X_MAX (or nan) raises DomainError."""
-    if isinstance(h, CappedIdentity):
-        mu = mu_h(h)
-        positive_part = partial(_capped_identity_solution, h, mu)
-    else:
-        mu, positive_part = _quadrature_solver(h)
-
-    def solve(x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        beyond = ~(xs <= LIPSCHITZ_X_MAX)
-        if np.any(beyond):
-            raise DomainError(f"f_h of a Lipschitz h is evaluated only for "
-                              f"x <= {LIPSCHITZ_X_MAX:g}, "
-                              f"got x = {xs[beyond].flat[0]}")
-        out = np.zeros_like(xs)
-        positive = xs > 0.0
-        out[positive] = positive_part(xs[positive])
-        return out
-
-    return mu, solve
-
-
-def _difference_quotient(h: Lipschitz, f: Callable, x) -> np.ndarray:
-    """f_h' at x by differences of f_h, given as the solver f of h,
-    elementwise: central with step s, within [0, LIPSCHITZ_X_MAX].
+def _difference_quotient(c: float, f: Callable, x) -> np.ndarray:
+    """f_h' at x by differences of f_h, given as its solver f and the kink
+    c of h (nan for an opaque h, whose kinks are unknown), elementwise:
+    central with step s, within [0, LIPSCHITZ_X_MAX].
 
     f_h'' jumps where h' does, at x = c for min(x, c), and a central
     stencil across that kink is off by s/4 (2.5e-6). Within s of the kink
     or of LIPSCHITZ_X_MAX (and at x >= 2 s) the stencil is the
     second-order one-sided one, (4 f(x + t) - 3 f(x) - f(x + 2t)) / (2t),
     with t = s on x >= c, t = -s below it and where x + 2s would pass
-    LIPSCHITZ_X_MAX. The kinks of an opaque h are unknown. A point past
-    LIPSCHITZ_X_MAX reaches f as itself, which refuses it.
+    LIPSCHITZ_X_MAX. A point past LIPSCHITZ_X_MAX reaches f as itself,
+    which refuses it.
     """
-    s, c = FH_PRIME_STEP, getattr(h, "c", math.nan)
+    s = FH_PRIME_STEP
     xs = np.asarray(x, dtype=float)
     top = xs + s > LIPSCHITZ_X_MAX
     lo, hi = np.maximum(xs - s, 0.0), np.where(top, xs, xs + s)
@@ -407,13 +382,32 @@ def _difference_quotient(h: Lipschitz, f: Callable, x) -> np.ndarray:
 
 
 def _solution(h: TestFunction) -> tuple[float, Callable, Callable]:
-    """(E[h(Y)], f_h, f_h') of h, elementwise in x: the closed forms for an
-    indicator (f_z' left-continuous), else the Lipschitz solver."""
+    """(E[h(Y)], f_h, f_h') of h, elementwise in x: the only code that tells
+    the kinds of h apart. For Lipschitz h, f_h = 0 at x <= 0, an x beyond
+    LIPSCHITZ_X_MAX (or nan) raises DomainError, and f_h' is a difference
+    quotient; an indicator's f_z' is left-continuous."""
     if isinstance(h, HalfLineIndicator):
-        return (mu_h(h), partial(fz, h.z),
-                partial(fz_prime, h.z, side="left"))
-    mu, f = _lipschitz_solver(h)
-    return mu, f, partial(_difference_quotient, h, f)
+        mu = float(hn_cdf(h.z)) if h.z > 0.0 else 0.0
+        return mu, partial(fz, h.z), partial(fz_prime, h.z, side="left")
+    if isinstance(h, CappedIdentity):
+        mu, kink = HALF_NORMAL_MEAN - float(hn_tail_integral(h.c)), h.c
+        positive_part = partial(_capped_identity_solution, h, mu)
+    else:
+        (mu, positive_part), kink = _quadrature_solver(h), math.nan
+
+    def f(x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        beyond = ~(xs <= LIPSCHITZ_X_MAX)
+        if np.any(beyond):
+            raise DomainError(f"f_h of a Lipschitz h is evaluated only for "
+                              f"x <= {LIPSCHITZ_X_MAX:g}, "
+                              f"got x = {xs[beyond].flat[0]}")
+        out = np.zeros_like(xs)
+        positive = xs > 0.0
+        out[positive] = positive_part(xs[positive])
+        return out
+
+    return mu, f, partial(_difference_quotient, kink, f)
 
 
 def solve_fh(h: TestFunction, x):
@@ -553,13 +547,14 @@ def _indicator_bound_report(z_hi: float, grid: int) -> BoundReport:
     # Both sups sit on x = z: f_z rises on x <= z and falls after it, and
     # f_z' does not fall on x < z (as x f_z does not; verify_monotone_xfz)
     # while |f_z'| = F(z)(1 - x R(x)) falls on x > z. So the suite reads
-    # f_z(z), refined by sup_search, and on the z grid the right limit of
-    # f_z' at z, first on a tie, and the left one, H(z) R(z), at z > 0.
-    zs = np.linspace(0.0, z_hi, grid)
-    z_f, sup_f = sup_search(lambda z: fz(z, z), 0.0, z_hi)
-    sup_fp, z_fp = max(_peak(fz_prime(zs, zs, side="right"), zs),
-                       _peak(fz_prime(zs[1:], zs[1:], side="left"), zs[1:]),
-                       key=lambda p: p[0])
+    # f_z(z) = F(z) R(z), refined by sup_search, and on the z grid the left
+    # limit f_z'(z-) = H(z) R(z) at z > 0. The right limit never wins: the
+    # two add up to p R + F = 1, and |f_z'(z+)| = F(z)(1 - z R(z)) is at
+    # most F(z)/(1 + z^2) < 1/2 by Gordon's R(z) >= z/(1 + z^2) and
+    # F(z) <= sqrt(2/pi) z, so the left limit exceeds 1/2.
+    zs = np.linspace(0.0, z_hi, grid)[1:]
+    z_f, sup_f = sup_search(lambda z: hn_cdf(z) * mills(z), 0.0, z_hi)
+    sup_fp, z_fp = _peak(hn_cdf_integral(zs) * mills(zs), zs)
     return BoundReport(kind="indicator", checks=(
         BoundCheck("sup |f_z|", sup_f, 0.5, (z_f, z_f)),
         BoundCheck("sup |f_z'|", sup_fp, 1.0, (z_fp, z_fp)),

@@ -163,8 +163,7 @@ def walk_length(statistic_tag: str, m: int) -> int:
 def support_size(statistic_tag: str, n: int) -> int:
     """Number of atoms 0..upper of the statistic's law at walk length n;
     an inadmissible n raises DomainError."""
-    m = half_length(statistic_tag, n)
-    return len(_masses(statistic_tag, np.zeros(m + 1)))
+    return _atoms(statistic_tag, half_length(statistic_tag, n))
 
 
 def path_kind(statistic_tag: str) -> str:

@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import pathlib
+import shlex
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,48 @@ def test_pmf_json(capsys):
     # rationals round-trip exactly through the string form
     assert [Fraction(s) for s in payload["mass"]] == [Fraction(3, 4),
                                                       Fraction(1, 4)]
+
+
+def test_pmf_past_the_int_digit_limit(capsys):
+    # at signchanges n = 14 287 a mass has more than 4 300 digits, past
+    # Python's default int-to-str limit (from 3.10.7); the pmf command
+    # lifts the limit for its conversion only
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit, n = digit_limit(), 14_287
+    code, out = run(capsys, "pmf", "--stat", "signchanges", "--n", str(n),
+                    "--format", "json")
+    assert code == 0
+    assert digit_limit() == limit
+    texts = json.loads(out)["mass"]
+    assert max(len(part) for t in texts for part in t.split("/")) > 4300
+    pmf = walks.exact_pmf("signchanges", n)
+    with cli._any_int_digits():  # int() is 3x faster here than Fraction()
+        parsed = [(*map(int, t.split("/")), 1)[:2] for t in texts]
+    assert len(parsed) == len(pmf.numerators)
+    assert all(num * pmf.denominator == v * den
+               for (num, den), v in zip(parsed, pmf.numerators))
+
+
+def _readme_cli_examples():
+    """argv of each halfnorm-stein line in the sh block of README's CLI
+    section."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("halfnorm-stein ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # --out sweep.csv lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert len(examples) == 12
+    for argv in examples:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "sweep.csv").stat().st_size > 0
 
 
 def test_pmf_by_walk_length(capsys):

@@ -90,6 +90,16 @@ def test_domain_errors(tag):
         walks.exact_pmf(tag, 0)
 
 
+def test_support_size_counts_the_exact_atoms():
+    # every admissible n <= 512
+    for tag in walks.STATISTICS:
+        for n in (walks.walk_length(tag, m) for m in range(1, 257)):
+            if n > 512:
+                break
+            assert walks.support_size(tag, n) == len(
+                walks.exact_pmf(tag, n).numerators), (tag, n)
+
+
 def test_max_rejects_odd():
     with pytest.raises(walks.DomainError):
         walks.exact_pmf("max", 5)

@@ -171,9 +171,9 @@ class TestLipschitzSolution:
     @pytest.mark.parametrize("a", [5.0, -3.0, 1e3])
     def test_opaque_h_off_zero_at_origin(self, a):
         # h = a + min(t, 1) has the solution of min(t, 1) and the mean
-        # a + E[min(Y, 1)]; |h(0)| enters the tail the mesh drops. Budget
-        # 1e-13 max(1, |a|) for f (measured 1.6e-13 at a = 1e3) and for
-        # E[h(Y)] (measured 1.2e-13 at a = 1e3)
+        # a + E[min(Y, 1)]; the mesh integrates h - h(0) = min(t, 1), so a
+        # enters only the mean. Budget 1e-13 max(1, |a|) for f (measured
+        # 6.9e-15 at a = 1e3) and for E[h(Y)] (measured 0.0)
         opaque = stein.LipschitzFunction(lambda t: a + min(t, 1.0), 1.0)
         budget = 1e-13 * max(1.0, abs(a))
         mean = a + stein.mu_h(stein.CAPPED_AT_ONE)
@@ -224,11 +224,15 @@ class TestLipschitzSolution:
             stein.LipschitzFunction(lambda t: 5.0 * min(t, 1.0), lip)
 
     def test_zero_lipschitz_constant_certifies_a_constant(self):
-        # h = 0 has f_h = 0 exactly, within the limits 0 of L = 0
-        h = stein.LipschitzFunction(lambda t: 0.0, 0.0)
-        report = stein.verify_lemma_bounds("lipschitz", grid=50, h=h)
-        assert report.passed
-        assert [c.limit for c in report.checks] == [0.0, 0.0, 0.0]
+        # h = c has f_h = 0 exactly, within the limits 0 of L = 0: the
+        # quadrature integrates h - h(0) = 0, and E[h(Y)] is c exactly
+        for c in (2.0, -3.0, 1e3, 0.0):
+            h = stein.LipschitzFunction(lambda t, c=c: c, 0.0)
+            report = stein.verify_lemma_bounds("lipschitz", grid=50, h=h)
+            assert report.passed, c
+            assert [(b.limit, b.observed) for b in report.checks] == \
+                [(0.0, 0.0)] * 3, c
+            assert stein.mu_h(h) == c
 
 
 # The caps of the grid-50 certification suite, midway between its nodes.
@@ -306,7 +310,7 @@ class TestOpaqueSolver:
         assert abs(stein.solve_fh(h, above) - stein.solve_fh(h, m)) <= 1e-13
 
     def test_cap_suite_calls_of_h(self):
-        # measured 7 482 calls per suite on average, the ends of every
+        # measured 7 483 calls per suite on average, the ends of every
         # piece among them; one adaptive quadrature per point over
         # [x, x + 12] took 45 806
         counts = []
@@ -824,21 +828,21 @@ class TestLemmaReports:
         assert z == x and f_z.observed == stein.fz(z, x)
 
     def test_indicator_suite_is_linear_in_the_grid(self, monkeypatch):
-        # The suite reads the diagonal only: its grid row twice (the two
-        # limits of f_z') and sup_search's rounds of SUP_GRID points, at
-        # most 8 of them. A sweep of the (z, x) square would hand
-        # p(z)/p(x) grid^2 = 16.8 M points for each of f_z and f_z'.
+        # The suite reads the diagonal only: R on its grid row (the left
+        # limits of f_z') and on sup_search's rounds of SUP_GRID points,
+        # at most 8 of them. A sweep of the (z, x) square would take
+        # grid^2 = 16.8 M points for each of f_z and f_z'.
         sizes = []
-        density_ratio = stein._density_ratio
+        real_mills = stein.mills
 
-        def spy(z, x):
-            sizes.append(np.broadcast(z, x).size)
-            return density_ratio(z, x)
+        def spy(x):
+            sizes.append(np.size(x))
+            return real_mills(x)
 
-        monkeypatch.setattr(stein, "_density_ratio", spy)
+        monkeypatch.setattr(stein, "mills", spy)
         grid = 4096
         assert stein.verify_lemma_bounds("indicator", grid=grid).passed
-        assert sum(sizes) <= 2 * grid + 8 * stein.SUP_GRID
+        assert grid <= sum(sizes) <= grid + 8 * stein.SUP_GRID
 
     @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
                              ids=["identity", "min1"])
@@ -983,18 +987,19 @@ class TestClosedFormPaths:
 
 
 class TestMuHCalls:
-    """E[h(Y)] is integrated once per suite and once per residual."""
+    """E[h(Y)], f_h and f_h' are built by one _solution call per suite and
+    one per residual."""
 
     @pytest.fixture
     def mu_calls(self, monkeypatch):
         calls = []
-        real = stein.mu_h
+        real = stein._solution
 
         def counting(h):
             calls.append(h)
             return real(h)
 
-        monkeypatch.setattr(stein, "mu_h", counting)
+        monkeypatch.setattr(stein, "_solution", counting)
         return calls
 
     @pytest.mark.parametrize("h", [stein.IDENTITY, stein.CAPPED_AT_ONE],
@@ -1045,6 +1050,24 @@ def test_indicator_solution_is_monotone_off_the_diagonal(rows):
         pairs = on[:, :-1] & on[:, 1:]
         budget = 4.0 * eps * np.abs(vals[:, :-1])
         assert np.all((np.diff(vals, axis=1) >= -budget)[pairs]), claim
+
+
+def test_right_limit_of_fz_prime_stays_below_a_half():
+    # Why the indicator suite reads only the left limit of f_z' at x = z:
+    # f_z'(z-) + |f_z'(z+)| = p R + F = 1, and |f_z'(z+)| = F(1 - z R) is
+    # at most F/(1 + z^2) < 1/2 (Gordon's R >= z/(1 + z^2) and
+    # F <= sqrt(2/pi) z), so the left limit always wins. Budget: 4 eps on
+    # the sum (measured 2 eps); the bound holds without slack (measured
+    # gap at least 1e-16, at z = 1e-8).
+    zs = np.concatenate([np.geomspace(1e-8, 1.0, 2001),
+                         np.linspace(0.0, 40.0, 16001)[1:]])
+    left = stein.fz_prime(zs, zs, side="left")
+    right = np.abs(stein.fz_prime(zs, zs, side="right"))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(left + right - 1.0) <= 4.0 * eps)
+    bound = hn_cdf(zs) / (1.0 + np.square(zs))
+    assert np.all(right <= bound)
+    assert np.all(bound < 0.5)
 
 
 def test_x_fz_drop_is_caught():

@@ -16,7 +16,8 @@ a multiple of 8 rows, so every slice but the last of a chunk covers a
 multiple of 8 bytes and ends on a 64-bit output: the bytes drawn, in order,
 are the same whatever the slice, and the slice cannot be seen in the
 counts. One loop over the n steps then walks every row of a chunk at once,
-in int8 below n = 128, and keeps only the statistic that was asked for.
+in int8 below n = 128, int16 below n = 32 768 and int32 from there on, and
+keeps only the statistic that was asked for.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ def _path_statistic(kind: str, packed: np.ndarray, n: int) -> np.ndarray:
     when u_k > k // 2. A sign change at time k is S_{k-1} S_{k+1} < 0, and
     the walk is never zero at odd times, so the sign changes are the flips
     of the sign of the walk from one odd time to the next. |S_k| and u_k are
-    at most n, so int8 holds them below n = 128.
+    at most n, so int8 holds them below n = 128 and int16 below n = 32 768.
     """
-    dtype = np.int8 if n < 128 else np.int16
+    dtype = np.int8 if n < 128 else np.int16 if n < 32768 else np.int32
     out = np.zeros(packed.shape[1], dtype)
     walk = np.zeros(packed.shape[1], dtype)  # S_k for the max, else u_k
     if kind == "max":

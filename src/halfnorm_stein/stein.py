@@ -95,7 +95,12 @@ class LipschitzFunction:
                              f"L = {self.lipschitz_constant}")
 
     def __call__(self, x):
-        return self.fn(x)
+        """The scalar fn at each of x, in an array shaped like x; a float
+        at a scalar x."""
+        xs = np.asarray(x, dtype=float)
+        out = np.fromiter(map(self.fn, xs.ravel().tolist()), dtype=float,
+                          count=xs.size).reshape(xs.shape)
+        return out if out.ndim else float(out)
 
 
 Lipschitz = CappedIdentity | LipschitzFunction
@@ -189,12 +194,6 @@ def _adaptive(f, a, b, x) -> np.ndarray:
             errs[i] += e
     return np.array([v[0][3] if len(v) == 1 else math.fsum(p[3] for p in v)
                      for v in pieces])
-
-
-def _values(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
-    """The scalar fn at each of ts, in an array shaped like ts."""
-    return np.fromiter(map(fn, ts.ravel().tolist()), dtype=float,
-                       count=ts.size).reshape(ts.shape)
 
 
 def mu_h(h: TestFunction) -> float:
@@ -310,12 +309,11 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
     eps t, and w_x, of slope -x w_x, would turn that into a relative
     error of about eps x^2, 6e-11 at x = 750.
     """
-    fn, gap = h.fn, _KNOT_GAP
-    h0 = float(fn(0.0))
+    gap, h0 = _KNOT_GAP, h(0.0)
     gap_integrals: dict[int, float] = {}  # I_k by knot index k / gap
 
     def weighted(shift):  # (h(x + s) - shift) w_x(x + s)
-        return lambda s, x: ((_values(fn, x + s) - shift)
+        return lambda s, x: ((h(x + s) - shift)
                              * np.exp(-0.5 * s * (2.0 * x + s)))
 
     def tail_sums(firsts) -> np.ndarray:  # S_k0 for each index k0 / gap
@@ -576,9 +574,9 @@ def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
     f_vals, fp_vals = f(xs), f_prime(xs)
     inner = xs >= lo
     x2 = xs[inner]
-    base, h_mid = f_vals[inner] + x2 * fp_vals[inner], _values(h, x2)
-    f2 = np.maximum(np.abs(base + (_values(h, x2 + s) - h_mid) / s),
-                    np.abs(base + (h_mid - _values(h, x2 - s)) / s))
+    base, h_mid = f_vals[inner] + x2 * fp_vals[inner], h(x2)
+    f2 = np.maximum(np.abs(base + (h(x2 + s) - h_mid) / s),
+                    np.abs(base + (h_mid - h(x2 - s)) / s))
     (sup_f, at_f), (sup_fp, at_fp), (sup_f2, at_f2) = (
         _peak(f_vals, xs), _peak(fp_vals, xs), _peak(f2, x2))
     return BoundReport(kind="lipschitz", checks=(

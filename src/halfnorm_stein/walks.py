@@ -7,12 +7,13 @@ of its row of m + 1 entries and ``_masses`` the map of that row onto the
 support. ``exact_pmf`` runs the recurrence in big integers (O(m)
 operations, denominator 2^(2m)) and keeps every atom. The float laws run
 it in floats only over the law's numerical support, O(sqrt(n)) entries:
-the row is cut where a geometric bound puts the dropped mass below 2^-64
-of the kept mass, and the normalised CDF is trimmed after its first entry
-equal to 1.0. One row builder, ``_float_block``, makes them for a block
-of n at once, as one padded 2D array with one cumprod and one cumsum along
-its rows; ``float_law`` is its block of one, and ``metrics`` measures each
-block of a sweep as built. The exact pmfs rounded once are its oracle.
+the row is cut at the atom x = 10, where a geometric bound, checked on
+every row, puts the dropped mass below 2^-64 of the kept mass, and the
+normalised CDF is trimmed after its first entry equal to 1.0. One row
+builder, ``_float_block``, makes them for a block of n at once, in one
+pass: one padded 2D array with one cumprod and one cumsum along its rows;
+``float_law`` is its block of one, and ``metrics`` measures each block of
+a sweep as built. The exact pmfs rounded once are its oracle.
 The oracle of the exact pmfs is an exact int64 count of all 2^n paths
 (n <= 62) per walk state, advanced one step at a time, one statistic per
 call: O(n^2) states, O(n^3) work, no formula.
@@ -35,10 +36,12 @@ STATISTICS = tuple(_LAWS)
 
 BRUTE_FORCE_MAX_N = 62
 
-# float_law first tries a cut at the atom x = 10, where Hoeffding's bound
+# float_law cuts every row at the atom x = 10, where Hoeffding's bound
 # exp(-x^2/2) on the tail is exp(-50) = 2e-22 (twice that for the maximum,
-# by the reflection principle); a cut is kept only once its dropped mass is
-# proved to be at most _TAIL_RTOL of the kept mass
+# by the reflection principle). The geometric tail bound _float_block checks
+# is at most 2.84e-4 _TAIL_RTOL of the kept mass at every admissible
+# n <= 2^16 and at 300 geometric n per statistic up to the last n _cut
+# admits: it rises with n toward sqrt(2/pi) exp(-50) / 10 = 2.84e-4 _TAIL_RTOL
 _X_CUT = 10.0
 _TAIL_RTOL = 2.0 ** -64
 
@@ -273,7 +276,7 @@ def _exact_row(statistic_tag: str, m: int) -> np.ndarray:
 
 
 def _cut(statistic_tag: str, n: int) -> tuple[int, int, int]:
-    """(n, m, k): the first cut k of the row of ``float_law`` at n, its row
+    """(n, m, k): the cut k of the row of ``float_law`` at n, its row
     entry at the atom x = _X_CUT. Entries sit 1/sqrt(n) apart in x for
     returns and 2/sqrt(n) for the others (max has two atoms per entry), so
     k is 10 sqrt(n) or 5 sqrt(n), at most m.
@@ -287,14 +290,11 @@ def _cut(statistic_tag: str, n: int) -> tuple[int, int, int]:
     if n <= _MAX_ATOMS ** 2:
         spacing = 1 if statistic_tag == "returns" else 2  # x times sqrt(n)
         k = min(m, math.ceil(_X_CUT * math.sqrt(n) / spacing))
-    _check_atoms(statistic_tag, n, _atoms(statistic_tag, k))
-    return n, m, k
-
-
-def _check_atoms(statistic_tag: str, n: int, atoms: int) -> None:
+    atoms = _atoms(statistic_tag, k)
     if atoms > _MAX_ATOMS:
         raise DomainError(f"{statistic_tag} at n = {n} needs a float law "
                           f"of {atoms} atoms, more than {_MAX_ATOMS}")
+    return n, m, k
 
 
 def _float_blocks(statistic_tag: str, ns, cells: int):
@@ -330,33 +330,31 @@ def _float_block(statistic_tag: str, cuts) -> tuple[np.ndarray, np.ndarray,
     Every row's quotients q_j decrease in j, so entry k + j is at most
     row[k] q_k^j and the entries past k sum to at most
     row[k] q_k / (1 - q_k); ``_masses`` doubles them for max and halfmax.
-    A cut is kept when that bound is at most _TAIL_RTOL times the kept
-    mass, the row's last partial sum. The rows whose cut fails it double
-    k, up to the whole row, and the block is built again.
+    At the cut of ``_cut`` that bound is below _TAIL_RTOL times the kept
+    mass, the row's last partial sum, at every admissible n (see _X_CUT);
+    a row where it is not raises RuntimeError.
     """
     # as floats, exact below 2^53, so no integer loop or cast touches a row
     n, m, k = (np.array(v, dtype=float) for v in zip(*cuts))
+    # column c holds quotient c - 1 up to c = k and 0.0 past it, and
+    # column 0 the row's first entry, 1.0
+    j = np.arange(-1, k.max())
+    row = np.divide(*_ratios(statistic_tag, m[:, None], j),
+                    out=np.zeros((len(k), len(j))), where=j < k[:, None])
+    row[:, 0] = 1.0
+    np.cumprod(row, axis=1, out=row)
+    cdf = np.cumsum(_masses(statistic_tag, row), axis=1)
+    q_k = np.divide(*_ratios(statistic_tag, m, k))
     doubled = 2.0 if statistic_tag in ("max", "halfmax") else 1.0
-    rows = np.arange(len(k))
-    while True:
-        # column c holds quotient c - 1 up to c = k and 0.0 past it, and
-        # column 0 the row's first entry, 1.0
-        j = np.arange(-1, k.max())
-        row = np.divide(*_ratios(statistic_tag, m[:, None], j),
-                        out=np.zeros((len(k), len(j))), where=j < k[:, None])
-        row[:, 0] = 1.0
-        np.cumprod(row, axis=1, out=row)
-        row_k = row[rows, k.astype(np.intp)]
-        cdf = np.cumsum(_masses(statistic_tag, row), axis=1)
-        q_k = np.divide(*_ratios(statistic_tag, m, k))
-        tail = doubled * row_k * q_k / (1.0 - q_k)
-        short = tail > _TAIL_RTOL * cdf[:, -1]
-        if not short.any():
-            break
-        k = np.where(short, np.minimum(2 * k, m), k)
-        widest = np.argmax(k)
-        _check_atoms(statistic_tag, int(n[widest]),
-                     int(_atoms(statistic_tag, k[widest])))
+    tail = (doubled * row[np.arange(len(k)), k.astype(np.intp)]
+            * q_k / (1.0 - q_k))
+    short = np.flatnonzero(tail > _TAIL_RTOL * cdf[:, -1])
+    if short.size:
+        i = short[0]
+        raise RuntimeError(
+            f"{statistic_tag} at n = {int(n[i])}: the tail bound "
+            f"{tail[i]:.3g} past entry {int(k[i])} exceeds 2^-64 of the "
+            f"kept mass {cdf[i, -1]:.17g}")
     cdf /= cdf[:, -1:]
     # cdf never exceeds 1.0, so this is each row's first index reading 1.0
     sizes = np.argmax(cdf >= 1.0, axis=1) + 1

@@ -409,6 +409,24 @@ def test_usage_errors(capsys):
     assert "bad grid size 'abc'" in capsys.readouterr().err
 
 
+SUBCOMMANDS = ("pmf", "distance", "check-bounds", "rate-table",
+               "stein-verify", "stein-solution", "verify-lemmas", "simulate")
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_every_help_renders(capsys, command):
+    # argparse formats each help text only when --help asks for it, so a
+    # stray % in one would surface only here
+    argv = [command] if command else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: halfnorm-stein", *argv]))
+    if command is None:  # and no subcommand goes untested
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+
+
 def test_parity_error_propagates(capsys):
     assert cli.main(["distance", "--stat", "returns", "--n", "5"]) == 2
     assert "returns requires even n" in capsys.readouterr().err

@@ -141,18 +141,30 @@ def test_rate_table_matches_uncut_route(tag, monkeypatch):
             <= rn * CUT_BUDGET, row.n
 
 
-@pytest.mark.parametrize("tag", walks.STATISTICS)
-@pytest.mark.parametrize("x_cut", [1e-9, 0.5, 3.0])
-def test_cut_does_not_depend_on_the_first_guess(tag, x_cut, monkeypatch):
-    # a first cut far inside the support fails the tail bound and doubles
-    # until it passes; had a short cut been accepted, the normaliser and
-    # with it the whole CDF would differ
-    ns = [3, 101, 1025, (1 << 20) + 1] if tag == "signchanges" \
-        else [2, 100, 1024, 1 << 20]
-    laws = [walks.float_law(tag, n) for n in ns]
-    monkeypatch.setattr(walks, "_X_CUT", x_cut)
-    for n, law in zip(ns, laws):
-        assert np.array_equal(walks.float_law(tag, n).cdf(), law.cdf()), n
+def test_cut_holds_a_thousandfold_tighter_tail(monkeypatch):
+    # the tail bound at x = 10 is at most 2.84e-4 of 2^-64 of the kept
+    # mass (see walks._X_CUT), so every row still builds in one pass with
+    # _TAIL_RTOL 1 000 times tighter
+    monkeypatch.setattr(walks, "_TAIL_RTOL", walks._TAIL_RTOL / 1000)
+    widths = _row_widths(monkeypatch)
+    for tag in walks.STATISTICS:
+        first = 3 if tag == "signchanges" else 2
+        blocks = list(walks._float_blocks(tag, range(first, 4098, 2),
+                                          1 << 20))
+        assert len(widths) == len(blocks), tag
+        for k in range(1, 31):
+            widths.clear()
+            walks.float_law(tag, (1 << k) + first - 2)
+            assert len(widths) == 1, (tag, k)
+        widths.clear()
+
+
+def test_failed_tail_bound_is_refused(monkeypatch):
+    # a cut at x = 3 leaves a tail far above 2^-64 of the kept mass; the
+    # block raises rather than normalise by a short row
+    monkeypatch.setattr(walks, "_X_CUT", 3.0)
+    with pytest.raises(RuntimeError, match="max at n = 1024: the tail"):
+        walks.float_law("max", 1024)
 
 
 def _row_widths(monkeypatch):
@@ -171,7 +183,7 @@ def _row_widths(monkeypatch):
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_float_law_work_is_order_sqrt_n(tag, monkeypatch):
     # no timing: the row and the CDF stay O(sqrt(n)) long up to n = 2^20;
-    # the row stops at the atom x = 10 unless its tail bound fails
+    # the row stops at the atom x = 10
     first = 3 if tag == "signchanges" else 2
     widths = _row_widths(monkeypatch)
     for n in [*admissible(tag), *((1 << k) + first - 2 for k in range(1, 21))]:
@@ -180,36 +192,17 @@ def test_float_law_work_is_order_sqrt_n(tag, monkeypatch):
         assert max(widths) <= 10 * (math.isqrt(n) + 1) + 1, n
 
 
-# (statistic, first guess, whether some first cut below m holds): at 8.0
-# and 8.5 some such cuts hold and others double, at 3.0 all of them double,
-# some several times
-MIXED_CUTS = [("returns", 8.0, True), ("max", 8.5, True),
-              ("halfmax", 8.5, True), ("signchanges", 8.5, True),
-              ("returns", 3.0, False), ("max", 3.0, False)]
-
-
-@pytest.mark.parametrize("tag,x_cut,some_hold", MIXED_CUTS)
-def test_mixed_block_matches_uncut_route(tag, x_cut, some_hold, monkeypatch):
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_mixed_block_matches_uncut_route(tag):
     # one block of rows of different widths, in no order: the shortest
-    # end at m, some rows double their cut and others keep their first
-    # guess. Each law must still be the uncut route's prefix bit for bit,
-    # so no padding reaches a cut, a normaliser or another row
+    # end at m, the others are cut below it. Each law must still be the
+    # uncut route's prefix bit for bit, so no padding reaches a cut, a
+    # normaliser or another row
     first = 3 if tag == "signchanges" else 2
     ns = [first + d for d in (398, 0, 4094, 98, 8, 2046, 998, 48)]
-    monkeypatch.setattr(walks, "_X_CUT", x_cut)
-    widths = _row_widths(monkeypatch)
-    doubles = {}
-    for n in ns:
-        widths.clear()
-        walks.float_law(tag, n)
-        doubles[n] = len(widths) > 1
-    assert any(doubles.values()) and not all(doubles.values())
-    assert some_hold == any(
-        not doubles[n] and walks._cut(tag, n)[2] < walks.half_length(tag, n)
-        for n in ns)
-    widths.clear()
+    ends = [walks._cut(tag, n)[2] == walks.half_length(tag, n) for n in ns]
+    assert any(ends) and not all(ends)
     ((scales, cdf, sizes),) = walks._float_blocks(tag, ns, 1 << 20)
-    assert len(widths) > 1
     for n, scale, law in zip(ns, scales, np.split(cdf, np.cumsum(sizes[:-1])),
                              strict=True):
         whole = uncut_float_law(tag, n).cdf()
@@ -278,13 +271,3 @@ def test_atom_limit_admits_the_measured_range(tag):
     with pytest.raises(walks.DomainError):
         walks._cut(tag, n + 2)
     assert n >= 1 << 33
-
-
-def test_cut_doubled_past_the_atom_limit_is_refused(monkeypatch):
-    # returns at n = 4096 with a first guess at x = 0.5: its first cut, 33
-    # atoms, is admitted, and the tail bound doubles it past 100
-    monkeypatch.setattr(walks, "_X_CUT", 0.5)
-    monkeypatch.setattr(walks, "_MAX_ATOMS", 100)
-    assert walks._cut("returns", 4096)[2] == 32
-    with pytest.raises(walks.DomainError, match="at n = 4096 needs"):
-        walks.float_law("returns", 4096)

@@ -169,21 +169,39 @@ def test_counts_memory_is_one_packed_chunk_and_a_slice():
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize("n", [1, 2, 65, 127, 128, 300])
-def test_path_statistics_match_per_walk_loop(n):
-    # seeded walks, plus the extreme walks that reach |S_n| = n, where a
-    # too narrow walk dtype would wrap without a warning
-    up = np.concatenate((
-        _unpack(simulate._steps(np.random.Philox(key=n), 300, n), n),
-        np.ones((1, n), dtype=np.uint8),
-        np.zeros((1, n), dtype=np.uint8),
-        np.resize(np.array([1, 0], dtype=np.uint8), (1, n)),
-        np.resize(np.array([0, 1], dtype=np.uint8), (1, n))))
+def _assert_path_statistics_match_per_walk_loop(up, n):
     packed = _pack(up.astype(bool))
     columns = [simulate._path_statistic(kind, packed, n)
                for kind in ("max", "returns", "signchanges")]
     for row, *stats in zip((2 * up.astype(int) - 1).tolist(), *columns):
         assert tuple(int(v) for v in stats) == naive_walk_statistics(row)
+
+
+def _extreme_walks(n):
+    """All up, all down and the two alternating walks of length n: they
+    reach |S_n| = n, n / 2 returns and no sign change, where a too narrow
+    walk dtype would wrap without a warning."""
+    return np.concatenate((
+        np.ones((1, n), dtype=np.uint8),
+        np.zeros((1, n), dtype=np.uint8),
+        np.resize(np.array([1, 0], dtype=np.uint8), (1, n)),
+        np.resize(np.array([0, 1], dtype=np.uint8), (1, n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 127, 128, 300])
+def test_path_statistics_match_per_walk_loop(n):
+    # seeded walks, plus the extreme walks
+    up = np.concatenate((
+        _unpack(simulate._steps(np.random.Philox(key=n), 300, n), n),
+        _extreme_walks(n)))
+    _assert_path_statistics_match_per_walk_loop(up, n)
+
+
+@pytest.mark.parametrize("n", [32768, 32769, 65538])
+def test_extreme_walks_do_not_wrap_past_int16(n):
+    # an int16 walk read the all-up max at n = 32 768 as 32 767, and the
+    # alternating walks' returns at n = 65 538 as 32 767
+    _assert_path_statistics_match_per_walk_loop(_extreme_walks(n), n)
 
 
 def test_empirical_check_names_its_worst_atom():

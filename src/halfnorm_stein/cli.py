@@ -107,25 +107,21 @@ def _any_int_digits():
 
 
 def _mass_texts(pmf: walks.ExactPMF) -> list[str]:
-    """str(Fraction(v, d)) of every mass v/d of a walk law. Its d is 2^n,
-    so v and d share only the trailing zero bits of v, shifted out here in
-    place of a big-integer gcd; the few reduced denominators are written
-    in decimal once each."""
+    """str(Fraction(v, d)) of every mass v/d of a walk law. Its d is
+    2^(2m), which is 2^n, or 2^(n - 1) for signchanges, and every mass
+    lies strictly between 0 and 1, so v and d share just the trailing zero
+    bits of v, shifted out here in place of a big-integer gcd, and the
+    reduced denominator is at least 2; the few reduced denominators are
+    written in decimal once each."""
     d = pmf.denominator
     decimal: dict[int, str] = {}
     out = []
     for v in pmf.numerators:
-        if v == 0:
-            out.append("0")
-            continue
-        shift = min((v & -v).bit_length(), d.bit_length()) - 1
-        num, den = v >> shift, d >> shift
-        if den == 1:
-            out.append(str(num))
-            continue
+        shift = (v & -v).bit_length() - 1
+        den = d >> shift
         if den not in decimal:
             decimal[den] = str(den)
-        out.append(f"{num}/{decimal[den]}")
+        out.append(f"{v >> shift}/{decimal[den]}")
     return out
 
 
@@ -214,15 +210,11 @@ def _cmd_stein_solution(args) -> int:
         h = stein.IDENTITY
     else:
         h = stein.CAPPED_AT_ONE
-    rows = []
-    for x in args.x:
-        rows.append({
-            "x": x,
-            "f": stein.solve_fh(h, x),
-            "f_prime": stein.solve_fh_prime(h, x),
-            "stein_residual": stein.stein_residual_continuous(h, x),
-        })
-    _render(args, rows)
+    f, f_prime, residual = (solve(h, args.x).tolist() for solve in (
+        stein.solve_fh, stein.solve_fh_prime,
+        stein.stein_residual_continuous))
+    _render(args, [{"x": x, "f": v, "f_prime": d, "stein_residual": r}
+                   for x, v, d, r in zip(args.x, f, f_prime, residual)])
     return 0
 
 

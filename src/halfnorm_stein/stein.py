@@ -54,12 +54,14 @@ MAX_GRID = 1 << 18
 
 @dataclass(frozen=True)
 class HalfLineIndicator:
-    """h(x) = 1 for 0 <= x <= z, 0 for x > z."""
+    """h(x) = 1 for 0 <= x <= z, 0 for x > z. Elementwise in x; a float
+    at a scalar x."""
 
     z: float
 
     def __call__(self, x):
-        return 1.0 if x <= self.z else 0.0
+        out = np.where(np.asarray(x) <= self.z, 1.0, 0.0)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -425,10 +427,13 @@ def solve_fh_prime(h: TestFunction, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def stein_residual_continuous(h: TestFunction, x: float) -> float:
-    """f'(x) - x f(x) - (h(x) - E[h(Y)]); zero for the exact solution."""
+def stein_residual_continuous(h: TestFunction, x):
+    """f'(x) - x f(x) - (h(x) - E[h(Y)]), elementwise; zero for the exact
+    solution."""
     mu, f, f_prime = _solution(h)
-    return float(f_prime(x) - x * f(x) - (h(x) - mu))
+    xs = np.asarray(x, dtype=float)
+    out = f_prime(xs) - xs * f(xs) - (h(xs) - mu)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,8 @@ class ScaledLaw:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:  # nan included
+            raise ValueError("scale must be positive and finite")
 
     def atoms(self) -> np.ndarray:
         return self.scale * np.arange(self.base.lower, self.base.upper + 1,
@@ -279,17 +279,17 @@ def _cut(statistic_tag: str, n: int) -> tuple[int, int, int]:
     """(n, m, k): the cut k of the row of ``float_law`` at n, its row
     entry at the atom x = _X_CUT. Entries sit 1/sqrt(n) apart in x for
     returns and 2/sqrt(n) for the others (max has two atoms per entry), so
-    k is 10 sqrt(n) or 5 sqrt(n), at most m.
+    k = min(m, ceil(10 sqrt(n) / spacing)), found in exact integers as
+    the least k with (k spacing)^2 >= 100 n; ceil(_X_CUT^2) is exactly 100.
 
     An inadmissible n raises DomainError, and so does an n whose row of the
-    cut maps onto more than _MAX_ATOMS atoms. Past n = _MAX_ATOMS^2, where
-    sqrt(n) may not even be a float, every row does, and m stands in for k.
+    cut maps onto more than _MAX_ATOMS atoms.
     """
     m = half_length(statistic_tag, n)
-    k = m
-    if n <= _MAX_ATOMS ** 2:
-        spacing = 1 if statistic_tag == "returns" else 2  # x times sqrt(n)
-        k = min(m, math.ceil(_X_CUT * math.sqrt(n) / spacing))
+    spacing = 1 if statistic_tag == "returns" else 2  # x times sqrt(n)
+    # ceil(sqrt(a)) = 1 + isqrt(a - 1) for an integer a >= 1
+    root = 1 + math.isqrt(math.ceil(_X_CUT * _X_CUT) * n - 1)
+    k = min(m, -(-root // spacing))
     atoms = _atoms(statistic_tag, k)
     if atoms > _MAX_ATOMS:
         raise DomainError(f"{statistic_tag} at n = {n} needs a float law "

@@ -290,6 +290,29 @@ def test_verify_lemmas_output_is_pinned(capsys, grid):
             == VERIFY_LEMMAS_DIGESTS[grid])
 
 
+# sha256 of the whole stdout of `stein-solution --format json` at six x
+# from 0 to the Lipschitz x_max, by test function, as one solve per x gave
+# it: solving the whole --x list at once must keep every byte
+STEIN_SOLUTION_X = ("0", "1e-5", "0.5", "1", "999.9", "1000")
+STEIN_SOLUTION_DIGESTS = {
+    "--z 1.5":
+        "b876e735d4694923dc8a5aaed326f202730798fd92bb2e4563410bdde08b6dee",
+    "--lipschitz identity":
+        "1a70553b955412b837b11be6fd2f141c6562fd841b59ff31521e61d862bbca15",
+    "--lipschitz min1":
+        "e62fa14b2f34c2541c074ec1148c2c1c29f9b6e219b18f86a040ae4fa8d14bb2",
+}
+
+
+@pytest.mark.parametrize("h", sorted(STEIN_SOLUTION_DIGESTS))
+def test_stein_solution_output_is_pinned(capsys, h):
+    code, out = run(capsys, "stein-solution", *h.split(), "--x",
+                    *STEIN_SOLUTION_X, "--format", "json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == STEIN_SOLUTION_DIGESTS[h])
+
+
 def test_stein_solution_far_tail_has_no_nan(capsys):
     code, out = run(capsys, "stein-solution", "--z", "1", "--x", "40")
     assert code == 0

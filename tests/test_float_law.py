@@ -251,6 +251,26 @@ def test_huge_n_is_refused_before_anything_is_built(tag, n, monkeypatch):
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_exact_cut_is_the_float_formula(tag):
+    # the exact integer cut is the float min(m, ceil(10 sqrt(n) / spacing))
+    # at every admissible n <= 2^14, so every law is built from the same row
+    first = 3 if tag == "signchanges" else 2
+    spacing = 1 if tag == "returns" else 2
+    for n in range(first, (1 << 14) + 1, 2):
+        m = walks.half_length(tag, n)
+        assert walks._cut(tag, n) == (
+            n, m, min(m, math.ceil(10.0 * math.sqrt(n) / spacing))), n
+
+
+def test_refusal_names_the_atoms_of_the_cut_law():
+    # at n = 10^25 the cut row of the max maps onto 2 ceil(5 sqrt(n)) + 1
+    # atoms, not the n + 1 atoms of the whole row
+    with pytest.raises(walks.DomainError,
+                       match=" of 31622776601685 atoms, more than 1048576$"):
+        walks.float_law("max", 10 ** 25)
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_atom_limit_admits_the_measured_range(tag):
     # the largest admitted n, found by bisection over m, maps its row onto
     # at most _MAX_ATOMS atoms and the next n onto more; the ROADMAP's

@@ -291,7 +291,7 @@ def test_scaled_law():
         walks.scaled_law("returns", 5)
     with pytest.raises(ValueError):
         walks.scaled_law("signchanges", 4)
-    for scale in (0.0, -1.0):
+    for scale in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="scale must be positive"):
             walks.ScaledLaw(law.base, scale)
 

@@ -441,6 +441,26 @@ class TestSteinResidual:
         assert abs(stein.stein_residual_continuous(stein.CAPPED_AT_ONE,
                                                    x)) <= 1e-9
 
+    @pytest.mark.parametrize("h", [stein.HalfLineIndicator(1.5),
+                                   stein.IDENTITY, stein.CAPPED_AT_ONE],
+                             ids=["indicator", "identity", "min1"])
+    def test_residual_is_elementwise(self, h):
+        # one call on an array gives each scalar call's value, bit for bit
+        xs = [0.0, 1e-5, 0.5, 1.0, 1.5, 999.9, 1000.0]
+        residuals = stein.stein_residual_continuous(h, np.array(xs))
+        assert residuals.tolist() == [stein.stein_residual_continuous(h, x)
+                                      for x in xs]
+
+
+def test_indicator_is_elementwise():
+    # 1_{[0,z]} on an array is its scalar calls, the level itself
+    # included, and a float at a scalar x
+    h = stein.HalfLineIndicator(1.3)
+    xs = np.array([[0.0, 0.5, 1.3], [np.nextafter(1.3, 2.0), 2.0, np.nan]])
+    assert h(xs).tolist() == [[h(x) for x in row] for row in xs.tolist()]
+    assert h(xs).tolist() == [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+    assert type(h(0.5)) is float
+
 
 class TestAuxFunctions:
     def test_m_and_n_limits(self):
@@ -1015,6 +1035,17 @@ class TestMuHCalls:
         for k, x in enumerate((0.3, 1.2, 4.0), start=1):
             stein.stein_residual_continuous(h, x)
             assert len(mu_calls) == k
+
+    @pytest.mark.parametrize("argv", [["--z", "1.5"],
+                                      ["--lipschitz", "identity"],
+                                      ["--lipschitz", "min1"]],
+                             ids=["indicator", "identity", "min1"])
+    def test_one_call_per_stein_solution_column(self, mu_calls, argv,
+                                                capsys):
+        # f, f' and the residual each solve the whole --x list at once
+        assert cli.main(["stein-solution", *argv, "--x", "0", "1e-5", "0.5",
+                         "1", "999.9", "1000"]) == 0
+        assert len(mu_calls) == 3
 
 
 @pytest.mark.parametrize("z,hi", [(1.0, 6.0), (0.0, 6.0), (3.0, 10.0)])

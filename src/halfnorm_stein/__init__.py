@@ -26,9 +26,9 @@ from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
                     LipschitzFunction, fz, fz_prime, mu_h,
                     solve_fh, sup_search, verify_lemma_bounds,
                     verify_monotone_xfz)
-from .walks import (DomainError, ExactPMF, FloatLaw, ScaledLaw,
-                    brute_force_pmf, exact_pmf, float_law, half_length,
-                    mean_exact, moment_bounds_check, scaled_law, walk_length)
+from .walks import (DomainError, ExactPMF, ScaledLaw, brute_force_pmf,
+                    exact_pmf, half_length, mean_exact, moment_bounds_check,
+                    scaled_law, walk_length)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

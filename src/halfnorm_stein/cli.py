@@ -241,7 +241,7 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_simulate(args) -> int:
     # every n is checked before any walk is drawn
     for n in args.n:
-        walks.half_length(args.stat, n)
+        walks._exact_half_length(args.stat, n)
     rows = []
     for n in args.n:
         report = simulate.empirical_check(args.stat, n, args.trials,

@@ -9,8 +9,8 @@ per-call overhead once per block instead of once per law. An n-list
 (``bound_checks``, ``rate_table``) is measured straight from the blocks of
 float CDFs that ``walks._float_blocks`` builds, at most ``_BLOCK_ATOMS``
 padded atoms to a block, with its atoms scale * j built in one pass and
-no law object made; ``distances`` measures one law object as a block of
-one. The Kolmogorov supremum over a discrete/continuous pair is attained
+no law object made; ``distances`` measures one ``ScaledLaw`` as a block
+of one. The Kolmogorov supremum over a discrete/continuous pair is attained
 at an atom, approached from the left or the right; both candidates are
 checked, and the per-law maximum of the same differences is the same
 float, so blocking leaves d_K bit for bit. The Wasserstein
@@ -23,11 +23,9 @@ touches the theorem margins. ``wasserstein_quantile`` is an independent
 second route, also in closed form: it integrates the quantile gap, with
 the quantile read from AS241 where this route reads F.
 
-A law is anything with ``atoms()`` and ``cdf()`` whose CDF is 1 beyond its
-last atom: the float CDF of ``walks.float_law``, kept only up to its first
-entry equal to 1.0, or, for the exact oracles, a ``ScaledLaw`` with every
-atom and the exact CDF rounded once. The blocks of an n-list hold the
-same float CDFs as ``float_law``.
+Every law's CDF is 1 beyond its last atom: a float law of a block is kept
+only up to its first entry equal to 1.0, and a ``ScaledLaw``, the exact
+oracle, keeps every atom with the exact CDF rounded once.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ from itertools import accumulate
 import numpy as np
 
 from .normal import HALF_NORMAL_MEAN, _hn_quantile, hn_cdf, hn_pdf, mills
-from .walks import (FloatLaw, ScaledLaw, _float_blocks, exact_pmf,
-                    half_length, walk_length)
+from .walks import (ScaledLaw, _float_blocks, exact_pmf, half_length,
+                    walk_length)
 
 
 _P0 = float(hn_pdf(0.0))  # p(0) = H(0)
@@ -53,7 +51,7 @@ _P0 = float(hn_pdf(0.0))  # p(0) = H(0)
 _BLOCK_ATOMS = 2 ** 13
 
 
-def distances(law: ScaledLaw | FloatLaw) -> tuple[float, float]:
+def distances(law: ScaledLaw) -> tuple[float, float]:
     """(d_K, d_W) against the half-normal for atoms on [0, inf), from one
     evaluation of F and p at the atoms: ``_block_distances`` of one law.
 
@@ -69,10 +67,7 @@ def distances(law: ScaledLaw | FloatLaw) -> tuple[float, float]:
     - F(a) < c < F(b): F crosses c at t* = F^{-1}(c) inside, where
       F(t*) = c, so the segment is H(a) + H(b) - c (a + b) - 2 p(t*).
     Only these interior segments evaluate the quantile and p(t*).
-    Beyond the last atom the contribution is G = p (1 - xR). For a
-    ``float_law`` the last atom is its cut, where the float CDF first reads
-    1.0, so d_K is the uncut route's bit for bit and d_W moves by at most
-    1e-14 (``walks.float_law``).
+    Beyond the last atom the contribution is G = p (1 - xR).
     """
     x = law.atoms()
     d_k, d_w = _block_distances(x, law.cdf(), np.array([len(x)]))
@@ -129,12 +124,12 @@ def _float_distances(statistic_tag: str, ns):
                *_block_distances(_lattice(scales, sizes), cdf, sizes))
 
 
-def wasserstein_exact(law: ScaledLaw | FloatLaw) -> float:
+def wasserstein_exact(law: ScaledLaw) -> float:
     """Integral of |F_law(t) - F_Y(t)| over [0, inf), piecewise analytic."""
     return distances(law)[1]
 
 
-def wasserstein_quantile(law: ScaledLaw | FloatLaw) -> float:
+def wasserstein_quantile(law: ScaledLaw) -> float:
     """Independent Wasserstein route: the integral of the quantile gap
     |Q_law(u) - Q_Y(u)| over (0, 1), in closed form.
 
@@ -218,9 +213,9 @@ def bound_check(statistic_tag: str, n: int) -> DistanceReport:
 def bound_checks(statistic_tag: str, ns) -> list[DistanceReport]:
     """Distances for each n of ``ns``, next to the matching theorem bounds.
 
-    Both distances read one CDF of ``float_law``, O(sqrt(n)) atoms long;
-    it agrees with the exactly rounded CDF of ``scaled_law`` to about 1e-14
-    on the atoms it keeps. The laws are built a block at a time by
+    Both distances read one float CDF, O(sqrt(n)) atoms long; it agrees
+    with the exactly rounded CDF of ``scaled_law`` to about 1e-14 on the
+    atoms it keeps. The laws are built a block at a time by
     ``walks._float_blocks`` and each block is measured as built, its atoms
     and CDFs never wrapped as laws. An empty ``ns`` raises ValueError.
     """

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walks import (DomainError, exact_pmf, path_kind, path_statistic,
-                    support_size)
+from .walks import (DomainError, _whole, exact_pmf, path_kind,
+                    path_statistic, support_size)
 
 _CHUNK = 65536
 _DRAW_ROWS = 2048  # rows drawn at a time; a multiple of 8, see `_steps`
@@ -144,6 +144,7 @@ def empirical_check(statistic_tag: str, n: int, trials: int,
     """Empirical-CDF deviation from the exact law, against the
     Dvoretzky-Kiefer-Wolfowitz threshold at alpha = 1e-3 with 2x slack.
     Bad trials, seed or n raise DomainError before any walk is drawn."""
+    trials, seed = _whole("trials", trials), _whole("seed", seed)
     if trials < 10_000:
         raise DomainError(f"trials >= 10^4 required, got {trials}")
     if not 0 <= seed < 1 << 128:

@@ -6,14 +6,12 @@ lengths n = 2m + parity (``half_length`` is the one admissibility rule,
 of its row of m + 1 entries and ``_masses`` the map of that row onto the
 support. ``exact_pmf`` runs the recurrence in big integers (O(m)
 operations, denominator 2^(2m)) and keeps every atom. The float laws run
-it in floats only over the law's numerical support, O(sqrt(n)) entries:
-the row is cut at the atom x = 10, where a geometric bound, checked on
-every row, puts the dropped mass below 2^-64 of the kept mass, and the
-normalised CDF is trimmed after its first entry equal to 1.0. One row
+it in floats only over the law's numerical support, O(sqrt(n)) entries,
+cut at the atom x = 10 and trimmed after the first CDF entry 1.0. One row
 builder, ``_float_block``, makes them for a block of n at once, in one
-pass: one padded 2D array with one cumprod and one cumsum along its rows;
-``float_law`` is its block of one, and ``metrics`` measures each block of
-a sweep as built. The exact pmfs rounded once are its oracle.
+pass: one padded 2D array with one cumprod and one cumsum along its rows,
+the only form a float law takes; ``metrics`` measures each block of a
+sweep as built. The exact pmfs rounded once are its oracle.
 The oracle of the exact pmfs is an exact int64 count of all 2^n paths
 (n <= 62) per walk state, advanced one step at a time, one statistic per
 call: O(n^2) states, O(n^3) work, no formula.
@@ -22,6 +20,7 @@ call: O(n^2) states, O(n^3) work, no formula.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -36,7 +35,7 @@ STATISTICS = tuple(_LAWS)
 
 BRUTE_FORCE_MAX_N = 62
 
-# float_law cuts every row at the atom x = 10, where Hoeffding's bound
+# _cut cuts every row at the atom x = 10, where Hoeffding's bound
 # exp(-x^2/2) on the tail is exp(-50) = 2e-22 (twice that for the maximum,
 # by the reflection principle). The geometric tail bound _float_block checks
 # is at most 2.84e-4 _TAIL_RTOL of the kept mass at every admissible
@@ -51,6 +50,13 @@ _TAIL_RTOL = 2.0 ** -64
 # (halfmax, signchanges); a larger n raises DomainError before any row is
 # built
 _MAX_ATOMS = 2 ** 20
+
+# the most bytes of numerators an exact law may hold: (m + 1)(2m + parity)
+# bits, a row of m + 1 ints below 2^(2m + parity). exact_pmf("max", n) took
+# 0.06 s and 43 MB max RSS at n = 2^14, 0.80 s and 230 MB at 2^16 (2^28
+# bytes; 2-core Xeon). It admits n up to 92 680 (92 681 for signchanges),
+# past the int32 walks of simulate from n = 32 768
+_MAX_EXACT_BYTES = 2 ** 29
 
 
 class DomainError(ValueError):
@@ -121,33 +127,26 @@ class ScaledLaw:
         return self.base.float_cdf()
 
 
-class FloatLaw:
-    """A law on the lattice scale * {0, ..., len(cdf) - 1}, held as floats;
-    its CDF is 1.0 beyond the last atom."""
-
-    __slots__ = ("scale", "_cdf")
-
-    def __init__(self, scale: float, cdf: np.ndarray):
-        self.scale = scale
-        self._cdf = cdf
-
-    def atoms(self) -> np.ndarray:
-        return self.scale * np.arange(len(self._cdf), dtype=float)
-
-    def cdf(self) -> np.ndarray:
-        return self._cdf
-
-
 def _parity(statistic_tag: str) -> int:
     if statistic_tag not in _LAWS:
         raise DomainError(f"unknown statistic {statistic_tag!r}")
     return _LAWS[statistic_tag][0]
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, from any integer type; else DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got "
+                          f"{name} = {value!r}") from None
+
+
 def half_length(statistic_tag: str, n: int) -> int:
     """m for the walk lengths n = 2m + parity, m >= 1, where the statistic's
     limit theorem holds; any other n raises DomainError."""
     parity = _parity(statistic_tag)
+    n = _whole("n", n)
     if n < 2 + parity or n % 2 != parity:
         kind = "odd n = 2m + 1 >= 3" if parity else "even n = 2m >= 2"
         raise DomainError(f"{statistic_tag} requires {kind}, got n = {n}")
@@ -158,6 +157,7 @@ def walk_length(statistic_tag: str, m: int) -> int:
     """n = 2m + parity, the walk length whose half_length is m >= 1; any
     other m raises DomainError."""
     parity = _parity(statistic_tag)
+    m = _whole("m", m)
     if m < 1:
         raise DomainError(f"m >= 1 required, got m = {m}")
     return 2 * m + parity
@@ -186,14 +186,15 @@ def path_statistic(statistic_tag: str, values: np.ndarray) -> np.ndarray:
 
 def exact_pmf(statistic_tag: str, n: int) -> ExactPMF:
     """The exact law of the statistic at walk length n = 2m + parity, on
-    0..upper with denominator 2^(2m); an inadmissible n raises DomainError.
+    0..upper with denominator 2^(2m); an inadmissible n, or one past
+    _MAX_EXACT_BYTES, raises DomainError.
 
     returns: K_n, the returns to the origin by time n = 2m;
     max: M_n, the maximum of the walk by time n = 2m;
     halfmax: N_n = ceil(M_n / 2), the auxiliary variable, n = 2m;
     signchanges: C_n, the sign changes by odd time n = 2m + 1.
     """
-    m = half_length(statistic_tag, n)
+    m = _exact_half_length(statistic_tag, n)
     nums = _masses(statistic_tag, _exact_row(statistic_tag, m)).tolist()
     return ExactPMF(0, len(nums) - 1, tuple(nums), 1 << (2 * m),
                     statistic_tag)
@@ -207,26 +208,15 @@ def scaled_law(statistic_tag: str, n: int) -> ScaledLaw:
                      _LAWS[statistic_tag][1] / math.sqrt(n))
 
 
-def float_law(statistic_tag: str, n: int) -> FloatLaw:
-    """The law of ``scaled_law(statistic_tag, n)`` on its numerical support,
-    with float atoms and CDF: ``_float_block`` of the one n.
-
-    The pmf is built up to a constant factor by a float cumprod over the
-    ratio recurrences of the exact pmfs, cut where the tail bound proves
-    the dropped mass at most 2^-64 of the kept mass. Each dropped term is
-    then below half an ulp of the running sum, so the normaliser, the last
-    kept partial sum, is the one the whole row gives. The cumulative sum
-    is divided by it, so the CDF never decreases, and it is trimmed just
-    after its first entry equal to 1.0, near x = 8.3: at most about
-    10 sqrt(n) atoms are kept, a prefix of the atoms of ``scaled_law``.
-    On that prefix the CDF agrees with ``ScaledLaw.cdf()`` to about 1e-14
-    up to n = 4096 and is bit for bit the CDF of the uncut row, so d_K is
-    unchanged by the cut and d_W, which adds the tail beyond the last atom
-    in closed form, moves by at most 1e-14. An n whose row would hold more
-    than _MAX_ATOMS atoms raises DomainError.
-    """
-    scales, cdf, _ = _float_block(statistic_tag, [_cut(statistic_tag, n)])
-    return FloatLaw(float(scales[0]), cdf)
+def _exact_half_length(statistic_tag: str, n: int) -> int:
+    """``half_length`` of an n whose exact law holds at most
+    _MAX_EXACT_BYTES of numerators; a larger n raises DomainError."""
+    m = half_length(statistic_tag, n)
+    size = (m + 1) * (2 * m + _LAWS[statistic_tag][0]) // 8
+    if size > _MAX_EXACT_BYTES:
+        raise DomainError(f"{statistic_tag} at n = {n} needs an exact law "
+                          f"of {size} bytes, more than {_MAX_EXACT_BYTES}")
+    return m
 
 
 def _ratios(statistic_tag: str, m, j):
@@ -276,7 +266,7 @@ def _exact_row(statistic_tag: str, m: int) -> np.ndarray:
 
 
 def _cut(statistic_tag: str, n: int) -> tuple[int, int, int]:
-    """(n, m, k): the cut k of the row of ``float_law`` at n, its row
+    """(n, m, k): the cut k of the row of the float law at n, its row
     entry at the atom x = _X_CUT. Entries sit 1/sqrt(n) apart in x for
     returns and 2/sqrt(n) for the others (max has two atoms per entry), so
     k = min(m, ceil(10 sqrt(n) / spacing)), found in exact integers as
@@ -288,7 +278,7 @@ def _cut(statistic_tag: str, n: int) -> tuple[int, int, int]:
     m = half_length(statistic_tag, n)
     spacing = 1 if statistic_tag == "returns" else 2  # x times sqrt(n)
     # ceil(sqrt(a)) = 1 + isqrt(a - 1) for an integer a >= 1
-    root = 1 + math.isqrt(math.ceil(_X_CUT * _X_CUT) * n - 1)
+    root = 1 + math.isqrt(math.ceil(_X_CUT * _X_CUT) * int(n) - 1)
     k = min(m, -(-root // spacing))
     atoms = _atoms(statistic_tag, k)
     if atoms > _MAX_ATOMS:
@@ -317,8 +307,20 @@ def _float_blocks(statistic_tag: str, ns, cells: int):
 
 def _float_block(statistic_tag: str, cuts) -> tuple[np.ndarray, np.ndarray,
                                                       np.ndarray]:
-    """(scales, cdf, sizes) of ``float_law`` at each (n, m, k) of ``cuts``:
-    the laws' CDFs concatenated, sizes[i] atoms from law i.
+    """(scales, cdf, sizes) of the float laws at each (n, m, k) of ``cuts``:
+    the laws' CDFs concatenated, sizes[i] atoms from law i, the atoms
+    scales[i] * {0, ..., sizes[i] - 1} of ``scaled_law``, 1.0 beyond them.
+
+    Each row is the pmf up to a constant factor, a float cumprod of the
+    quotients of ``_ratios`` cut at k, where the tail bound below drops at
+    most 2^-64 of the kept mass: each dropped term is below half an ulp of
+    the running sum, so the normaliser, the last kept partial sum, is the
+    whole row's. Divided by it the cumulative sum never decreases; it is
+    trimmed just after its first 1.0, near x = 8.3, to at most about
+    10 sqrt(n) atoms. There the CDF is bit for bit the uncut row's and
+    within about 1e-14 of ``ScaledLaw.cdf()`` up to n = 4096: the cut
+    leaves d_K unchanged and moves d_W, which adds the tail past the last
+    atom in closed form, by at most 1e-14.
 
     The rows are built at once, padded to the widest: row i holds the
     quotients 0..k_i - 1 of ``_ratios`` and 0.0 beyond them, so one

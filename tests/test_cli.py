@@ -403,6 +403,27 @@ def test_huge_n_exits_two(capsys, command, n):
     assert err.startswith(f"halfnorm-stein {command}: error: max at n = ")
 
 
+@pytest.mark.parametrize("argv", [
+    "pmf --stat max --n 100000000000",
+    "pmf --stat signchanges --m 100000000",
+    "stein-verify --stat max --m 100000000",
+    "simulate --stat returns --n 64:200064:200000 --trials 10000",
+])
+def test_exact_law_too_large_exits_two(monkeypatch, capsys, argv):
+    # pmf at n = 10^11 was still running after 20 s; now the size of the
+    # exact law is refused before any big integer is built, and simulate
+    # refuses its second n before it draws a walk for the first
+    def build(*args):
+        raise AssertionError("a row or a walk was built")
+
+    monkeypatch.setattr(walks, "_exact_row", build)
+    monkeypatch.setattr(simulate, "_steps", build)
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert " needs an exact law of " in err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out = run(capsys, "distance", "--stat", "returns", "--n", "4",

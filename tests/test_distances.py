@@ -12,6 +12,7 @@ from scipy import integrate
 
 from halfnorm_stein import cli, metrics, normal, stein, walks
 from halfnorm_stein.normal import HALF_NORMAL_MEAN, hn_pdf
+from test_float_law import block_of_one
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -288,12 +289,10 @@ def test_rate_table_matches_exact_route(tag):
 # The one-pass route of ``distances`` against references.
 # ---------------------------------------------------------------------------
 
-def _four_pass_distances(law):
+def _four_pass_distances(atoms, cdf):
     """The route ``distances`` replaced, kept as its reference: F at the
     atoms for d_K, then H = p + xF at a, at b and at the clipped crossing
     t* for every segment, and G beyond the last atom."""
-    atoms = law.atoms()
-    cdf = law.cdf()
     target = normal.hn_cdf(atoms)
     cdf_left = np.concatenate(([0.0], cdf[:-1]))
     d_k = float(np.max(np.maximum(np.abs(cdf - target),
@@ -333,10 +332,10 @@ ONE_PASS_BUDGET = 1e-13
     ("signchanges", 3, ONE_PASS_BUDGET), ("halfmax", 2, 2 * ONE_PASS_BUDGET)])
 def test_one_pass_matches_four_pass_route(tag, first, budget):
     # every admissible n up to 4096/4097: d_K bit for bit, d_W in budget
-    for n in range(first, 4098, 2):
-        law = walks.float_law(tag, n)
-        d_k, d_w = metrics.distances(law)
-        ref_k, ref_w = _four_pass_distances(law)
+    ns = range(first, 4098, 2)
+    for n, report in zip(ns, metrics.bound_checks(tag, ns), strict=True):
+        d_k, d_w = report.kolmogorov, report.wasserstein
+        ref_k, ref_w = _four_pass_distances(*block_of_one(tag, n))
         assert d_k == ref_k, n
         assert abs(d_w - ref_w) <= budget, n
 
@@ -370,15 +369,16 @@ def test_hand_made_laws_cover_every_crossing_branch():
 def test_one_pass_matches_four_pass_on_hand_made_laws(name):
     law = HAND_MADE_LAWS[name]
     d_k, d_w = metrics.distances(law)
-    ref_k, ref_w = _four_pass_distances(law)
+    ref_k, ref_w = _four_pass_distances(law.atoms(), law.cdf())
     assert d_k == ref_k
     assert abs(d_w - ref_w) <= ONE_PASS_BUDGET
-    assert abs(d_w - _wasserstein_mpmath(law)) <= ONE_PASS_BUDGET
+    assert abs(d_w - _wasserstein_mpmath(law.atoms(), law.cdf())) \
+        <= ONE_PASS_BUDGET
     assert metrics.wasserstein_exact(law) == d_w
 
 
-def _wasserstein_mpmath(law):
-    """The segment sums of d_W at 40 digits, from the law's float atoms
+def _wasserstein_mpmath(atoms, cdf):
+    """The segment sums of d_W at 40 digits, from a law's float atoms
     and CDF taken as exact binary numbers. The crossing is the float
     quantile refined by three Newton steps."""
     with mpmath.workdps(40):
@@ -394,11 +394,11 @@ def _wasserstein_mpmath(law):
         def anti(t, f):
             return density(t) + t * f
 
-        levels = np.concatenate(([0.0], law.cdf()[:-1]))
+        levels = np.concatenate(([0.0], cdf[:-1]))
         guesses = normal._hn_quantile(levels)
         total = mpmath.mpf(0)
         a, f_a, h_a = mpmath.mpf(0), mpmath.mpf(0), density0
-        for b, c, t in zip(map(mpmath.mpf, law.atoms().tolist()),
+        for b, c, t in zip(map(mpmath.mpf, atoms.tolist()),
                            map(mpmath.mpf, levels.tolist()),
                            guesses.tolist()):
             f_b = cdf_y(b)
@@ -424,10 +424,11 @@ def _wasserstein_mpmath(law):
 def test_one_pass_wasserstein_against_mpmath(tag, n):
     # measured: one pass within 6.6e-15, four passes within 1.3e-15, except
     # on halfmax at n = 4000 (5.2e-14 and 4.5e-14)
-    law = walks.float_law(tag, n)
-    exact = _wasserstein_mpmath(law)
-    assert abs(metrics.distances(law)[1] - exact) <= ONE_PASS_BUDGET
-    assert abs(_four_pass_distances(law)[1] - exact) <= ONE_PASS_BUDGET
+    law = block_of_one(tag, n)
+    exact = _wasserstein_mpmath(*law)
+    assert abs(metrics.bound_check(tag, n).wasserstein - exact) \
+        <= ONE_PASS_BUDGET
+    assert abs(_four_pass_distances(*law)[1] - exact) <= ONE_PASS_BUDGET
 
 
 class _Counted:
@@ -480,7 +481,7 @@ def test_rate_table_evaluates_f_and_p_once_per_row(evaluations):
     # crossing, the quantile at most once per segment (one per atom). The
     # n list spans several blocks.
     ns = [2, 64, 1024, 4096, *range(2000, 4097, 16)]
-    atoms = sum(len(walks.float_law("max", n).atoms()) for n in ns)
+    atoms = sum(len(block_of_one("max", n)[1]) for n in ns)
     metrics.rate_table("max", ns)
     f, p, q = _elements(evaluations)
     assert f == atoms and p == atoms + q and q <= atoms
@@ -489,11 +490,11 @@ def test_rate_table_evaluates_f_and_p_once_per_row(evaluations):
 
 def test_bound_checks_evaluate_f_and_p_on_kept_atoms_only(evaluations):
     # the laws are built as padded rows, but F runs on exactly the atoms
-    # each float_law keeps, and p on those plus the crossings: no padded
+    # each float law keeps, and p on those plus the crossings: no padded
     # cell and no atom past a cut is evaluated. The n list spans blocks
     # of several widths and a law wider than a block.
     ns = [2, 64, 1024, 4096, *range(2000, 4097, 16), 1 << 22, 6, 8]
-    atoms = sum(len(walks.float_law("max", n).atoms()) for n in ns)
+    atoms = sum(len(block_of_one("max", n)[1]) for n in ns)
     metrics.bound_checks("max", ns)
     f, p, q = _elements(evaluations)
     assert f == atoms and p == atoms + q and q <= atoms
@@ -517,26 +518,27 @@ BATCH_BUDGET = 1e-15
 
 
 def _assert_block_matches_alone(laws):
-    # any laws, concatenated into one block of _block_distances
-    sizes = np.array([len(law.atoms()) for law in laws])
+    # any laws, each (atoms, cdf, (d_K, d_W) alone), concatenated into one
+    # block of _block_distances
+    sizes = np.array([len(atoms) for atoms, _, _ in laws])
     d_k, d_w = metrics._block_distances(
-        np.concatenate([law.atoms() for law in laws]),
-        np.concatenate([law.cdf() for law in laws]), sizes)
+        np.concatenate([atoms for atoms, _, _ in laws]),
+        np.concatenate([cdf for _, cdf, _ in laws]), sizes)
     assert len(d_k) == len(d_w) == len(laws)
-    for law, k, w in zip(laws, d_k.tolist(), d_w.tolist()):
-        alone_k, alone_w = metrics.distances(law)
+    for (_, _, (alone_k, alone_w)), k, w in zip(laws, d_k.tolist(),
+                                                  d_w.tolist()):
         assert k == alone_k
         assert abs(w - alone_w) <= BATCH_BUDGET
 
 
 def _assert_checks_match_alone(tag, ns):
-    # the blocks of an n-list against float_law at each n
+    # the blocks of an n-list against the block of one of each n
     reports = metrics.bound_checks(tag, ns)
     assert [r.n for r in reports] == list(ns)
     for r in reports:
-        alone_k, alone_w = metrics.distances(walks.float_law(tag, r.n))
-        assert r.kolmogorov == alone_k
-        assert abs(r.wasserstein - alone_w) <= BATCH_BUDGET
+        alone = metrics.bound_check(tag, r.n)
+        assert r.kolmogorov == alone.kolmogorov
+        assert abs(r.wasserstein - alone.wasserstein) <= BATCH_BUDGET
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
@@ -570,17 +572,27 @@ def test_law_longer_than_a_block(evaluations):
     # max at n = 2^22 keeps more atoms than a block holds, so it is a block
     # of its own between the short laws around it
     ns = [64, 1 << 22, 128]
-    assert len(walks.float_law("max", 1 << 22).atoms()) > metrics._BLOCK_ATOMS
+    assert len(block_of_one("max", 1 << 22)[1]) > metrics._BLOCK_ATOMS
     metrics.bound_checks("max", ns)
     assert evaluations["hn_cdf"].calls == 3
     _assert_checks_match_alone("max", ns)
 
 
+def _scaled(law):
+    return law.atoms(), law.cdf(), metrics.distances(law)
+
+
+def _float(tag, n):
+    report = metrics.bound_check(tag, n)
+    return (*block_of_one(tag, n), (report.kolmogorov, report.wasserstein))
+
+
 def test_batch_mixes_scaled_and_float_laws():
     _assert_block_matches_alone([
-        walks.scaled_law("returns", 64), walks.float_law("max", 128),
-        *HAND_MADE_LAWS.values(), walks.scaled_law("signchanges", 65),
-        walks.float_law("halfmax", 4000), walks.scaled_law("max", 2)])
+        _scaled(walks.scaled_law("returns", 64)), _float("max", 128),
+        *map(_scaled, HAND_MADE_LAWS.values()),
+        _scaled(walks.scaled_law("signchanges", 65)), _float("halfmax", 4000),
+        _scaled(walks.scaled_law("max", 2))])
 
 
 def test_empty_batch_raises():
@@ -616,9 +628,8 @@ def test_kantorovich_lower_bound_on_wasserstein(tag, n):
     # every cap c; the supremum over 101 caps comes within 0.999 of d_W
     # (measured 0.99986 and above), so a d_W that comes out too small
     # fails here although its theorem margin would grow
-    law = walks.float_law(tag, n)
-    mass = np.diff(law.cdf(), prepend=0.0)
-    atoms = law.atoms()
+    atoms, cdf = block_of_one(tag, n)
+    mass = np.diff(cdf, prepend=0.0)
     lower = max(abs(float(np.dot(mass, np.minimum(atoms, c)))
                     - stein.mu_h(stein.CappedIdentity(c)))
                 for c in KANTOROVICH_CAPS)
@@ -638,9 +649,9 @@ def test_kantorovich_lower_bound_across_full_sweep(tag, first):
     mu = np.array([stein.mu_h(stein.CappedIdentity(c)) for c in caps])
     ns = range(first, 4098, 2)
     for n, report in zip(ns, metrics.bound_checks(tag, ns), strict=True):
-        law = walks.float_law(tag, n)
-        mass = np.diff(law.cdf(), prepend=0.0)
+        atoms, cdf = block_of_one(tag, n)
+        mass = np.diff(cdf, prepend=0.0)
         lower = float(np.max(np.abs(
-            mass @ np.minimum.outer(law.atoms(), caps) - mu)))
+            mass @ np.minimum.outer(atoms, caps) - mu)))
         assert lower <= report.wasserstein + 1e-12, n
         assert lower >= 0.9 * report.wasserstein, n

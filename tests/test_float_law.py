@@ -1,5 +1,8 @@
-"""The float CDF route of walks.float_law against the exact laws and
-against the same route without its cut.
+"""The float CDF route of walks._float_blocks against the exact laws and
+against the same route without its cut. A float law is read off a block
+of one, as the commands build it; its distances come from
+metrics.bound_checks, and those of a hand-built CDF from
+metrics._block_distances.
 
 Error budgets:
 - Against the exact laws: the float route loses about one rounding per
@@ -49,34 +52,44 @@ def every_admissible_and_powers(tag):
             *((1 << k) + first - 2 for k in range(12, 21))]
 
 
-def uncut_float_law(tag, n):
-    """The float route over the whole row of m + 1 entries, normalised by
-    its last partial sum and not trimmed: the reference for the cut."""
+def block_of_one(tag, n):
+    """(atoms, cdf) of the float law at n: ``walks._float_blocks`` of the
+    one n, its atoms scale * j as ``metrics`` lays them out."""
+    ((scales, cdf, sizes),) = walks._float_blocks(tag, [n],
+                                                  metrics._BLOCK_ATOMS)
+    return metrics._lattice(scales, sizes), cdf
+
+
+def uncut_block(tag, n):
+    """(scales, cdf, sizes) of the float route over the whole row of m + 1
+    entries, normalised by its last partial sum and not trimmed, as a block
+    of one: the reference for the cut."""
     m = walks.half_length(tag, n)
     num, den = walks._ratios(tag, m, np.arange(m, dtype=float))
     row = np.ones(m + 1)
     np.cumprod(num / den, out=row[1:])
     cdf = np.cumsum(walks._masses(tag, row))
     cdf /= cdf[-1]
-    return walks.FloatLaw(walks.float_law(tag, n).scale, cdf)
+    ((scales, *_),) = walks._float_blocks(tag, [n], metrics._BLOCK_ATOMS)
+    return scales, cdf, np.array([len(cdf)])
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_float_law_matches_exact_law(tag):
     for n in admissible(tag):
         exact = walks.scaled_law(tag, n)
-        fast = walks.float_law(tag, n)
-        cdf = fast.cdf()
+        atoms, cdf = block_of_one(tag, n)
         kept = len(cdf)
-        assert np.array_equal(fast.atoms(), exact.atoms()[:kept])
+        assert np.array_equal(atoms, exact.atoms()[:kept])
         assert np.max(np.abs(cdf - exact.cdf()[:kept])) <= CDF_BUDGET
         assert cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0.0)
         pmf = exact.base
         tail = Fraction(sum(pmf.numerators[kept:]), pmf.denominator)
         assert tail <= TAIL_BUDGET, n
-        (fast_k, fast_w), (exact_k, exact_w) = (metrics.distances(fast),
-                                                metrics.distances(exact))
+        fast = metrics.bound_check(tag, n)
+        fast_k, fast_w = fast.kolmogorov, fast.wasserstein
+        exact_k, exact_w = metrics.distances(exact)
         assert abs(fast_k - exact_k) <= DISTANCE_BUDGET
         assert abs(fast_w - exact_w) <= DISTANCE_BUDGET
 
@@ -85,13 +98,15 @@ def test_float_law_matches_exact_law(tag):
 def test_cut_matches_uncut_route(tag):
     # the kept CDF and d_K bit for bit, d_W within CUT_BUDGET
     for n in every_admissible_and_powers(tag):
-        law = walks.float_law(tag, n)
-        whole = uncut_float_law(tag, n)
-        kept = len(law.cdf())
-        assert np.array_equal(law.cdf(), whole.cdf()[:kept]), n
-        assert np.all(whole.cdf()[kept:] == 1.0), n
-        d_k, d_w = metrics.distances(law)
-        ref_k, ref_w = metrics.distances(whole)
+        _, cdf = block_of_one(tag, n)
+        scales, whole, sizes = uncut_block(tag, n)
+        kept = len(cdf)
+        assert np.array_equal(cdf, whole[:kept]), n
+        assert np.all(whole[kept:] == 1.0), n
+        report = metrics.bound_check(tag, n)
+        d_k, d_w = report.kolmogorov, report.wasserstein
+        ((ref_k,), (ref_w,)) = metrics._block_distances(
+            metrics._lattice(scales, sizes), whole, sizes)
         assert d_k == ref_k, n
         assert abs(d_w - ref_w) <= CUT_BUDGET, n
 
@@ -123,8 +138,7 @@ def test_bound_checks_are_pinned_bit_for_bit(tag):
 def uncut_float_blocks(tag, ns, cells):
     """``walks._float_blocks`` with each law uncut, in blocks of one."""
     for n in ns:
-        law = uncut_float_law(tag, n)
-        yield np.array([law.scale]), law.cdf(), np.array([len(law.cdf())])
+        yield uncut_block(tag, n)
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
@@ -154,7 +168,7 @@ def test_cut_holds_a_thousandfold_tighter_tail(monkeypatch):
         assert len(widths) == len(blocks), tag
         for k in range(1, 31):
             widths.clear()
-            walks.float_law(tag, (1 << k) + first - 2)
+            block_of_one(tag, (1 << k) + first - 2)
             assert len(widths) == 1, (tag, k)
         widths.clear()
 
@@ -164,7 +178,7 @@ def test_failed_tail_bound_is_refused(monkeypatch):
     # block raises rather than normalise by a short row
     monkeypatch.setattr(walks, "_X_CUT", 3.0)
     with pytest.raises(RuntimeError, match="max at n = 1024: the tail"):
-        walks.float_law("max", 1024)
+        metrics.bound_checks("max", [1024])
 
 
 def _row_widths(monkeypatch):
@@ -188,7 +202,7 @@ def test_float_law_work_is_order_sqrt_n(tag, monkeypatch):
     widths = _row_widths(monkeypatch)
     for n in [*admissible(tag), *((1 << k) + first - 2 for k in range(1, 21))]:
         widths.clear()
-        assert len(walks.float_law(tag, n).cdf()) <= 10 * math.isqrt(n) + 2
+        assert len(block_of_one(tag, n)[1]) <= 10 * math.isqrt(n) + 2
         assert max(widths) <= 10 * (math.isqrt(n) + 1) + 1, n
 
 
@@ -205,8 +219,8 @@ def test_mixed_block_matches_uncut_route(tag):
     ((scales, cdf, sizes),) = walks._float_blocks(tag, ns, 1 << 20)
     for n, scale, law in zip(ns, scales, np.split(cdf, np.cumsum(sizes[:-1])),
                              strict=True):
-        whole = uncut_float_law(tag, n).cdf()
-        assert scale == walks.float_law(tag, n).scale, n
+        alone, whole, _ = uncut_block(tag, n)
+        assert scale == alone[0], n
         assert np.array_equal(law, whole[:len(law)]), n
         assert np.all(whole[len(law):] == 1.0), n
 
@@ -217,7 +231,7 @@ def test_mixed_block_matches_uncut_route(tag):
                                    ("mean", 4)])
 def test_float_law_rejects_bad_n(tag, n):
     with pytest.raises(ValueError):
-        walks.float_law(tag, n)
+        metrics.bound_checks(tag, [n])
     with pytest.raises(ValueError):
         walks.scaled_law(tag, n)
 
@@ -241,7 +255,7 @@ def test_huge_n_is_refused_before_anything_is_built(tag, n, monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(walks.DomainError, match="atoms, more than"):
-            walks.float_law(tag, n)
+            next(walks._float_blocks(tag, [n], metrics._BLOCK_ATOMS))
         with pytest.raises(walks.DomainError, match="atoms, more than"):
             metrics.bound_checks(tag, [n])
         peak = tracemalloc.get_traced_memory()[1]
@@ -267,7 +281,7 @@ def test_refusal_names_the_atoms_of_the_cut_law():
     # atoms, not the n + 1 atoms of the whole row
     with pytest.raises(walks.DomainError,
                        match=" of 31622776601685 atoms, more than 1048576$"):
-        walks.float_law("max", 10 ** 25)
+        metrics.bound_checks("max", [10 ** 25])
 
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)

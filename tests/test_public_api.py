@@ -11,11 +11,11 @@ import halfnorm_stein
 PUBLIC_NAMES = [
     "AuxiliaryReport", "BoundCheck", "BoundReport", "CappedIdentity",
     "CharacterizationSpec", "DistanceReport", "DomainError",
-    "EmpiricalReport", "ExactPMF", "FloatLaw", "HalfLineIndicator",
-    "LipschitzFunction", "RateRow", "ScaledLaw", "auxiliary_bounds",
-    "bound_check", "brute_force_pmf", "cap_phi", "characterization",
-    "distances", "empirical_check", "exact_pmf", "float_law", "fz",
-    "fz_prime", "half_length", "indicator_residuals", "make_spec",
+    "EmpiricalReport", "ExactPMF", "HalfLineIndicator", "LipschitzFunction",
+    "RateRow", "ScaledLaw", "auxiliary_bounds", "bound_check",
+    "brute_force_pmf", "cap_phi", "characterization", "distances",
+    "empirical_check", "exact_pmf", "fz", "fz_prime", "half_length",
+    "indicator_residuals", "make_spec",
     "mean_exact", "metrics", "mill_bounds", "moment_bounds_check", "mu_h",
     "normal", "phi", "rate_table", "recover_pmf", "scaled_law", "simulate",
     "solve_fh", "stein", "sup_search", "theorem_bound", "verify_lemma_bounds",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface():
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(halfnorm_stein.__all__) == PUBLIC_NAMES
 
 

@@ -3,13 +3,14 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from enumeration_check import (ENUMERATION_MAX_N, _enumerate,
                                check_formulas_match_enumeration,
                                enumerated_counts, naive_walk_statistics)
-from halfnorm_stein import metrics, simulate, walks
+from halfnorm_stein import characterization, metrics, simulate, walks
 
 
 def masses_dict(pmf):
@@ -388,6 +389,77 @@ def test_half_length_rejects(tag, n):
         walks.half_length(tag, n)
 
 
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+@pytest.mark.parametrize("n", [64, 4096])
+def test_numpy_integer_n_builds_the_same_law(tag, n):
+    # with n an np.int64, 1 << (2 m) ran in int64 and wrapped from n = 64
+    n += tag == "signchanges"
+    pmf = walks.exact_pmf(tag, np.int64(n))
+    assert pmf == walks.exact_pmf(tag, n)
+    assert type(pmf.denominator) is int
+
+
+def test_numpy_integer_inputs_match_python_ints():
+    # each of these raised "masses do not sum to 1" at n = 100 or m = 40
+    assert (walks.scaled_law("max", np.int64(100))
+            == walks.scaled_law("max", 100))
+    assert (characterization.make_spec("returns", np.int64(40))
+            == characterization.make_spec("returns", 40))
+    assert (metrics.auxiliary_bounds(np.int64(40))
+            == metrics.auxiliary_bounds(40))
+    assert (simulate.empirical_check("max", np.int64(100), np.int64(10_000),
+                                     np.int64(3))
+            == simulate.empirical_check("max", 100, 10_000, 3))
+    # the float cut computed 100 n in int64, which wrapped at n = 2^62
+    with pytest.raises(walks.DomainError, match="atoms, more than"):
+        metrics.bound_checks("max", [np.int64(1 << 62)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: walks.exact_pmf("returns", 4.0),
+    lambda: characterization.make_spec("returns", 3.0),
+    lambda: simulate.empirical_check("returns", 8, 1e4),
+    lambda: simulate.empirical_check("returns", 8, 10_000, seed=1.5),
+], ids=["exact_pmf-n", "make_spec-m", "trials", "seed"])
+def test_non_integer_inputs_are_domain_errors(call):
+    # a float n or m raised TypeError, and seed 1.5 ran as seed 1
+    with pytest.raises(walks.DomainError, match="must be an integer"):
+        call()
+
+
+def test_exact_laws_refuse_past_the_byte_limit(monkeypatch):
+    # the limit lowered just below the 33 numerators of 64 bits of max at
+    # n = 64: every exact entry point refuses n = 64 before any row is
+    # built, and n = 62 still builds
+    def build(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(walks, "_MAX_EXACT_BYTES", 33 * 64 // 8 - 1)
+    assert walks.exact_pmf("max", 62).denominator == 1 << 62
+    monkeypatch.setattr(walks, "_exact_row", build)
+    monkeypatch.setattr(simulate, "_steps", build)
+    for call in (lambda: walks.exact_pmf("max", 64),
+                 lambda: walks.scaled_law("max", 64),
+                 lambda: characterization.make_spec("max", 32),
+                 lambda: simulate.empirical_check("max", 64, 10_000),
+                 lambda: metrics.auxiliary_bounds(32)):
+        with pytest.raises(walks.DomainError,
+                           match="needs an exact law of 264 bytes, more "
+                                 "than 263$"):
+            call()
+
+
+@pytest.mark.parametrize("tag", walks.STATISTICS)
+def test_exact_limit_admits_the_int32_walks(tag):
+    # the largest admitted n is past 65 538, so simulate still reaches its
+    # int32 walks, and the next n is refused
+    last = 92_681 if tag == "signchanges" else 92_680
+    assert last >= 65_538
+    assert walks._exact_half_length(tag, last) == last // 2
+    with pytest.raises(walks.DomainError, match="needs an exact law of"):
+        walks._exact_half_length(tag, last + 2)
+
+
 class _Reached(Exception):
     """Raised by a patched path counter or walk drawer: n was accepted."""
 
@@ -404,9 +476,9 @@ def _accepts(fn, *args) -> bool:
 
 @pytest.mark.parametrize("tag", walks.STATISTICS)
 def test_every_entry_point_shares_one_domain(monkeypatch, tag):
-    # the exact pmf, the scaled and the float law, the 2^n oracle, the
-    # Monte Carlo counts, the theorem bounds and the Monte Carlo check
-    # accept the same walk lengths
+    # the exact pmf, the scaled law, the float laws of the distance checks,
+    # the 2^n oracle, the Monte Carlo counts, the theorem bounds and the
+    # Monte Carlo check accept the same walk lengths
     def reached(*args):
         raise _Reached
 
@@ -415,7 +487,7 @@ def test_every_entry_point_shares_one_domain(monkeypatch, tag):
     for n in range(-3, 31):
         verdicts = {_accepts(walks.exact_pmf, tag, n),
                     _accepts(walks.scaled_law, tag, n),
-                    _accepts(walks.float_law, tag, n),
+                    _accepts(metrics.bound_checks, tag, [n]),
                     _accepts(walks.brute_force_pmf, tag, n),
                     _accepts(simulate.empirical_pmf_counts, tag, n, 1, 0),
                     _accepts(metrics.theorem_bound, tag, n, "K"),

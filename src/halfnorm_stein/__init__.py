@@ -20,7 +20,7 @@ from .characterization import (CharacterizationSpec, indicator_residuals,
 from .metrics import (AuxiliaryReport, DistanceReport, RateRow,
                       auxiliary_bounds, bound_check, distances, rate_table,
                       theorem_bound, wasserstein_exact, wasserstein_quantile)
-from .normal import cap_phi, mill_bounds, phi
+from .normal import mill_bounds, phi
 from .simulate import EmpiricalReport, empirical_check
 from .stein import (BoundCheck, BoundReport, CappedIdentity, HalfLineIndicator,
                     LipschitzFunction, fz, fz_prime, mu_h,

@@ -1,4 +1,4 @@
-"""Standard-normal and half-normal evaluators, in numpy alone.
+"""The half-normal law of |Z|, Z standard normal: evaluators in numpy alone.
 
 All functions accept scalars or numpy arrays and evaluate elementwise. A
 float (or a 0-d array) runs through the same array code as a one-element
@@ -174,16 +174,6 @@ def _cdf_array(x):
         _tabulated(_CDF_TABLE, np.minimum(np.abs(x), _TABLE_END)), x)
 
 
-def _sf_array(x):
-    """1 - Phi(x): phi R above 0, (1 + F(-x))/2 at and below it."""
-    out = np.empty_like(x)
-    up = x > 0.0
-    xu = x[up]
-    out[up] = phi(xu) * _mills_array(xu)
-    out[~up] = 0.5 * (1.0 + _cdf_array(-x[~up]))
-    return out
-
-
 def _isf_array(s):
     """-Phi^{-1}(s/2), the half-normal quantile at 1 - s, by AS241 at each
     element of a flat array: Phi^{-1}(p) with p = s/2 and its sign flipped,
@@ -216,31 +206,20 @@ def phi(x):
     return INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
-def cap_phi(x):
-    """Standard normal CDF, read from the upper tail at -x, so it keeps its
-    relative accuracy far out on the left."""
-    return _evaluate(lambda a: _sf_array(-a), x)
-
-
-def normal_sf(x):
-    """Upper tail 1 - cap_phi(x), accurate to full relative precision."""
-    return _evaluate(_sf_array, x)
-
-
 def hn_pdf(x):
     """Half-normal density p(x) = 2 phi(x) at x >= 0."""
     return 2.0 * phi(x)
 
 
 def hn_cdf(x):
-    """Half-normal CDF F(x) = 2 cap_phi(x) - 1 = erf(x / sqrt 2) at x >= 0,
-    odd in x; its Taylor table keeps the relative accuracy near 0 that
-    2 cap_phi - 1 cancels."""
+    """Half-normal CDF F(x) = 2 Phi(x) - 1 = erf(x / sqrt 2) at x >= 0, with
+    Phi the standard normal CDF, odd in x; its Taylor table keeps the
+    relative accuracy near 0 that 2 Phi - 1 cancels."""
     return _evaluate(_cdf_array, x)
 
 
 def mills(x):
-    """Mills ratio R(x) = (1 - F(x))/p(x) = (1 - cap_phi(x))/phi(x);
+    """Mills ratio R(x) = (1 - F(x))/p(x) = (1 - Phi(x))/phi(x);
     R(0) = sqrt(pi/2).
 
     It stays finite (about 1/x) where 1 - F and p both underflow, and
@@ -291,13 +270,13 @@ HALF_NORMAL_MEDIAN = float(_hn_isf(0.5))
 
 
 def mill_bounds(x):
-    """Mill's-ratio sandwich for the upper tail at x > 0.
+    """Mill's-ratio sandwich for the normal tail phi R = (1 - F)/2 at x > 0.
 
-    Returns (lower, upper) with lower <= 1 - cap_phi(x) <= upper,
-    lower = x/(1+x^2) * phi(x) and upper = phi(x)/x.
+    Returns (lower, upper) with lower <= phi(x) R(x) <= upper, lower =
+    x/(1+x^2) * phi(x) and upper = phi(x)/x; nan is refused as x <= 0 is.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise ValueError("mill_bounds requires x > 0")
     dens = phi(arr)
     lower = arr / (1.0 + np.square(arr)) * dens

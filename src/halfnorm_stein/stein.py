@@ -24,8 +24,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .normal import (HALF_NORMAL_MEAN, HALF_NORMAL_MEDIAN, INV_SQRT_2PI,
-                     cap_phi, hn_cdf, hn_cdf_integral, hn_tail_integral,
-                     mills, normal_sf, phi)
+                     hn_cdf, hn_cdf_integral, hn_pdf, hn_tail_integral, mills)
 from .walks import DomainError
 
 # Step of the central difference that gives f_h' for Lipschitz h, and of
@@ -445,7 +444,7 @@ def aux_M(x):
     """F(x)/p(x); M(0) = 0 by continuous extension. M exceeds the double
     range from x = 37.68, so inf is its value there, not a warning."""
     with np.errstate(over="ignore", divide="ignore"):
-        return hn_cdf(x) / (2.0 * phi(x))
+        return hn_cdf(x) / hn_pdf(x)
 
 
 # The paper's N = (1 - F)/p, H = p - F psi and G = H + psi, psi(x) = -x,
@@ -453,15 +452,15 @@ def aux_M(x):
 
 
 def aux_U(x):
-    """2 x phi - 2 (1 - Phi)(1 + x^2) = 2 phi (x - (1 + x^2) R) <= 0; the
-    Mills ratio R keeps the sign where it cancels to about -2 phi/x^3."""
-    return 2.0 * phi(x) * (x - (1.0 + np.square(x)) * mills(x))
+    """x p - (1 - F)(1 + x^2) = p (x - (1 + x^2) R) <= 0; the Mills ratio R
+    keeps the sign where it cancels to about -p/x^3."""
+    return hn_pdf(x) * (x - (1.0 + np.square(x)) * mills(x))
 
 
 def aux_V(x):
     """Second-derivative weight; named aux_V to avoid clashing with the
     auxiliary random variable V = 2 N_n / sqrt(n)."""
-    return -hn_cdf(x) * (1.0 + np.square(x)) - 2.0 * x * phi(x)
+    return -hn_cdf(x) * (1.0 + np.square(x)) - x * hn_pdf(x)
 
 
 def aux_S(x):
@@ -471,13 +470,15 @@ def aux_S(x):
 
 
 def aux_D1(x):
-    """phi/2 - (1 - cap_phi) F; nonnegative on [0, inf)."""
-    return 0.5 * phi(x) - normal_sf(x) * hn_cdf(x)
+    """phi/2 - (1 - Phi) F in the paper, computed as (p/2)(1/2 - F R). It is
+    nonnegative as F R = f_z(z) <= 1/2; 1/2 - F R never underflows."""
+    return 0.5 * hn_pdf(x) * (0.5 - hn_cdf(x) * mills(x))
 
 
 def aux_D2(x):
-    """-x/2 + 4 cap_phi(x) - 3; nonpositive with max about -0.01702."""
-    return -0.5 * x + 4.0 * cap_phi(x) - 3.0
+    """-x/2 + 4 Phi(x) - 3 in the paper; computed as 2 F - 1 - x/2, as
+    Phi = (1 + F)/2 on [0, inf). Nonpositive with max about -0.01702."""
+    return 2.0 * hn_cdf(x) - 1.0 - 0.5 * x
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from halfnorm_stein.normal import (HALF_NORMAL_MEAN, HALF_NORMAL_MEDIAN,
                                    INV_SQRT_2PI, _hn_isf, _hn_quantile,
-                                   cap_phi, hn_cdf, hn_cdf_integral, hn_pdf,
-                                   hn_tail_integral, mill_bounds, mills,
-                                   normal_sf, phi)
+                                   hn_cdf, hn_cdf_integral, hn_pdf,
+                                   hn_tail_integral, mill_bounds, mills, phi)
 
 
 def test_phi_at_zero():
@@ -38,47 +37,48 @@ def test_phi_far_out_is_zero_without_overflow():
     assert np.isnan(phi(np.nan))
 
 
-def test_cap_phi_values():
-    assert cap_phi(0.0) == 0.5
-    assert cap_phi(5.0) == pytest.approx(0.9999997133484281, rel=1e-14)
-    assert cap_phi(HALF_NORMAL_MEDIAN) == pytest.approx(0.75, abs=1e-15)
-
-
-@given(st.floats(-8.0, 8.0))
-def test_cap_phi_reflection(x):
-    assert cap_phi(-x) == pytest.approx(1.0 - cap_phi(x), abs=1e-15)
+def _normal_tail(x):
+    """1 - Phi(x) = erfc(x / sqrt 2)/2 from 50-digit mpmath."""
+    with mpmath.workdps(50):
+        return float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2)
 
 
 def test_mill_bounds_at_one():
     lower, upper = mill_bounds(1.0)
     assert lower == pytest.approx(0.120985, abs=1e-6)
     assert upper == pytest.approx(0.241970, abs=1e-6)
-    assert lower < normal_sf(1.0) < upper
+    assert lower < _normal_tail(1.0) < upper
 
 
 def test_mill_bounds_tight_in_tail():
     lower, upper = mill_bounds(10.0)
-    tail = normal_sf(10.0)
+    tail = _normal_tail(10.0)
     assert (upper - lower) / tail < 2e-2
     assert lower <= tail <= upper
 
 
 def test_mill_bounds_grid():
+    # reference: scipy's standard normal CDF at -x
     xs = np.linspace(1e-3, 10.0, 10_000)
     lower, upper = mill_bounds(xs)
-    tail = normal_sf(xs)
+    tail = special.ndtr(-xs)
     assert np.all(lower < tail)
     assert np.all(tail < upper)
 
 
 def test_mill_bounds_domain():
-    with pytest.raises(ValueError):
-        mill_bounds(0.0)
+    # nan is refused as well: a guard on x <= 0 let it through
+    for x in (0.0, math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            mill_bounds(x)
 
 
 def test_half_normal_pdf_cdf():
     xs = np.linspace(0.01, 8.0, 500)
-    assert np.max(np.abs(hn_cdf(xs) - (2.0 * cap_phi(xs) - 1.0))) < 1e-15
+    with mpmath.workdps(50):
+        ref = np.array([float(mpmath.erf(mpmath.mpf(x) / mpmath.sqrt(2)))
+                        for x in xs])
+    assert np.max(np.abs(hn_cdf(xs) - ref)) < 1e-15
     assert hn_pdf(0.0) == 2.0 * INV_SQRT_2PI
     assert hn_cdf(0.0) == 0.0
     assert hn_cdf(HALF_NORMAL_MEDIAN) == pytest.approx(0.5, abs=1e-12)
@@ -109,7 +109,7 @@ def test_half_normal_ppf_just_below_one():
     q = 1.0 - 2.0 ** -53
     x = _hn_quantile(q)
     assert x == pytest.approx(8.292361075813595, rel=1e-13)
-    assert 2.0 * normal_sf(x) == pytest.approx(2.0 ** -53, rel=1e-12)
+    assert hn_pdf(x) * mills(x) == pytest.approx(2.0 ** -53, rel=1e-12)
 
 
 def test_half_normal_median_correctly_rounded():
@@ -136,14 +136,14 @@ def test_hn_isf_relative_error_down_to_two_to_minus_1000():
 
 
 def test_half_normal_sf_tail_accuracy():
-    # 1 - F = 2 normal_sf keeps its relative accuracy far in the tail, where
+    # 1 - F = p R keeps its relative accuracy far in the tail, where
     # 1 - hn_cdf would lose everything; reference erfc(x/sqrt 2) from
     # 50-digit mpmath, budget 1e-14 relative
     x = 8.0
     with mpmath.workdps(50):
         exact = float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)))
-    assert 2.0 * normal_sf(x) == pytest.approx(exact, rel=1e-14)
-    assert 2.0 * normal_sf(x) > 0.0
+    assert hn_pdf(x) * mills(x) == pytest.approx(exact, rel=1e-14)
+    assert hn_pdf(x) * mills(x) > 0.0
 
 
 def test_half_normal_closed_forms_against_mpmath():
@@ -228,22 +228,22 @@ def test_tail_integral_below_zero(x, expected):
 
 
 def test_normal_tails_relative_accuracy():
-    # normal_sf(x) = erfc(x / sqrt 2)/2 and cap_phi(x) = normal_sf(-x) on
-    # [-38, 38] against 50-digit mpmath. Budget, with eps = 2^-52: relative
+    # The half-normal tail 1 - F = p R = erfc(x / sqrt 2) on [0, 38]
+    # against 50-digit mpmath. Budget, with eps = 2^-52: relative
     # 2 eps (1 + x^2) where the reference is a normal float, absolute
-    # 2^-1022 below it (from x = 37.5). The eps x^2 term is the rounding of
-    # x^2 in phi's exponent, or of x / sqrt 2 inside erfc: scipy's erfc
-    # measured 0.99 eps (1 + x^2) at x = 5.9, and this package 0.67 eps
-    # (1 + x^2) at x = 0.6 and 0.24 eps (1 + x^2) from x = 2 on.
-    xs = np.linspace(-38.0, 38.0, 761)
+    # 2^-1022 below it (from x = 37.55). The eps x^2 term is the rounding of
+    # x^2 in p's exponent, or of x / sqrt 2 inside erfc: scipy's erfc
+    # measured 0.99 eps (1 + x^2) at x = 5.9, and this package 1.0 eps at
+    # x = 0, 0.67 eps (1 + x^2) at x = 0.6 and 0.29 eps (1 + x^2) from
+    # x = 2 on.
+    xs = np.linspace(0.0, 38.0, 381)
     with mpmath.workdps(50):
-        ref = np.array([float(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
+        ref = np.array([float(mpmath.erfc(x / mpmath.sqrt(2)))
                         for x in map(mpmath.mpf, xs)])
     eps = np.finfo(float).eps
     tiny = np.finfo(float).tiny
     budget = np.where(ref >= tiny, 2.0 * eps * (1.0 + xs ** 2) * ref, tiny)
-    assert np.all(np.abs(normal_sf(xs) - ref) <= budget)
-    assert np.all(np.abs(cap_phi(-xs) - ref) <= budget)
+    assert np.all(np.abs(hn_pdf(xs) * mills(xs) - ref) <= budget)
 
 
 _BIT_POINTS = np.concatenate([
@@ -257,9 +257,9 @@ _LEVELS = np.concatenate([np.linspace(0.0, 1.0, 401), 2.0 ** -np.arange(
 
 @pytest.mark.parametrize("fn, points", [
     pytest.param(fn, points, id=fn.__name__) for fn, points in (
-        (phi, _BIT_POINTS), (cap_phi, _BIT_POINTS), (normal_sf, _BIT_POINTS),
-        (hn_pdf, _BIT_POINTS), (hn_cdf, _BIT_POINTS), (mills, _BIT_POINTS),
-        (hn_cdf_integral, _NONNEGATIVE), (hn_tail_integral, _BIT_POINTS),
+        (phi, _BIT_POINTS), (hn_pdf, _BIT_POINTS), (hn_cdf, _BIT_POINTS),
+        (mills, _BIT_POINTS), (hn_cdf_integral, _NONNEGATIVE),
+        (hn_tail_integral, _BIT_POINTS),
         (_hn_isf, _LEVELS), (_hn_quantile, _LEVELS))])
 def test_float_argument_matches_array_bit_for_bit(fn, points):
     # a float or a 0-d array is evaluated as a one-element array; it gives

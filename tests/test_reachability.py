@@ -5,10 +5,12 @@ command line, so functions run at import count too, and then runs a fixed
 list of invocations: all eight subcommands, all four statistics, all three
 formats and the paths that exit 2. Every function of the package that it
 never enters must be listed in UNREACHED, with the reason it stays in src;
-a listed function that it does enter must leave the list. Functions are
-keyed by (module, qualified name) read off the AST, and matched to the
-entered code objects by file, first line and name, as ``co_qualname``
-needs Python 3.11.
+a listed function that it does enter must leave the list. A second
+interpreter runs the benchmark in ``perfbench/`` the same way, its set-up
+and its three workloads, and a listed function must be entered there
+exactly when its reason names perfbench. Functions are keyed by (module,
+qualified name) read off the AST, and matched to the entered code objects
+by file, first line and name, as ``co_qualname`` needs Python 3.11.
 """
 
 import ast
@@ -21,6 +23,7 @@ import sys
 import halfnorm_stein
 
 SRC = pathlib.Path(halfnorm_stein.__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 PERF_B = "perfbench calls it (moves with direction 1 step B)"
 PERF_12 = "perfbench calls it (moves with direction 12)"
@@ -28,6 +31,7 @@ PERF_15 = "perfbench calls it (moves with direction 15)"
 CLAIM = "paper claim, tests only (direction 6)"
 CLAIM_PERF = "paper claim, perfbench and tests only (direction 6)"
 VIEW = "single-law view, tests only"
+VIEW_PERF = "single-law view, perfbench set-up and tests only"
 
 UNREACHED = {
     ("metrics", "auxiliary_bounds"): CLAIM_PERF,
@@ -35,10 +39,7 @@ UNREACHED = {
     ("metrics", "distances"): PERF_B,
     ("metrics", "wasserstein_exact"): PERF_B,
     ("metrics", "wasserstein_quantile"): PERF_B,
-    ("normal", "_sf_array"): PERF_15,
-    ("normal", "cap_phi"): PERF_15,
     ("normal", "mill_bounds"): CLAIM,
-    ("normal", "normal_sf"): CLAIM,
     ("stein", "LipschitzFunction.__call__"): PERF_15,
     ("stein", "LipschitzFunction.__post_init__"): PERF_15,
     ("stein", "_adaptive"): PERF_15,
@@ -53,7 +54,7 @@ UNREACHED = {
     ("stein", "aux_S"): CLAIM_PERF,
     ("stein", "aux_U"): CLAIM,
     ("stein", "aux_V"): CLAIM,
-    ("stein", "mu_h"): VIEW,
+    ("stein", "mu_h"): VIEW_PERF,
     ("stein", "verify_monotone_xfz"): CLAIM,
     ("walks", "ExactPMF.masses"): VIEW,
     ("walks", "ScaledLaw.atoms"): PERF_B,
@@ -115,7 +116,9 @@ def _invocations(tmp):
     ]
 
 
-RUNNER = r"""
+# A runner starts with HOOK, fills ``result`` and ends with REPORT, which
+# adds the entered code objects to it and prints it as JSON.
+HOOK = r"""
 import contextlib, io, json, sys
 
 entered = set()
@@ -124,10 +127,21 @@ def profile(frame, event, arg):
     if event == "call":
         entered.add(frame.f_code)
 
+result = {}
 sys.setprofile(profile)
+"""
+
+REPORT = r"""
+sys.setprofile(None)
+result["entered"] = sorted(
+    {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered})
+print(json.dumps(result))
+"""
+
+CLI_RUNNER = HOOK + r"""
 from halfnorm_stein import cli
 
-codes = []
+codes = result["codes"] = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -135,10 +149,18 @@ for argv in json.loads(sys.argv[1]):
             codes.append(cli.main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-sys.setprofile(None)
-print(json.dumps({"codes": codes, "entered": sorted(
-    {(c.co_filename, c.co_firstlineno, c.co_name) for c in entered})}))
-"""
+""" + REPORT
+
+# perfbench's set-up, then each workload's job at seed 0; its files are
+# only read
+PERFBENCH_RUNNER = HOOK + r"""
+sys.path.insert(0, sys.argv[1])
+import job, workloads
+
+hs, _ = job.set_up()
+for workload in workloads.WORKLOADS:
+    workloads.JOBS[workload](hs, workloads.inputs(workload, 0))
+""" + REPORT
 
 
 def _functions():
@@ -165,17 +187,30 @@ def _functions():
     return out
 
 
-def test_unreached_functions_are_the_listed_ones(tmp_path):
-    argvs, codes = zip(*_invocations(tmp_path))
+def _unreached(runner, arg):
+    """(the runner's result, the package functions it never entered, by
+    (module, qualified name))."""
     run = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps(argvs)],
+        [sys.executable, "-c", runner, arg],
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
         capture_output=True, text=True, check=True)
     result = json.loads(run.stdout)
-    assert result["codes"] == list(codes)
     entered = {(os.path.realpath(file), line, name)
-               for file, line, name in result["entered"]}
+               for file, line, name in result.pop("entered")}
     functions = _functions()
-    unreached = {functions[key] for key in functions.keys() - entered}
+    return result, {functions[key] for key in functions.keys() - entered}
+
+
+def test_unreached_functions_are_the_listed_ones(tmp_path):
+    argvs, codes = zip(*_invocations(tmp_path))
+    result, unreached = _unreached(CLI_RUNNER, json.dumps(argvs))
+    assert result["codes"] == list(codes)
     assert sorted(unreached - UNREACHED.keys()) == [], "unlisted, unreached"
     assert sorted(UNREACHED.keys() - unreached) == [], "listed, reached"
+
+
+def test_perfbench_reasons_name_what_perfbench_calls():
+    _, unreached = _unreached(PERFBENCH_RUNNER, str(PERFBENCH))
+    wrong = sorted((key, reason) for key, reason in UNREACHED.items()
+                   if (key not in unreached) != ("perfbench" in reason))
+    assert wrong == []

@@ -9,9 +9,9 @@ import pytest
 from scipy import integrate
 
 from halfnorm_stein import cli, stein, walks
-from halfnorm_stein.normal import (HALF_NORMAL_MEDIAN, cap_phi, hn_cdf,
+from halfnorm_stein.normal import (HALF_NORMAL_MEDIAN, hn_cdf,
                                    hn_cdf_integral, hn_pdf, hn_tail_integral,
-                                   mills, normal_sf, phi)
+                                   mills, phi)
 
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
@@ -48,8 +48,13 @@ class TestMuH:
 
 class TestIndicatorSolution:
     def test_fz_diagonal_closed_form(self):
+        # f_z(z) = F(z)(1 - F(z))/p(z) against 50-digit mpmath
         for z in (0.5, 1.0, 2.0, 3.5):
-            expected = normal_sf(z) * (2.0 * cap_phi(z) - 1.0) / phi(z)
+            with mpmath.workdps(50):
+                zm = mpmath.mpf(z)
+                expected = float(mpmath.erf(zm / mpmath.sqrt(2))
+                                 * mpmath.erfc(zm / mpmath.sqrt(2))
+                                 / (2 * mpmath.npdf(zm)))
             assert stein.fz(z, z) == pytest.approx(expected, rel=1e-13)
 
     def test_fz_zero_level(self):
@@ -57,9 +62,13 @@ class TestIndicatorSolution:
             assert stein.fz(0.0, x) == 0.0
 
     def test_fz_left_branch(self):
-        # x <= z: (1 - F(z)) * M(x) with M = F/p
+        # x <= z: (1 - F(z)) * M(x) with M = F/p, against 50-digit mpmath
         z, x = 1.0, 0.3
-        expected = (2.0 * normal_sf(z)) * stein.aux_M(x)
+        with mpmath.workdps(50):
+            zm, xm = mpmath.mpf(z), mpmath.mpf(x)
+            expected = float(mpmath.erfc(zm / mpmath.sqrt(2))
+                             * mpmath.erf(xm / mpmath.sqrt(2))
+                             / (2 * mpmath.npdf(xm)))
         assert stein.fz(z, x) == pytest.approx(expected, rel=1e-13)
 
     def test_fz_maximum_on_diagonal(self):
@@ -73,8 +82,10 @@ class TestIndicatorSolution:
         assert stein.fz_prime(1.0, 1.7) < 0.0
 
     def test_fz_prime_at_origin(self):
-        assert stein.fz_prime(1.0, 0.0) == pytest.approx(2.0 * normal_sf(1.0),
-                                                         rel=1e-13)
+        # f_z'(0) = 1 - F(z), against 50-digit mpmath
+        with mpmath.workdps(50):
+            expected = float(mpmath.erfc(1 / mpmath.sqrt(2)))
+        assert stein.fz_prime(1.0, 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_fz_prime_jump_requires_side(self):
         with pytest.raises(ValueError):
@@ -577,10 +588,10 @@ class TestAuxFunctions:
         assert all(stein.aux_D2(x) <= 0.0 for x in xs)
 
     def test_d1_sign_holds_without_underflow(self):
-        # D1 = phi/2 - (1 - Phi) F reads exactly 0.0 from x = 38.56, so its
-        # sign holds there only through underflow; D1/phi = 1/2 - R F, with
-        # R the Mills ratio, never underflows and stays above 0.0437
-        # (R F peaks at 0.45629 near x = 1.23)
+        # D1 = (p/2)(1/2 - R F) reads exactly 0.0 from x = 38.55, where p
+        # underflows; its other factor D1/phi = 1/2 - R F, with R the Mills
+        # ratio, never underflows and stays above 0.0437 (R F peaks at
+        # 0.45629 near x = 1.23)
         xs = np.linspace(0.0, 60.0, 6001)
         assert np.all(0.5 - mills(xs) * hn_cdf(xs) >= 0.0)
 
@@ -590,7 +601,7 @@ class TestAuxFunctions:
         # to 0.5/0.0437 = 11.4 near x = 1.23 (measured 27.9 eps). D1
         # relative 32 eps (1 + x^2) where the reference is a normal float,
         # for the cancellation and the eps x^2/2 rounding of phi's exponent
-        # (measured 15.9 eps (1 + x^2)); absolute 2^-1022 below the normal
+        # (measured 2.7 eps (1 + x^2)); absolute 2^-1022 below the normal
         # range, which D1 leaves at x = 37.6.
         xs = np.linspace(0.0, 60.0, 601)
         eps = np.finfo(float).eps
@@ -608,6 +619,25 @@ class TestAuxFunctions:
         budget = np.where(ref_d1 >= tiny,
                           32.0 * eps * (1.0 + xs ** 2) * ref_d1, tiny)
         assert np.all(np.abs(stein.aux_D1(xs) - ref_d1) <= budget)
+
+    def test_d1_is_the_indicator_diagonal(self):
+        # D1 = phi (1/2 - f_z(z)) bit for bit on the indicator suite's z
+        # grid, so D1 >= 0 is the suite's sup |f_z| <= 1/2
+        zs = np.linspace(0.0, 8.0, 400)
+        assert (stein.aux_D1(zs).tobytes()
+                == (phi(zs) * (0.5 - stein.fz(zs, zs))).tobytes())
+
+    def test_d2_against_mpmath(self):
+        # D2 = -x/2 + 4 Phi(x) - 3 on [0, 60] against 50-digit mpmath.
+        # Budget, with eps = 2^-52: absolute 4 eps (1 + x), as F is within
+        # 2 eps and 2 F - 1 - x/2 rounds terms up to 1 + x/2 (measured
+        # 0.44 eps (1 + x)).
+        xs = np.linspace(0.0, 60.0, 601)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            ref = np.array([float(-x / 2 + 4 * mpmath.ncdf(x) - 3)
+                            for x in map(mpmath.mpf, xs)])
+        assert np.all(np.abs(stein.aux_D2(xs) - ref) <= 4.0 * eps * (1.0 + xs))
 
     def test_d2_peak(self):
         x0 = math.sqrt(math.log(32.0 / math.pi))

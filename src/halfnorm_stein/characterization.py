@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .walks import ExactPMF, exact_pmf, walk_length
+from .walks import DomainError, ExactPMF, exact_pmf, walk_length
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class CharacterizationSpec:
     def __post_init__(self):
         size = self.pmf.upper - self.pmf.lower + 1
         if len(self.c_values) != size + 1:
-            raise ValueError("c must be defined on [a-1, b]")
+            raise DomainError("c must be defined on [a-1, b]")
         if len(self.gamma_values) != size:
-            raise ValueError("gamma must be defined on [a, b]")
+            raise DomainError("gamma must be defined on [a, b]")
         if 0 in self.c_values[1:]:
-            raise ValueError("c must be nonzero on the support [a, b]")
+            raise DomainError("c must be nonzero on the support [a, b]")
 
     def c(self, k: int) -> int:
         return self.c_values[k - self.pmf.lower + 1]
@@ -102,25 +102,25 @@ def recover_pmf(lower: int, upper: int,
     1{k >= j} and 1{k >= j+1} gives p(j+1)/p(j) = u/v with
     u = c(j-1) + gamma(j) and v = c(j). The leftover top equation must be
     identically zero; if it is not, the data contradict the characterization
-    and a ValueError is raised. c and gamma must be integer-valued.
+    and a DomainError is raised. c and gamma must be integer-valued.
 
     Numerators follow N(j+1) = N(j) u / v from the smallest N(a) that keeps
     every N an integer, so the result is in lowest terms.
     """
     if upper < lower:
-        raise ValueError("empty interval")
+        raise DomainError("empty interval")
     cs = [c(k) for k in range(lower - 1, upper + 1)]
     gammas = [gamma(k) for k in range(lower, upper + 1)]
     if any(int(v) != v for v in cs + gammas):
-        raise ValueError("c and gamma must be integer-valued")
+        raise DomainError("c and gamma must be integer-valued")
     if cs[-2] + gammas[-1] != 0:
-        raise ValueError("inconsistent system: top equation has no solution "
-                         "with mass at the right endpoint")
+        raise DomainError("inconsistent system: top equation has no "
+                          "solution with mass at the right endpoint")
     ratios = []
     for i in range(upper - lower):
         u, v = cs[i] + gammas[i], cs[i + 1]
         if u * v <= 0:
-            raise ValueError(
+            raise DomainError(
                 f"nonpositive mass ratio {u}/{v} at k={lower + i}")
         ratios.append((abs(int(u)), abs(int(v))))
     # First pass: run the chain from 1, and wherever N u / v is not an

@@ -38,11 +38,10 @@ from itertools import accumulate
 import numpy as np
 
 from .normal import HALF_NORMAL_MEAN, _hn_quantile, hn_cdf, hn_pdf, mills
-from .walks import (ScaledLaw, _float_blocks, exact_pmf, half_length,
-                    walk_length)
+from .walks import (DomainError, ScaledLaw, _float_blocks, exact_pmf,
+                    half_length, walk_length)
 
 
-_P0 = float(hn_pdf(0.0))  # p(0) = H(0)
 # padded atoms per block of the float laws of an n-list.
 # bound_checks over the benchmark sweep's three n-lists took 20.5 ms at
 # 2^13 against 25.1 at 2^12 and 18.3 at 2^14 (warm, best of 30, on a
@@ -105,7 +104,7 @@ def _block_distances(x: np.ndarray, cdf: np.ndarray, sizes: np.ndarray
 
     p = hn_pdf(x)
     anti_b = p + x * f
-    anti_a = before(anti_b, _P0)
+    anti_a = before(anti_b, HALF_NORMAL_MEAN)  # p(0) = H(0) = sqrt(2/pi)
     a = before(x, 0.0)
     seg = anti_b - anti_a - c * (x - a)
     np.negative(seg, out=seg, where=c >= f)
@@ -176,7 +175,7 @@ def theorem_bound(statistic_tag: str, n: int, metric: str) -> float:
     metric ('K' for Kolmogorov, 'W' for Wasserstein): a theorem's, or for
     halfmax the auxiliary lemma's bound on d(V, Y), V = 2 N_n / sqrt(n)."""
     if metric not in ("K", "W"):
-        raise ValueError("metric must be 'K' or 'W'")
+        raise DomainError("metric must be 'K' or 'W'")
     half_length(statistic_tag, n)
     a, b, c = _BOUNDS[statistic_tag, metric]
     return a / math.sqrt(n) + b / n + c / n ** 1.5
@@ -217,11 +216,11 @@ def bound_checks(statistic_tag: str, ns) -> list[DistanceReport]:
     with the exactly rounded CDF of ``scaled_law`` to about 1e-14 on the
     atoms it keeps. The laws are built a block at a time by
     ``walks._float_blocks`` and each block is measured as built, its atoms
-    and CDFs never wrapped as laws. An empty ``ns`` raises ValueError.
+    and CDFs never wrapped as laws. An empty ``ns`` raises DomainError.
     """
     ns = list(ns)
     if not ns:
-        raise ValueError("no laws to measure")
+        raise DomainError("no laws to measure")
     d_k, d_w = [], []
     for *_, k, w in _float_distances(statistic_tag, ns):
         d_k += k.tolist()
@@ -321,7 +320,7 @@ def rate_table(statistic_tag: str, n_list) -> list[RateRow]:
     """
     n_list = list(n_list)
     if not n_list:
-        raise ValueError("empty n list")
+        raise DomainError("empty n list")
     laws = []  # (mean, P(X = 0), d_K, d_W) of each law, its CDF dropped
     for scales, cdf, sizes, d_k, d_w in _float_distances(statistic_tag,
                                                          n_list):

@@ -73,7 +73,7 @@ class CappedIdentity:
 
     def __post_init__(self):
         if not self.c > 0.0:
-            raise ValueError(f"cap c must be in (0, inf], got c = {self.c}")
+            raise DomainError(f"cap c must be in (0, inf], got c = {self.c}")
 
     def __call__(self, x):
         return np.minimum(x, self.c)
@@ -82,7 +82,7 @@ class CappedIdentity:
 @dataclass(frozen=True)
 class LipschitzFunction:
     """An opaque scalar h with a known Lipschitz constant L in [0, inf)
-    (any other L raises ValueError), solved by quadrature. For
+    (any other L raises DomainError), solved by quadrature. For
     h = min(x, c) on a 400-point grid over [0, 8], 300 caps c in
     [0.05, 7.9] give f_h within 2.2e-11 of the closed form and E[h(Y)]
     within 4.4e-14."""
@@ -92,8 +92,8 @@ class LipschitzFunction:
 
     def __post_init__(self):
         if not 0.0 <= self.lipschitz_constant < math.inf:
-            raise ValueError(f"Lipschitz constant must be in [0, inf), got "
-                             f"L = {self.lipschitz_constant}")
+            raise DomainError(f"Lipschitz constant must be in [0, inf), "
+                              f"got L = {self.lipschitz_constant}")
 
     def __call__(self, x):
         """The scalar fn at each of x, in an array shaped like x; a float
@@ -244,7 +244,8 @@ def fz_prime(z: float | np.ndarray, x: float | np.ndarray,
     """
     xs = np.asarray(x, dtype=float)
     if side is None and np.any(xs == z):
-        raise ValueError("f_z' jumps at x = z; pass side='left' or side='right'")
+        raise DomainError("f_z' jumps at x = z; pass side='left' or "
+                          "side='right'")
     at, zs = np.maximum(xs, 0.0), np.maximum(z, 0.0)
     left = xs <= z if side == "left" else xs < z
     tail = mills(zs) * _density_ratio(zs, at)  # (1 - F(z))/p(x), as in fz
@@ -334,7 +335,7 @@ def _quadrature_solver(h: LipschitzFunction) -> tuple[float, Callable]:
                            + math.exp(-gap * gap * (i + 0.5)) * sums[j])
         return np.array([sums[j] for j in firsts])
 
-    mu = h0 + 2.0 * INV_SQRT_2PI * float(tail_sums([0])[0])
+    mu = h0 + HALF_NORMAL_MEAN * float(tail_sums([0])[0])  # p(0) = sqrt(2/pi)
 
     def solve(xs):
         # tail form alone: off min(x, 0.3) by 1.0147e-13 > 1e-13 at x = 0.28556
@@ -496,7 +497,7 @@ def sup_search(f: Callable, lo: float, hi: float) -> tuple[float, float]:
     f, the refined grid maximum for general f.
     """
     if not (math.isfinite(hi - lo) and hi > lo):  # hi - lo is nan at a nan
-        raise ValueError(f"interval [{lo}, {hi}] is empty or not finite")
+        raise DomainError(f"interval [{lo}, {hi}] is empty or not finite")
     peaks, a, b, width = [], lo, hi, math.inf
     while not peaks or SUP_RESOLUTION < b - a < width:
         xs = np.linspace(a, b, SUP_GRID)
@@ -573,8 +574,8 @@ def _lipschitz_bound_report(h: Lipschitz, x_hi: float,
     # h; on a kink of h, |f''| reads the larger side. The last node is x_hi.
     lo = 1e-3
     if not lo <= x_hi <= LIPSCHITZ_X_MAX:
-        raise ValueError(f"z_hi must be in [{lo:g}, {LIPSCHITZ_X_MAX:g}] for "
-                         f"a Lipschitz h, got {x_hi}")
+        raise DomainError(f"z_hi must be in [{lo:g}, {LIPSCHITZ_X_MAX:g}] "
+                          f"for a Lipschitz h, got {x_hi}")
     lip, s = h.lipschitz_constant, FH_PRIME_STEP
     _, f, f_prime = _solution(h)
     xs = np.linspace(0.0, x_hi, grid)
@@ -610,22 +611,22 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
     x >= 1e-3: the benchmark's recorded certify references start there, so
     f_h''(0+) = h'(0+) is not read. A grid of fewer than 2 points, or a
     range with z_hi <= 0, z_hi = inf or, for kind='lipschitz', z_hi < 1e-3,
-    would certify nothing, so all raise ValueError, as do a Lipschitz
+    would certify nothing, so all raise DomainError, as do a Lipschitz
     z_hi > LIPSCHITZ_X_MAX, past which f_h is not evaluated, and a grid of
     more than MAX_GRID points, before anything is allocated.
     """
     if grid < 2:
-        raise ValueError(f"grid needs at least 2 points, got {grid}")
+        raise DomainError(f"grid needs at least 2 points, got {grid}")
     if grid > MAX_GRID:
-        raise ValueError(f"grid takes at most {MAX_GRID} points, got {grid}")
+        raise DomainError(f"grid takes at most {MAX_GRID} points, got {grid}")
     if not 0.0 < z_hi < math.inf:
-        raise ValueError(f"z_hi must be positive and finite, got {z_hi}")
+        raise DomainError(f"z_hi must be positive and finite, got {z_hi}")
     if kind == "indicator":
         return _indicator_bound_report(z_hi, grid)
     if kind == "lipschitz":
         return _lipschitz_bound_report(h if h is not None else IDENTITY,
                                        z_hi, grid)
-    raise ValueError(f"unknown bound suite {kind!r}")
+    raise DomainError(f"unknown bound suite {kind!r}")
 
 
 def verify_monotone_xfz(z: float, grid) -> bool:

@@ -60,9 +60,10 @@ _MAX_EXACT_BYTES = 2 ** 29
 
 
 class DomainError(ValueError):
-    """An input outside the laws this package states: a statistic, a walk
-    length, a trial count, a seed, or a point off the half-normal's
-    support; also an --out file that cannot be written."""
+    """An argument refused by the function whose rule it breaks: a walk
+    input outside the stated laws or past a cap, a point off the support
+    or on a jump with no side given, a bad grid, range, cap, constant,
+    metric or empty n-list, an inconsistent law, or an unwritable --out."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +78,11 @@ class ExactPMF:
 
     def __post_init__(self):
         if len(self.numerators) != self.upper - self.lower + 1:
-            raise ValueError("support length does not match mass vector")
+            raise DomainError("support length does not match mass vector")
         if any(v < 0 for v in self.numerators):
-            raise ValueError("negative mass")
+            raise DomainError("negative mass")
         if sum(self.numerators) != self.denominator:
-            raise ValueError("masses do not sum to 1")
+            raise DomainError("masses do not sum to 1")
 
     def support(self) -> range:
         return range(self.lower, self.upper + 1)
@@ -116,7 +117,7 @@ class ScaledLaw:
 
     def __post_init__(self):
         if not 0.0 < self.scale < math.inf:  # nan included
-            raise ValueError("scale must be positive and finite")
+            raise DomainError("scale must be positive and finite")
 
     def atoms(self) -> np.ndarray:
         return self.scale * np.arange(self.base.lower, self.base.upper + 1,
@@ -481,7 +482,7 @@ def brute_force_pmf(statistic_tag: str, n: int) -> ExactPMF:
     """
     half_length(statistic_tag, n)
     if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"path count capped at n = {BRUTE_FORCE_MAX_N}")
+        raise DomainError(f"path count capped at n = {BRUTE_FORCE_MAX_N}")
     counts = np.zeros(n + 1, dtype=np.int64)
     np.add.at(counts, path_statistic(statistic_tag, np.arange(n + 1)),
               _count(path_kind(statistic_tag), n))

@@ -450,7 +450,8 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-lemmas", "--grid", "abc"])
     assert exc.value.code == 2
-    assert "bad grid size 'abc'" in capsys.readouterr().err
+    assert "argument --grid: invalid int value: 'abc'" in (
+        capsys.readouterr().err)
 
 
 SUBCOMMANDS = ("pmf", "distance", "check-bounds", "rate-table",
@@ -486,35 +487,48 @@ def test_other_value_errors_are_not_domain_errors(monkeypatch):
         cli.main(["distance", "--stat", "returns", "--n", "4"])
 
 
-@pytest.mark.parametrize("kind", ["indicator", "lipschitz"])
+def _refuse_suites(monkeypatch):
+    """Make running either certification suite an AssertionError."""
+    def build(*args):
+        raise AssertionError("a suite was run")
+
+    monkeypatch.setattr(stein, "_indicator_bound_report", build)
+    monkeypatch.setattr(stein, "_lipschitz_bound_report", build)
+
+
+def _grid_refusal(capsys, kind, grid):
+    """The stderr line of verify-lemmas --grid refused with exit 2, and no
+    output."""
+    assert cli.main(["verify-lemmas", "--kind", kind, "--grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("kind", ["indicator", "lipschitz", "all"])
 @pytest.mark.parametrize("grid", ["0", "1"])
-def test_verify_lemmas_rejects_degenerate_grid(capsys, kind, grid):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-lemmas", "--kind", kind, "--grid", grid])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "grid needs at least 2 points" in err
-    assert "Traceback" not in err
+def test_verify_lemmas_rejects_degenerate_grid(monkeypatch, capsys, kind,
+                                               grid):
+    # the library's refusal, a DomainError, reaches exit 2 through main
+    # before any suite runs
+    _refuse_suites(monkeypatch)
+    assert _grid_refusal(capsys, kind, grid) == (
+        f"halfnorm-stein verify-lemmas: error: grid needs at least 2 "
+        f"points, got {grid}\n")
 
 
 @pytest.mark.parametrize("grid", [stein.MAX_GRID + 1, 10 ** 18])
 def test_verify_lemmas_refuses_a_grid_above_the_cap(monkeypatch, capsys,
                                                     grid):
     # 10^18 ended in numpy's _ArrayMemoryError traceback and exit 1; now
-    # argparse's usage error, exit 2, ends in one line naming the cap
-    def certify(*args, **kwargs):
-        raise AssertionError("a suite was run")
-
-    monkeypatch.setattr(stein, "verify_lemma_bounds", certify)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-lemmas", "--grid", str(grid)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1] == (
-        f"halfnorm-stein verify-lemmas: error: argument --grid: grid takes "
-        f"at most {stein.MAX_GRID} points, got {grid}")
-    assert "Traceback" not in err
-    assert cli._grid_points(str(stein.MAX_GRID)) == stein.MAX_GRID
+    # the library refuses it, exit 2, in one line naming the cap
+    _refuse_suites(monkeypatch)
+    for kind in ("indicator", "lipschitz", "all"):
+        assert _grid_refusal(capsys, kind, str(grid)) == (
+            f"halfnorm-stein verify-lemmas: error: grid takes at most "
+            f"{stein.MAX_GRID} points, got {grid}\n")
+    with pytest.raises(AssertionError, match="a suite was run"):
+        stein.verify_lemma_bounds("indicator", grid=stein.MAX_GRID)
 
 
 def test_parser_is_built_once_per_process(capsys):
@@ -563,8 +577,12 @@ _ARGV = st.one_of(
     st.tuples(_STAT, st.integers(-2, 24).map(str), _FORMAT).map(
         lambda a: ["stein-verify", "--stat", a[0], "--m", a[1],
                    "--format", a[2]]),
+    # grids past the cap and a non-integer too, but not MAX_GRID itself,
+    # which would run a full suite
     st.tuples(st.sampled_from(("indicator", "lipschitz", "all")),
-              st.integers(-1, 6).map(str), _FORMAT).map(
+              st.integers(-1, 6).map(str)
+              | st.sampled_from((str(stein.MAX_GRID + 1), str(10 ** 18),
+                                 "abc")), _FORMAT).map(
         lambda a: ["verify-lemmas", "--kind", a[0], "--grid", a[1],
                    "--format", a[2]]),
 )

@@ -178,6 +178,15 @@ def test_theorem_bound_values():
                     tag, n, metric)
 
 
+def test_max_kolmogorov_bound_is_the_triangle_through_v():
+    # d_K(W, Y) <= d_K(W, V) + d_K(V, Y) with the lemma's d_K(V, W) <=
+    # sqrt(2/pi)/sqrt(n): the max row is the halfmax row plus sqrt(2/pi)
+    # in a, bit for bit. The W rows do not compose this way (3 + 2/pi, 0
+    # against 3 + 4/pi, 2 sqrt(2/pi)) and are left as they are.
+    a, b, c = metrics._BOUNDS["halfmax", "K"]
+    assert metrics._BOUNDS["max", "K"] == (a + HALF_NORMAL_MEAN, b, c)
+
+
 def test_theorem_bound_parity():
     with pytest.raises(ValueError):
         metrics.theorem_bound("max", 101, "W")

@@ -100,7 +100,7 @@ def _invocations(tmp):
           "--trials", "10000", "--format", "csv"], 0),
         # inadmissible n, an exact law or a float law too large, a point
         # off the support, bad trials or seed, an unwritable --out, m < 1,
-        # and three refusals of argparse
+        # a grid of one point, and two refusals of argparse
         (["pmf", "--stat", "max", "--n", "7"], 2),
         (["pmf", "--stat", "max", "--n", "100000000000"], 2),
         (["check-bounds", "--stat", "max", "--n", str(10 ** 25)], 2),

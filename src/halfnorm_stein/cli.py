@@ -29,7 +29,11 @@ def _parse_range(spec: str) -> list[int]:
         if step <= 0 or end < start:
             raise argparse.ArgumentTypeError("range must be start:end:step "
                                              "with step > 0 and end >= start")
-        return list(range(start, end + 1, step))
+        try:  # both refused before any memory is touched
+            return list(range(start, end + 1, step))
+        except (OverflowError, MemoryError):
+            raise argparse.ArgumentTypeError(
+                f"range {spec!r} holds too many walk lengths") from None
     raise argparse.ArgumentTypeError(f"bad range {spec!r}")
 
 

@@ -8,7 +8,9 @@ The half-normal law is these closed forms, for x >= 0: the density
 p = 2 phi, the CDF F = 2 Phi - 1 = erf(x / sqrt 2), the Mills ratio
 R = (1 - F)/p, H = p + x F = int F, G = p - x (1 - F) = int_x^inf (1 - F),
 and the constants mean and median. Upper tails go through R, so their
-relative accuracy survives where 1 - F and p underflow.
+relative accuracy survives where 1 - F and p underflow. The domain is
+the half-line x >= 0: F, R and G read a negative x as 0, while phi and p
+stay symmetric.
 
 How R, F and the quantile are computed:
 - (1 + x) R(x) on [0, inf) is one polynomial of degree 26 in
@@ -56,7 +58,7 @@ _MILLS_FIT = (
 
 # AS241: (numerator, denominator), highest power first, for the central
 # branch in r = 0.180625 - q^2 (the numerator is then multiplied by q), and
-# the two tail branches in sqrt(-log(min(p, 1 - p))) - 1.6 and - 5
+# the two tail branches in sqrt(-log p) - 1.6 and - 5
 _AS241 = np.array([
     ((2.5090809287301226727e+3, 3.3430575583588128105e+4,
       6.7265770927008700853e+4, 4.5921953931549871457e+4,
@@ -156,34 +158,29 @@ def _evaluate(array_fn, x):
 
 
 def _mills_array(x):
-    a = np.abs(x)
+    a = np.maximum(x, 0.0)
     r = _tabulated(_MILLS_TABLE, np.minimum(a, _TABLE_END))
     far = a >= _TABLE_END
     if far.any():  # the fit is 27 Horner steps, even on no elements
         r[far] = _mills_fit(a[far])
-    neg = x < 0.0
-    if neg.any():  # R(-a) = 1/phi(a) - R(a)
-        with np.errstate(over="ignore"):
-            r[neg] = np.exp(0.5 * np.square(a[neg])) / INV_SQRT_2PI - r[neg]
     return r
 
 
-# F is odd, and its last node, at _TABLE_END, reads 1.0
+# the last node, at _TABLE_END, reads 1.0
 def _cdf_array(x):
-    return np.copysign(
-        _tabulated(_CDF_TABLE, np.minimum(np.abs(x), _TABLE_END)), x)
+    return _tabulated(_CDF_TABLE, np.minimum(np.maximum(x, 0.0), _TABLE_END))
 
 
 def _isf_array(s):
     """-Phi^{-1}(s/2), the half-normal quantile at 1 - s, by AS241 at each
-    element of a flat array: Phi^{-1}(p) with p = s/2 and its sign flipped,
-    which is exact. Each element gathers its AS241 branch's coefficients,
-    and all are evaluated at once."""
+    element s in [0, 1] of a flat array: Phi^{-1}(p) with p = s/2 <= 1/2,
+    the upper half of AS241, and its sign flipped, which is exact. Each
+    element gathers its AS241 branch's coefficients, and all are evaluated
+    at once; nan stays nan."""
     p = 0.5 * s
     w = 0.5 - p  # -q in AS241
-    t = np.minimum(p, 1.0 - p)
-    outer = t < 0.075  # outside AS241's |q| <= 0.425
-    r = np.sqrt(-np.log(np.maximum(t, 5e-324)))
+    outer = p < 0.075  # outside AS241's |q| <= 0.425
+    r = np.sqrt(-np.log(np.maximum(p, 5e-324)))
     tail = r > 5.0
     v = np.where(outer, r - np.where(tail, 5.0, 1.6), 0.180625 - w * w)
     branch = np.add(outer, tail, dtype=np.intp)
@@ -191,11 +188,8 @@ def _isf_array(s):
     coefficients = _AS241_BY_POWER.take(branch, axis=2).reshape(8, -1)
     ratio = _poly(coefficients, np.concatenate((v, v)))
     num, den = ratio[:s.size], ratio[s.size:]
-    x = num * np.where(outer, np.copysign(1.0, w), w) / den
-    if not (t > 0.0).all():  # s = 0, s = 2, outside [0, 2] or nan
-        x[p == 0.0] = np.inf
-        x[p == 1.0] = -np.inf
-        x[~(t >= 0.0)] = np.nan
+    x = num * np.where(outer, 1.0, w) / den
+    x[p == 0.0] = np.inf
     return x
 
 
@@ -213,18 +207,15 @@ def hn_pdf(x):
 
 def hn_cdf(x):
     """Half-normal CDF F(x) = 2 Phi(x) - 1 = erf(x / sqrt 2) at x >= 0, with
-    Phi the standard normal CDF, odd in x; its Taylor table keeps the
-    relative accuracy near 0 that 2 Phi - 1 cancels."""
+    Phi the standard normal CDF; its Taylor table keeps the relative
+    accuracy near 0 that 2 Phi - 1 cancels."""
     return _evaluate(_cdf_array, x)
 
 
 def mills(x):
-    """Mills ratio R(x) = (1 - F(x))/p(x) = (1 - Phi(x))/phi(x);
-    R(0) = sqrt(pi/2).
-
-    It stays finite (about 1/x) where 1 - F and p both underflow, and
-    R(inf) = 0. Below 0 it is 1/phi(x) - R(-x), inf from x = -37.7 on.
-    """
+    """Mills ratio R(x) = (1 - F(x))/p(x) = (1 - Phi(x))/phi(x); R(0) =
+    sqrt(pi/2) and R(inf) = 0. It stays finite (about 1/x) where 1 - F and
+    p both underflow."""
     return _evaluate(_mills_array, x)
 
 
@@ -237,18 +228,14 @@ def hn_tail_integral(x):
     """G(x) = p(x) - x (1 - F(x)) = p(x) (1 - x R(x)), the integral of 1 - F
     over [x, inf). 1 - x R is about 1/x^2, so the relative error of R and
     the eps x^2/2 rounding of p's exponent both grow as eps x^2. x is
-    clamped at 40, as in phi; G is 0.0 from x = 38.41 on, G(inf) too.
-    Below 0, where R overflows from x = -37.7 on, G is p - x (1 - F) as
-    written, a sum of two positive terms, and G(-inf) = inf."""
-    x = np.minimum(x, 40.0)
-    up = np.maximum(x, 0.0)
-    return np.where(x < 0.0, hn_pdf(x) - x * (1.0 - hn_cdf(x)),
-                    hn_pdf(up) * (1.0 - up * mills(up)))[()]
+    clamped to [0, 40]: G is 0.0 from x = 38.41 on, G(inf) too."""
+    x = np.minimum(np.maximum(x, 0.0), 40.0)
+    return hn_pdf(x) * (1.0 - x * mills(x))
 
 
 def _hn_isf(s):
-    """Half-normal quantile at 1 - s, -Phi^{-1}(s/2), for a float or an
-    array; s = 0 gives inf.
+    """Half-normal quantile at 1 - s, -Phi^{-1}(s/2), for s in [0, 1], a
+    float or an array; s = 0 gives inf.
 
     Taken from the survival side, so s far below machine epsilon keeps its
     full relative accuracy.

@@ -613,7 +613,8 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
     range with z_hi <= 0, z_hi = inf or, for kind='lipschitz', z_hi < 1e-3,
     would certify nothing, so all raise DomainError, as do a Lipschitz
     z_hi > LIPSCHITZ_X_MAX, past which f_h is not evaluated, and a grid of
-    more than MAX_GRID points, before anything is allocated.
+    more than MAX_GRID points, before anything is allocated. So does an h
+    that is not a Lipschitz test function, or one passed with another kind.
     """
     if grid < 2:
         raise DomainError(f"grid needs at least 2 points, got {grid}")
@@ -621,6 +622,10 @@ def verify_lemma_bounds(kind: str, *, z_hi: float = 8.0, grid: int = 400,
         raise DomainError(f"grid takes at most {MAX_GRID} points, got {grid}")
     if not 0.0 < z_hi < math.inf:
         raise DomainError(f"z_hi must be positive and finite, got {z_hi}")
+    if h is not None and (kind != "lipschitz" or not isinstance(h, Lipschitz)):
+        raise DomainError(f"h must be a Lipschitz test function with "
+                          f"kind='lipschitz', got {type(h).__name__} with "
+                          f"kind={kind!r}")
     if kind == "indicator":
         return _indicator_bound_report(z_hi, grid)
     if kind == "lipschitz":

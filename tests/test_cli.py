@@ -404,6 +404,25 @@ def test_huge_n_exits_two(capsys, command, n):
 
 
 @pytest.mark.parametrize("argv", [
+    f"check-bounds --stat max --n 2:{10 ** 30}:2",
+    f"check-bounds --stat max --n 2:{10 ** 18}:2",
+    f"simulate --stat max --n 2:{10 ** 23}:2 --trials 10000",
+])
+def test_range_too_long_to_list_is_a_usage_error(capsys, argv):
+    # listing the walk lengths raised OverflowError (more than sys.maxsize
+    # of them) or MemoryError (4e18 bytes) and exited 1, a failed bound to
+    # a CI gate; both are refused before any memory is touched
+    spec = argv.split()[4]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"argument --n: range '{spec}' holds too many walk lengths")
+
+
+@pytest.mark.parametrize("argv", [
     "pmf --stat max --n 100000000000",
     "pmf --stat signchanges --m 100000000",
     "stein-verify --stat max --m 100000000",

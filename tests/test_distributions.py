@@ -213,18 +213,19 @@ def test_mills_ratio_and_tail_integral_far_out(x):
     assert r == (0.0 if x == math.inf else 1.0 / x)
 
 
-@pytest.mark.parametrize("x,expected", [
-    (-37.5, 75.0), (-38.0, 76.0), (-39.0, 78.0), (-1e3, 2e3),
-    (-math.inf, math.inf)])
-def test_tail_integral_below_zero(x, expected):
-    # G(x) = p(x) - x (1 - F(x)) is p(x) + 2|x| - |x| (1 - F(|x|)) below 0,
-    # and p and 1 - F(|x|) are below 1e-300 at these x; p (1 - x R) gave
-    # inf from x = -38 on (R overflows) and nan with a warning from -39
+@pytest.mark.parametrize("x", [-1e-300, -0.5, -37.5, -1e3, -math.inf])
+def test_left_half_line_reads_as_zero(x):
+    # the half-normal law lives on [0, inf): F, R and G read a negative x
+    # as 0, so F(x) = 0.0, the half-normal CDF there, R(x) = R(0) and
+    # G(x) = G(0) = p(0), the mean; as a float and inside an array, with
+    # no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, gs = hn_tail_integral(x), hn_tail_integral(np.array([x, 1.0]))
-    assert g == expected and gs[0] == expected
-    assert gs[1] == hn_tail_integral(1.0)
+        values = [(fn(x), fn(np.array([x, 1.0]))[0])
+                  for fn in (hn_cdf, mills, hn_tail_integral)]
+    for (at_float, in_array), want in zip(
+            values, (0.0, mills(0.0), HALF_NORMAL_MEAN)):
+        assert at_float == want and in_array == want
 
 
 def test_normal_tails_relative_accuracy():

@@ -57,6 +57,15 @@ REFUSALS = {
              "z_hi must be positive and finite, got 0.0"),
     "kind": (lambda: stein.verify_lemma_bounds("quadratic"),
              "unknown bound suite 'quadratic'"),
+    "h-not-lipschitz": (
+        lambda: stein.verify_lemma_bounds(
+            "lipschitz", h=stein.HalfLineIndicator(1.0)),
+        "h must be a Lipschitz test function with kind='lipschitz', got "
+        "HalfLineIndicator with kind='lipschitz'"),
+    "h-with-indicator": (
+        lambda: stein.verify_lemma_bounds("indicator", h=stein.IDENTITY),
+        "h must be a Lipschitz test function with kind='lipschitz', got "
+        "CappedIdentity with kind='indicator'"),
     "metric": (lambda: metrics.theorem_bound("max", 4, "X"),
                "metric must be 'K' or 'W'"),
     "bound-checks-empty": (lambda: metrics.bound_checks("max", []),
